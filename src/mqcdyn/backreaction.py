@@ -34,7 +34,6 @@ from .models import HybridHamiltonian
 from .pauli import PauliVector, pauli_decompose
 from .regularization import (DENOMINATOR_FLOOR, Grid1D, GridParams, KernelSpec,
                              QuadratureGrid, build_grid, build_grid_1d,
-                             kernel_1d, kernel_1d_deriv, kernel_1d_deriv2,
                              trapezoid_1d, trapezoid_2d)
 
 HBAR = 1.0
@@ -98,10 +97,6 @@ def _hamiltonian_fields_on(h: HybridHamiltonian, q_nodes: np.ndarray,
     return gq, gp
 
 
-def _hamiltonian_grid_fields(h: HybridHamiltonian, grid: QuadratureGrid):
-    return _hamiltonian_fields_on(h, grid.q_nodes, grid.p_nodes)
-
-
 # ---------------------------------------------------------------------------
 # Explicit pair tables
 # ---------------------------------------------------------------------------
@@ -120,7 +115,7 @@ def koopmon_pairs(e: ParticleEnsemble, h: HybridHamiltonian,
     kq, dkq, _ = _kernel_rows(spec, e.q, grid.q_nodes)
     kp, dkp, _ = _kernel_rows(spec, e.p, grid.p_nodes)
     inv_d = _masked_inverse((e.w[:, None] * kq).T @ kp)
-    gq, gp = _hamiltonian_grid_fields(h, grid)
+    gq, gp = _hamiltonian_fields_on(h, grid.q_nodes, grid.p_nodes)
 
     values = np.zeros((n, n, 4))
     for a in range(n):
@@ -193,36 +188,18 @@ class KoopmonTerms:
     heff_vec: np.ndarray
 
 
-class _Contractor:
-    """Caches the inner stage of the separable particle-field contractions.
-
-    Fields passed to `integrate` must already include the quadrature
-    weights.
-    """
-
-    def __init__(self):
-        self._stage1: dict[tuple[int, int], np.ndarray] = {}
-
-    def integrate(self, field_w: np.ndarray, rows_q: np.ndarray,
-                  rows_p: np.ndarray) -> np.ndarray:
-        """sum_{q,p} rows_q[e,q] field_w[q,p] rows_p[e,p] per particle."""
-        key = (id(field_w), id(rows_p))
-        t = self._stage1.get(key)
-        if t is None:
-            t = rows_p @ field_w.T
-            self._stage1[key] = t
-        return np.sum(rows_q * t, axis=1)
-
-
 def koopmon_terms(e: ParticleEnsemble, h: HybridHamiltonian,
-                  grid: QuadratureGrid, spec: KernelSpec,
-                  energy_only: bool = False) -> KoopmonTerms:
+                  grid: QuadratureGrid, spec: KernelSpec) -> KoopmonTerms:
     """Coupling energy, forces and effective quantum fields for the ensemble.
 
     Equivalent to assembling the full pair table and differentiating it under
     the integral sign (closed-form Gaussian derivatives, including the kernel
     inside the mixture denominator), but organized through aggregated fields
-    so the cost is O(N * grid) instead of O(N^2 * grid).
+    so the cost is O(N * grid) instead of O(N^2 * grid).  The energy comes
+    out of the same pass as the forces; ``dynamics.rhs`` returns both.
+
+    The interaction of a `HybridHamiltonian` does not depend on p, so dH/dp
+    has no traceless part and only dH/dq enters the brackets.
     """
     grid.check_coverage(e.q, e.p)
     if e.n == 1:
@@ -232,7 +209,7 @@ def koopmon_terms(e: ParticleEnsemble, h: HybridHamiltonian,
                             dpdot_extra=np.zeros(1), heff_vec=np.zeros((1, 3)))
     s = pauli_decompose(e.rho)[:, 1:]
 
-    kq, dkq, ddkq = _kernel_rows(spec, e.q, grid.q_nodes)
+    kq, dkq, _ = _kernel_rows(spec, e.q, grid.q_nodes)
     kp, dkp, ddkp = _kernel_rows(spec, e.p, grid.p_nodes)
     w = e.w
 
@@ -244,7 +221,7 @@ def koopmon_terms(e: ParticleEnsemble, h: HybridHamiltonian,
     wp = grid.trap_weights_p()
     active_q = kq.any(axis=0)
     if not active_q.all():
-        kq, dkq, ddkq = kq[:, active_q], dkq[:, active_q], ddkq[:, active_q]
+        kq, dkq = kq[:, active_q], dkq[:, active_q]
         q_nodes, wq = q_nodes[active_q], wq[active_q]
     active_p = kp.any(axis=0)
     if not active_p.all():
@@ -260,8 +237,6 @@ def koopmon_terms(e: ParticleEnsemble, h: HybridHamiltonian,
     qq = q_nodes[:, None]
     pp = p_nodes[None, :]
     gq_vec = list(h.grad_q(qq, pp))[1:]
-    gp_vec = list(h.grad_p(qq, pp))[1:]
-    has_p_coupling = any(np.any(c) for c in gp_vec)
 
     ws = w[:, None] * s  # (N, 3)
 
@@ -271,45 +246,41 @@ def koopmon_terms(e: ParticleEnsemble, h: HybridHamiltonian,
     sk = aggregate(kq, kp)
     sgp = aggregate(kq, dkp)
     b1 = _cross3(gq_vec, sgp)     # = -(sgp x gq_vec)
-    if has_p_coupling:
-        sgq = aggregate(dkq, kp)
-        cr = _cross3(sgq, gp_vec)
-        b1 = [b1[m] + cr[m] for m in range(3)]
 
     s_field = -2.0 * HBAR * sum(sk[m] * b1[m] for m in range(3))
     energy = float(np.sum(s_field * inv_dw))
-    if energy_only:
-        return KoopmonTerms(energy=energy, dqdot_extra=None,
-                            dpdot_extra=None, heff_vec=None)
 
     f1 = [c * inv_dw for c in b1]
     f2q = [c * inv_dw for c in _cross3(sk, gq_vec)]
-    f2p = [c * inv_dw for c in _cross3(sk, gp_vec)] if has_p_coupling else None
     fs2 = s_field * inv_d * inv_dw
 
-    con = _Contractor()
+    # per-particle integrals sum_{q,p} rows_q[e,q] field[q,p] rows_p[e,p],
+    # split into a p-stage (rows_p @ field.T) and a q-stage; the fields carry
+    # the quadrature weights, and a p-stage shared by two integrals is
+    # computed once
+    def p_stage(fields, rows_p):
+        return [rows_p @ f.T for f in fields]
 
-    def vec_integrals(fields, rows_q, rows_p):
-        return np.stack([con.integrate(f, rows_q, rows_p) for f in fields],
+    def q_stage(rows_q, stages):
+        return np.stack([np.sum(rows_q * t, axis=1) for t in stages],
                         axis=1)  # (N, 3)
+
+    f1_kp = p_stage(f1, kp)
+    f2q_dkp = p_stage(f2q, dkp)
 
     # gradient of the coupling term w.r.t. the particle coordinates, already
     # divided by the weights: d(q_e)/dt gains +dB/dp_e/w_e, d(p_e)/dt gains
     # -dB/dq_e/w_e
-    grad_q_sum = -vec_integrals(f1, dkq, kp) - vec_integrals(f2q, dkq, dkp)
-    grad_p_sum = -vec_integrals(f1, kq, dkp) - vec_integrals(f2q, kq, ddkp)
-    if has_p_coupling:
-        grad_q_sum = grad_q_sum + vec_integrals(f2p, ddkq, kp)
-        grad_p_sum = grad_p_sum + vec_integrals(f2p, dkq, dkp)
+    grad_q_sum = -q_stage(dkq, f1_kp) - q_stage(dkq, f2q_dkp)
+    grad_p_sum = (-q_stage(kq, p_stage(f1, dkp))
+                  - q_stage(kq, p_stage(f2q, ddkp)))
     db_dq = -2.0 * HBAR * np.sum(s * grad_q_sum, axis=1) \
-        + con.integrate(fs2, dkq, kp)
+        + np.sum(dkq * (kp @ fs2.T), axis=1)
     db_dp = -2.0 * HBAR * np.sum(s * grad_p_sum, axis=1) \
-        + con.integrate(fs2, kq, dkp)
+        + np.sum(kq * (dkp @ fs2.T), axis=1)
 
     # effective quantum field: H_vec(z_e) - 2 hbar sum_b w_b (s_b x I_eb)
-    qvec = vec_integrals(f1, kq, kp) + vec_integrals(f2q, kq, dkp)
-    if has_p_coupling:
-        qvec = qvec - vec_integrals(f2p, dkq, kp)
+    qvec = q_stage(kq, f1_kp) + q_stage(kq, f2q_dkp)
     heff = -HBAR * qvec
 
     return KoopmonTerms(energy=energy, dqdot_extra=db_dp, dpdot_extra=-db_dq,

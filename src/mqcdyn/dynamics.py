@@ -13,10 +13,12 @@ quantum-potential coupling for the bohmion method.  The gradients of the
 coupling terms are obtained by differentiating the quadrature sums exactly
 (closed-form kernel derivatives), so the analytic right-hand side is the
 exact gradient of `energy` on the same grid; the finite-difference tests pin
-this contract.
+this contract.  One `rhs` evaluation returns the energy together with the
+derivative, since both come from the same coupling integrals.
 
 Time stepping is plain fixed-step RK4 with the quadrature grid rebuilt from
-the stage state at every stage.
+the stage state at every stage.  `propagate` records the energy of each state
+from the first RK4 stage at that state.
 """
 
 from __future__ import annotations
@@ -69,11 +71,12 @@ class EnergyDriftError(RuntimeError):
 
 @dataclass
 class EnsembleDerivative:
-    """Time derivative of an ensemble state."""
+    """Time derivative of an ensemble state, and the method's energy there."""
 
     dq: np.ndarray
     dp: np.ndarray
     drho: np.ndarray
+    energy: float
 
 
 _SIGMA_STACK = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
@@ -89,14 +92,16 @@ def _drho_from_field(hvec: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def _mean_field(e: ParticleEnsemble, h: HybridHamiltonian):
-    """<rho_a, dH/dp_a>, <rho_a, dH/dq_a> and the local Pauli field H_vec."""
+    """<rho_a, dH/dp_a>, <rho_a, dH/dq_a>, the local Pauli field H_vec and
+    the mean-field energy sum_a w_a <rho_a, H(zeta_a)>."""
     comp = pauli_decompose(e.rho)  # (N, 4): trace/2 and half Bloch vector
     gq = np.stack(np.broadcast_arrays(*h.grad_q(e.q, e.p)), axis=1)
     gp = np.stack(np.broadcast_arrays(*h.grad_p(e.q, e.p)), axis=1)
     dq = 2.0 * np.sum(comp * gp, axis=1)
     dp_mf = 2.0 * np.sum(comp * gq, axis=1)
-    hvec = np.stack(np.broadcast_arrays(*h.pauli(e.q, e.p)), axis=1)[:, 1:]
-    return dq, dp_mf, hvec
+    hp = np.stack(np.broadcast_arrays(*h.pauli(e.q, e.p)), axis=1)
+    mean = float(e.w @ (2.0 * np.sum(comp * hp, axis=1)))
+    return dq, dp_mf, hp[:, 1:], mean
 
 
 def default_grid(kind: MethodKind, e: ParticleEnsemble, spec: KernelSpec | None,
@@ -111,7 +116,7 @@ def default_grid(kind: MethodKind, e: ParticleEnsemble, spec: KernelSpec | None,
 
 
 def _coupling_terms(kind: MethodKind, e: ParticleEnsemble, h: HybridHamiltonian,
-                    spec: KernelSpec | None, grid, energy_only: bool = False):
+                    spec: KernelSpec | None, grid):
     if kind is MethodKind.EHRENFEST:
         return None
     if spec is None:
@@ -119,25 +124,25 @@ def _coupling_terms(kind: MethodKind, e: ParticleEnsemble, h: HybridHamiltonian,
     if grid is None:
         grid = default_grid(kind, e, spec)
     if kind is MethodKind.KOOPMON:
-        return backreaction.koopmon_terms(e, h, grid, spec,
-                                          energy_only=energy_only)
+        return backreaction.koopmon_terms(e, h, grid, spec)
     return backreaction.bohmion_terms(e, h.mass, grid, spec)
 
 
 def rhs(kind: MethodKind, e: ParticleEnsemble, h: HybridHamiltonian,
         spec: KernelSpec | None = None, grid=None) -> EnsembleDerivative:
-    """Equations of motion for the given method at the current state.
+    """Equations of motion and energy of the given method at the current state.
 
     ``grid`` is the quadrature grid to use for the coupling integrals
     (2D for koopmon, 1D for bohmion); when omitted it is built from the
     current state with default box parameters.  Ehrenfest ignores it.
     """
     kind = MethodKind.parse(kind)
-    dq, dp_mf, hvec = _mean_field(e, h)
+    dq, dp_mf, hvec, total = _mean_field(e, h)
     dp = -dp_mf
 
     terms = _coupling_terms(kind, e, h, spec, grid)
     if terms is not None:
+        total = total + terms.energy
         if isinstance(terms, backreaction.KoopmonTerms):
             dq = dq + terms.dqdot_extra
         dp = dp + terms.dpdot_extra
@@ -149,26 +154,24 @@ def rhs(kind: MethodKind, e: ParticleEnsemble, h: HybridHamiltonian,
     if not (np.all(np.isfinite(dq)) and np.all(np.isfinite(dp))
             and np.all(np.isfinite(drho))):
         raise NonFiniteDerivativeError("non-finite time derivative")
-    return EnsembleDerivative(dq=dq, dp=dp, drho=drho)
+    return EnsembleDerivative(dq=dq, dp=dp, drho=drho, energy=total)
 
 
 def energy(kind: MethodKind, e: ParticleEnsemble, h: HybridHamiltonian,
            spec: KernelSpec | None = None, grid=None) -> float:
     """Conserved Hamiltonian of the method at the current state."""
-    kind = MethodKind.parse(kind)
-    comp = pauli_decompose(e.rho)
-    hp = np.stack(np.broadcast_arrays(*h.pauli(e.q, e.p)), axis=1)
-    mean = float(e.w @ (2.0 * np.sum(comp * hp, axis=1)))
-    terms = _coupling_terms(kind, e, h, spec, grid, energy_only=True)
-    if terms is None:
-        return mean
-    return mean + terms.energy
+    return rhs(kind, e, h, spec, grid).energy
 
 
 def rk4_step(kind: MethodKind, e: ParticleEnsemble, h: HybridHamiltonian,
              spec: KernelSpec | None, dt: float,
-             grid_params: GridParams = GridParams()) -> ParticleEnsemble:
-    """One classical RK4 step; the grid is rebuilt from every stage state."""
+             grid_params: GridParams = GridParams(),
+             k1: EnsembleDerivative | None = None) -> ParticleEnsemble:
+    """One classical RK4 step; the grid is rebuilt from every stage state.
+
+    ``k1`` is ``rhs`` at ``e`` on the box ``grid_params`` builds for ``e``,
+    when the caller already holds it; the step is the same either way.
+    """
     kind = MethodKind.parse(kind)
 
     def stage_grid(state: ParticleEnsemble):
@@ -178,7 +181,8 @@ def rk4_step(kind: MethodKind, e: ParticleEnsemble, h: HybridHamiltonian,
         return ParticleEnsemble(q=e.q + scale * d.dq, p=e.p + scale * d.dp,
                                 rho=e.rho + scale * d.drho, w=e.w)
 
-    k1 = rhs(kind, e, h, spec, stage_grid(e))
+    if k1 is None:
+        k1 = rhs(kind, e, h, spec, stage_grid(e))
     s2 = shifted(0.5 * dt, k1)
     k2 = rhs(kind, s2, h, spec, stage_grid(s2))
     s3 = shifted(0.5 * dt, k2)
@@ -229,9 +233,11 @@ def propagate(kind: MethodKind, e0: ParticleEnsemble, h: HybridHamiltonian,
     ``diagnostics_fn(t, ensemble, energy, drift) -> record`` is called at
     every step (including t=0); the returned records are collected in order.
     Snapshots are deep copies taken at the step nearest each requested time.
-    ``grid_params`` sets the quadrature box of every RK4 stage and of the
-    energy diagnostic.  Raises `EnergyDriftError` when the relative drift
-    exceeds ten times ``energy_tol``.
+    ``grid_params`` sets the quadrature box of every RK4 stage.  The energy
+    of each state is the one `rhs` returns for the first RK4 stage at that
+    state, so it is measured on the box that steps the trajectory.  Raises
+    `EnergyDriftError` when the relative drift exceeds ten times
+    ``energy_tol``, before the step from that state is taken.
     """
     kind = MethodKind.parse(kind)
     if dt <= 0.0:
@@ -251,14 +257,13 @@ def propagate(kind: MethodKind, e0: ParticleEnsemble, h: HybridHamiltonian,
     traj = Trajectory(times=times)
 
     state = e0.copy()
-
-    def state_energy(st):
-        return energy(kind, st, h, spec, default_grid(kind, st, spec, grid_params))
-
-    e_ref = state_energy(state)
     for k in range(n_steps + 1):
         t = times[k]
-        e_now = e_ref if k == 0 else state_energy(state)
+        d = rhs(kind, state, h, spec,
+                default_grid(kind, state, spec, grid_params))
+        e_now = d.energy
+        if k == 0:
+            e_ref = e_now
         drift = abs(e_now - e_ref) / max(abs(e_ref), 1e-300)
         if drift > 10.0 * energy_tol:
             raise EnergyDriftError(t, drift, energy_tol)
@@ -269,5 +274,5 @@ def propagate(kind: MethodKind, e0: ParticleEnsemble, h: HybridHamiltonian,
         if progress is not None:
             progress(k, n_steps)
         if k < n_steps:
-            state = rk4_step(kind, state, h, spec, dt, grid_params)
+            state = rk4_step(kind, state, h, spec, dt, grid_params, k1=d)
     return traj

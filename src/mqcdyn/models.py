@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .pauli import PauliVector, pauli_matrix
+from .pauli import pauli_matrix
 
 #: Position threshold below which two electronic levels are treated as
 #: exactly degenerate (eigenvectors are then fixed by convention, and the
@@ -30,13 +30,15 @@ class DegeneratePotentialError(ValueError):
     """Raised when an operation requires a nonzero electronic gap."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HybridHamiltonian:
     """Operator-valued phase-space function in Pauli form.
 
     ``classical`` and its derivatives are scalar functions of (q, p); the
     interaction callables return the four Pauli coefficients of H_I(q).
-    All callables accept and return numpy arrays elementwise.
+    All callables accept and return numpy arrays elementwise.  Models compare
+    and hash by identity, so results computed for one model object can be
+    kept for it alone.
     """
 
     name: str
@@ -65,10 +67,6 @@ class HybridHamiltonian:
         g0 = self.d_classical_p(q, p)
         z = 0.0 * g0
         return g0, z, z, z
-
-    def interaction_part(self, q: float) -> PauliVector:
-        i0, i1, i2, i3 = self.interaction(q)
-        return PauliVector(float(i0), float(i1), float(i2), float(i3))
 
     def electronic_pauli(self, q):
         """Pauli coefficients of the electronic matrix V_C(q)*1 + H_I(q)."""

@@ -33,10 +33,6 @@ class PauliVector:
         return (self.h0 * IDENTITY + self.h1 * SIGMA_X
                 + self.h2 * SIGMA_Y + self.h3 * SIGMA_Z)
 
-    def vector_norm(self) -> float:
-        """Norm of the traceless part, half of the spectral gap."""
-        return float(np.sqrt(self.h1**2 + self.h2**2 + self.h3**2))
-
 
 def pauli_matrix(h0, h1, h2, h3) -> np.ndarray:
     """2x2 Hermitian matrix from Pauli coefficients (scalars or arrays).
@@ -64,16 +60,6 @@ def pauli_decompose(a: np.ndarray) -> np.ndarray:
     ax = 0.5 * (a[..., 0, 1] + a[..., 1, 0]).real
     ay = 0.5 * (a[..., 1, 0] - a[..., 0, 1]).imag
     return np.stack([a0, ax, ay, az], axis=-1)
-
-
-def bloch_half(rho: np.ndarray) -> np.ndarray:
-    """Half Bloch vectors Tr(rho sigma)/2, shape ``(..., 3)``."""
-    return pauli_decompose(rho)[..., 1:]
-
-
-def trace_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tr(A B) for Hermitian matrices given as Pauli 4-vectors ``(..., 4)``."""
-    return 2.0 * np.sum(a * b, axis=-1)
 
 
 def hermitize(rho: np.ndarray) -> np.ndarray:

@@ -214,14 +214,10 @@ def build_grid_1d(q: np.ndarray, spec: KernelSpec,
     return Grid1D(nodes=nodes, spacing=dr, rule=rule)
 
 
-def quadrature_1d(values: np.ndarray, grid: Grid1D) -> float:
-    """Composite quadrature on a `Grid1D` (midpoint or trapezoid weights)."""
-    return float(np.sum(np.asarray(values) * grid.weights))
-
-
 def trapezoid_1d(values: np.ndarray, grid: Grid1D) -> float:
-    """Alias of `quadrature_1d` (the weights come from the grid's rule)."""
-    return quadrature_1d(values, grid)
+    """Composite quadrature on a `Grid1D`; the weights come from the grid's
+    rule (midpoint or trapezoid)."""
+    return float(np.sum(np.asarray(values) * grid.weights))
 
 
 def trapezoid_2d(values: np.ndarray, grid: QuadratureGrid):

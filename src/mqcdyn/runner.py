@@ -30,8 +30,7 @@ from .config import RunConfig
 from .diagnostics import (DensityField, DiagnosticsRecord, default_phase_grid,
                           particle_diagnostics, smoothed_cloud, waterfall,
                           wigner)
-from .dynamics import MethodKind, default_grid, energy as method_energy, \
-    propagate
+from .dynamics import MethodKind, propagate
 from .ensemble import write_snapshot, read_snapshot
 from .models import adiabatic_basis, make_model
 from .pauli import projector
@@ -39,10 +38,6 @@ from .regularization import GridParams, KernelSpec
 from .sampling import InitSpec, init_ensemble
 from .soft import (SpatialGrid1D, init_wavepacket, observables,
                    propagate_soft)
-
-
-class SolverError(RuntimeError):
-    """A propagation failed after the configuration was accepted."""
 
 
 def rho0_vector(cfg: RunConfig, model) -> np.ndarray:

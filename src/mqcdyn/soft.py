@@ -13,12 +13,13 @@ with momentum-dependent interaction are rejected.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .models import HybridHamiltonian
+from .models import HybridHamiltonian, adiabatic_basis
 from .pauli import pauli_decompose
 
 HBAR = 1.0
@@ -126,35 +127,51 @@ def potential_matrix_fields(h: HybridHamiltonian, r: np.ndarray):
         np.broadcast_to(i3, r.shape)
 
 
-def strang_step(state: WavepacketState, h: HybridHamiltonian, dt: float,
-                _cache={}) -> WavepacketState:
+def _frozen(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+# The builders below are keyed on the grid (a frozen value), the model object
+# (hashed by identity, and held by the cache so its identity cannot be reused)
+# and dt.  One entry each is enough: a run steps one model on one grid.
+
+@functools.lru_cache(maxsize=1)
+def _grid_fields(grid: SpatialGrid1D, h: HybridHamiltonian):
+    """Potential Pauli fields and lower adiabatic vectors on the grid."""
+    v0, v1, v2, v3 = potential_matrix_fields(h, grid.r)
+    lower = adiabatic_basis(h, grid.r)[2]
+    return _frozen(v0, v1, v2, v3, lower)
+
+
+@functools.lru_cache(maxsize=1)
+def _strang_factors(grid: SpatialGrid1D, h: HybridHamiltonian, dt: float):
+    """Half-step kinetic factor and the pointwise potential propagator."""
+    _check_separable(h, grid)
+    kin = np.exp(-0.25j * dt * HBAR * grid.k**2 / h.mass)  # half step
+    v0, v1, v2, v3, _ = _grid_fields(grid, h)
+    rnorm = np.sqrt(v1**2 + v2**2 + v3**2)
+    cos = np.cos(dt * rnorm / HBAR)
+    # sin(dt r)/r with the removable r -> 0 limit
+    sinc = dt / HBAR * np.sinc(dt * rnorm / (np.pi * HBAR))
+    phase = np.exp(-1j * dt * v0 / HBAR)
+    u00 = phase * (cos - 1j * sinc * v3)
+    u01 = phase * (-1j * sinc * (v1 - 1j * v2))
+    u10 = phase * (-1j * sinc * (v1 + 1j * v2))
+    u11 = phase * (cos + 1j * sinc * v3)
+    return _frozen(kin, u00, u01, u10, u11)
+
+
+def strang_step(state: WavepacketState, h: HybridHamiltonian,
+                dt: float) -> WavepacketState:
     """One Strang step of size dt; unitary to round-off.
 
-    The propagator factors are cached per (grid, model, dt) since they do not
-    change during a run.
+    The propagator factors do not change during a run; they are built once
+    per (grid, model object, dt), when the model is also checked to be
+    separable.
     """
-    key = (state.grid.r_min, state.grid.r_max, state.grid.n_points,
-           h.name, tuple(sorted(h.params.items())), float(dt))
-    factors = _cache.get(key)
-    if factors is None:
-        _check_separable(h, state.grid)
-        k = state.grid.k
-        kin = np.exp(-0.25j * dt * HBAR * k**2 / h.mass)  # half step
-        r = state.grid.r
-        v0, v1, v2, v3 = potential_matrix_fields(h, r)
-        rnorm = np.sqrt(v1**2 + v2**2 + v3**2)
-        cos = np.cos(dt * rnorm / HBAR)
-        # sin(dt r)/r with the removable r -> 0 limit
-        sinc = dt / HBAR * np.sinc(dt * rnorm / (np.pi * HBAR))
-        phase = np.exp(-1j * dt * v0 / HBAR)
-        u00 = phase * (cos - 1j * sinc * v3)
-        u01 = phase * (-1j * sinc * (v1 - 1j * v2))
-        u10 = phase * (-1j * sinc * (v1 + 1j * v2))
-        u11 = phase * (cos + 1j * sinc * v3)
-        factors = (kin, u00, u01, u10, u11)
-        _cache.clear()             # one active stepper at a time is enough
-        _cache[key] = factors
-    kin, u00, u01, u10, u11 = factors
+    kin, u00, u01, u10, u11 = _strang_factors(state.grid, h, float(dt))
 
     psi = np.fft.ifft(kin * np.fft.fft(state.psi, axis=1), axis=1)
     psi0 = u00 * psi[0] + u01 * psi[1]
@@ -176,7 +193,7 @@ def energy(state: WavepacketState, h: HybridHamiltonian) -> float:
     psi_k = np.fft.fft(state.psi, axis=1)
     e_kin = float(np.sum(grid.k**2 / (2.0 * h.mass) * np.abs(psi_k) ** 2)
                   * grid.dr / grid.n_points)
-    v0, v1, v2, v3 = potential_matrix_fields(h, grid.r)
+    v0, v1, v2, v3, _ = _grid_fields(grid, h)
     d = np.abs(state.psi[0]) ** 2
     u = np.abs(state.psi[1]) ** 2
     cross = state.psi[0].conj() * state.psi[1]
@@ -187,12 +204,10 @@ def energy(state: WavepacketState, h: HybridHamiltonian) -> float:
 
 def observables(state: WavepacketState, h: HybridHamiltonian) -> dict:
     """Norm, energy, reduced density matrix, adiabatic populations, purity."""
-    from .models import adiabatic_basis
-
     rho = density_matrix(state)
     comp = pauli_decompose(rho)
     purity = float(np.einsum("ij,ji->", rho, rho).real)
-    _, _, v1, _ = adiabatic_basis(h, state.grid.r)
+    v1 = _grid_fields(state.grid, h)[4]
     amp1 = np.conj(v1[:, 0]) * state.psi[0] + np.conj(v1[:, 1]) * state.psi[1]
     p1 = float(np.sum(np.abs(amp1) ** 2) * state.grid.dr)
     return {

@@ -1,6 +1,9 @@
+import collections
+
 import numpy as np
 import pytest
 
+from mqcdyn import backreaction, dynamics, soft
 from mqcdyn.dynamics import (EnergyDriftError, MethodKind, default_grid,
                              energy, propagate, rhs, rk4_step, snapshot_steps)
 from mqcdyn.ensemble import ParticleEnsemble, validate
@@ -264,6 +267,61 @@ def test_propagate_steps_on_the_given_box(kind):
     assert np.array_equal(out.p, stepped.p)
     assert np.array_equal(out.rho, stepped.rho)
     assert not np.array_equal(out.q, final(GridParams()).q)
+
+
+@pytest.mark.parametrize("kind", ["koopmon", "bohmion", "ehrenfest"])
+def test_propagate_records_the_energy_of_the_k1_stage(kind):
+    # the energy recorded at each state is the one `energy` gives on the box
+    # that steps the state, and handing its `rhs` to rk4_step as k1 changes
+    # nothing in the step
+    e = random_ensemble(6, seed=19, q0=0.0, p0=4.0)
+    h = make_model("rabi_us")
+    spec = KernelSpec(alpha=0.5)
+    narrow = GridParams(n_q=2, n_p=2)
+    kind = MethodKind.parse(kind)
+    seen = []
+    propagate(kind, e, h, spec, 0.05, 0.5, grid_params=narrow,
+              diagnostics_fn=lambda t, s, en, dr: seen.append((s.copy(), en)))
+    assert len(seen) == 11
+    for state, recorded in seen:
+        grid = default_grid(kind, state, spec, narrow)
+        assert recorded == energy(kind, state, h, spec, grid)
+        plain = rk4_step(kind, state, h, spec, 0.05, narrow)
+        given = rk4_step(kind, state, h, spec, 0.05, narrow,
+                         k1=rhs(kind, state, h, spec, grid))
+        assert np.array_equal(plain.q, given.q)
+        assert np.array_equal(plain.p, given.p)
+        assert np.array_equal(plain.rho, given.rho)
+
+
+def test_steps_and_coupling_evaluations_pass_the_module_globals(monkeypatch):
+    # profilers hook these module globals, so every step must pass them; a
+    # koopmon step evaluates the coupling at its four RK4 stages, the first
+    # of which also gives the energy, and the final state adds one
+    calls = collections.Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+
+    count(dynamics, "rk4_step")
+    count(soft, "strang_step")
+    count(backreaction, "koopmon_terms")
+
+    n = 5
+    propagate(MethodKind.KOOPMON, random_ensemble(6, seed=5, q0=0.0, p0=4.0),
+              make_model("rabi_us"), KernelSpec(alpha=0.5), 0.05, n * 0.05)
+    assert calls["rk4_step"] == n
+    assert calls["koopmon_terms"] == 4 * n + 1
+
+    grid = soft.SpatialGrid1D(r_min=-15.0, r_max=15.0, n_points=256)
+    state = soft.init_wavepacket(grid, 0.0, 0.0, 1.0, np.array([1.0, 0.0]))
+    soft.propagate_soft(state, make_model("rabi_ds"), 0.01, n * 0.01)
+    assert calls["strang_step"] == n
 
 
 def test_propagate_aborts_on_energy_blowup():

@@ -1,11 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from mqcdyn.models import HybridHamiltonian, make_model
+from mqcdyn.models import HybridHamiltonian, adiabatic_basis, make_model
+from mqcdyn.pauli import pauli_matrix
 from mqcdyn.soft import (BoundaryMassWarning, SpatialGrid1D, WavepacketState,
                          density_matrix, energy, init_wavepacket,
                          momentum_expectation, observables,
-                         position_expectation, propagate_soft, strang_step)
+                         position_expectation, potential_matrix_fields,
+                         propagate_soft, strang_step)
 
 E1 = np.array([1.0, 0.0])
 
@@ -72,6 +76,53 @@ def test_strang_rejects_momentum_coupled_classical_part():
     state = init_wavepacket(rabi_grid(), 0.0, 0.0, 1.0, E1)
     with pytest.raises(ValueError):
         strang_step(state, bad, 0.01)
+
+
+def test_strang_step_and_observables_follow_the_model_object():
+    # models that share name and params but differ in their interaction,
+    # stepped one after the other on one grid and dt, each get their own
+    # propagator and grid fields; compared with both built from scratch
+    # (potential propagator from an eigendecomposition)
+    g = SpatialGrid1D(r_min=-15.0, r_max=15.0, n_points=256)
+    dt = 0.05
+    base = make_model("rabi_ds")
+
+    def doubled(q):
+        return tuple(2.0 * c for c in base.interaction(q))
+
+    other = dataclasses.replace(base, interaction=doubled)
+    state = init_wavepacket(g, 1.0, 0.5, 1.0, np.array([0.6, 0.8]))
+
+    def fresh(h):
+        kin = np.exp(-0.25j * dt * g.k**2 / h.mass)
+        vmat = pauli_matrix(*potential_matrix_fields(h, g.r))
+        lam, vec = np.linalg.eigh(vmat)
+        u = np.einsum("xij,xj,xkj->xik", vec, np.exp(-1j * dt * lam),
+                      vec.conj())
+        psi = np.fft.ifft(kin * np.fft.fft(state.psi, axis=1), axis=1)
+        psi = np.einsum("xij,jx->ix", u, psi)
+        psi = np.fft.ifft(kin * np.fft.fft(psi, axis=1), axis=1)
+        lower = adiabatic_basis(h, g.r)[2]
+        p1 = np.sum(np.abs(np.einsum("xi,ix->x", lower.conj(), psi))**2) * g.dr
+        psi_k = np.fft.fft(psi, axis=1)
+        e_kin = np.sum(g.k**2 / (2.0 * h.mass) * np.abs(psi_k)**2) \
+            * g.dr / g.n_points
+        e_pot = np.einsum("ix,xij,jx->", psi.conj(), vmat, psi).real * g.dr
+        return psi, p1, e_kin + e_pot
+
+    for h in (base, other, base, other):
+        psi, p1, e = fresh(h)
+        out = strang_step(state, h, dt)
+        assert np.max(np.abs(out.psi - psi)) < 1e-12
+        obs = observables(out, h)
+        assert obs["p1"] == pytest.approx(p1, abs=1e-12)
+        assert obs["energy"] == pytest.approx(e, rel=1e-12)
+
+    bad = dataclasses.replace(
+        base, classical=lambda q, p: np.asarray(q, dtype=float)
+        * np.asarray(p, dtype=float))
+    with pytest.raises(ValueError):
+        strang_step(state, bad, dt)
 
 
 def coherent_return_error(dt):
