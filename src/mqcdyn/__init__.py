@@ -9,6 +9,7 @@ benchmark models.  Atomic units, hbar = 1.
 
 __version__ = "0.1.0"
 
+from . import _heap  # noqa: F401  (keeps freed work arrays in the heap)
 from .backreaction import (PairIntegralTable, bohmion_pairs,
                            bohmion_pairs_factorized_2dof, koopmon_pairs,
                            koopmon_pairs_factorized_2dof)

@@ -16,6 +16,20 @@ right-hand-side evaluation used by the integrator goes through aggregated
 kernel fields instead, which is algebraically identical but costs
 O(N * grid) rather than O(N^2 * grid).
 
+`koopmon_terms` spends its time in five matrix products, 21 N nq np
+multiply-adds in all for N particles on the nq x np nodes where some kernel
+is nonzero.  The kernel rows are built once per axis: the q rows stacked as
+[kq; dkq] (2N, nq), the p rows side by side as [kp | dkp | ddkp] (N, 3 np),
+so that [kp | dkp] and [dkp | ddkp] are column slices.  The products are
+
+* [w kq | w s_1 kq | w s_2 kq | w s_3 kq]^T kp: the mixture denominator and
+  the three aggregates sum_b w_b s_b K_b (4 N nq np),
+* [w s_m kq]^T dkp: the three momentum-derivative aggregates (3 N nq np),
+* [kp | dkp] and [dkp | ddkp] times one (2 np, 3 nq) block of the six
+  weighted fields: every p-stage of the forces and the quantum field
+  (2 x 6 N nq np), each finished by a row-wise contraction with kq or dkq,
+* [kq; dkq] times the denominator-derivative field (2 N nq np).
+
 All formulas below use the half Bloch vectors ``s_a = Tr(rho_a sigma)/2``;
 with hbar = 1 the commutator pairing is
 ``Tr(i hbar [rho_a, rho_b] A) = -4 hbar (s_a x s_b) . avec`` for a traceless
@@ -51,8 +65,10 @@ class PairIntegralTable:
     kind: str
 
 
-def _kernel_rows(spec: KernelSpec, centers: np.ndarray, nodes: np.ndarray):
-    """Kernel value/derivative matrices K(node - center), shape (N, n_nodes).
+def _kernel_rows(spec: KernelSpec, centers: np.ndarray, nodes: np.ndarray,
+                 n_rows: int = 2):
+    """Kernel value and derivative matrices K(node - center) and K', plus
+    K'' when ``n_rows`` is 3; each of shape (N, n_nodes).
 
     Tails beyond the subnormal range are flushed to exact zero: their
     contribution to any accumulated integral is below the resolution of a
@@ -64,9 +80,21 @@ def _kernel_rows(spec: KernelSpec, centers: np.ndarray, nodes: np.ndarray):
     k = np.zeros_like(t)
     np.exp(-t, out=k, where=t < 700.0)
     k /= spec.alpha * np.sqrt(np.pi)
-    dk = (-2.0 / a2) * y * k
-    ddk = (4.0 / (a2 * a2) * y * y - 2.0 / a2) * k
-    return k, dk, ddk
+    rows = [k, (-2.0 / a2) * y * k]
+    if n_rows == 3:
+        rows.append((4.0 / (a2 * a2) * y * y - 2.0 / a2) * k)
+    return rows
+
+
+def _active_block(spec: KernelSpec, centers: np.ndarray, nodes: np.ndarray,
+                  weights: np.ndarray, n_rows: int, axis: int):
+    """Kernel rows of `_kernel_rows` at the nodes where some kernel is
+    nonzero, joined along ``axis`` (0 stacks them, 1 lays them side by side),
+    with those nodes and their quadrature weights."""
+    rows = _kernel_rows(spec, centers, nodes, n_rows)
+    active = rows[0].any(axis=0)
+    block = np.concatenate([r[:, active] for r in rows], axis=axis)
+    return block, nodes[active], weights[active]
 
 
 def _cross3(a, b):
@@ -112,8 +140,8 @@ def koopmon_pairs(e: ParticleEnsemble, h: HybridHamiltonian,
     """
     grid.check_coverage(e.q, e.p)
     n = e.n
-    kq, dkq, _ = _kernel_rows(spec, e.q, grid.q_nodes)
-    kp, dkp, _ = _kernel_rows(spec, e.p, grid.p_nodes)
+    kq, dkq = _kernel_rows(spec, e.q, grid.q_nodes)
+    kp, dkp = _kernel_rows(spec, e.p, grid.p_nodes)
     inv_d = _masked_inverse((e.w[:, None] * kq).T @ kp)
     gq, gp = _hamiltonian_fields_on(h, grid.q_nodes, grid.p_nodes)
 
@@ -151,7 +179,7 @@ def bohmion_pairs(e: ParticleEnsemble, grid: Grid1D,
     The Hamiltonian does not enter.  Computed as a Gram matrix, so the table
     is exactly symmetric and its diagonal nonnegative.
     """
-    k, dk, _ = _kernel_rows(spec, e.q, grid.nodes)
+    k, dk = _kernel_rows(spec, e.q, grid.nodes)
     den = e.w @ k
     weight = grid.weights * _masked_inverse(den)
     rows = dk * np.sqrt(weight)[None, :]
@@ -207,81 +235,73 @@ def koopmon_terms(e: ParticleEnsemble, h: HybridHamiltonian,
         # so a single koopmon follows the bare mean-field flow bit for bit
         return KoopmonTerms(energy=0.0, dqdot_extra=np.zeros(1),
                             dpdot_extra=np.zeros(1), heff_vec=np.zeros((1, 3)))
+    n = e.n
     s = pauli_decompose(e.rho)[:, 1:]
-
-    kq, dkq, _ = _kernel_rows(spec, e.q, grid.q_nodes)
-    kp, dkp, ddkp = _kernel_rows(spec, e.p, grid.p_nodes)
     w = e.w
 
     # every integrand term carries at least one kernel factor per axis, so
     # nodes where all kernels underflow to exact zero contribute nothing;
-    # dropping them keeps the result and saves a split-cloud-sized box
-    q_nodes, p_nodes = grid.q_nodes, grid.p_nodes
-    wq = grid.trap_weights_q()
-    wp = grid.trap_weights_p()
-    active_q = kq.any(axis=0)
-    if not active_q.all():
-        kq, dkq = kq[:, active_q], dkq[:, active_q]
-        q_nodes, wq = q_nodes[active_q], wq[active_q]
-    active_p = kp.any(axis=0)
-    if not active_p.all():
-        kp, dkp, ddkp = kp[:, active_p], dkp[:, active_p], ddkp[:, active_p]
-        p_nodes, wp = p_nodes[active_p], wp[active_p]
+    # dropping them keeps the result and saves a split-cloud-sized box.
+    # q rows are stacked, [kq; dkq]; p rows sit side by side, [kp|dkp|ddkp]
+    q_rows, q_nodes, wq = _active_block(spec, e.q, grid.q_nodes,
+                                        grid.trap_weights_q(), 2, axis=0)
+    p_rows, p_nodes, wp = _active_block(spec, e.p, grid.p_nodes,
+                                        grid.trap_weights_p(), 3, axis=1)
+    n_q, n_p = len(q_nodes), len(p_nodes)
+    kq, dkq = q_rows[:n], q_rows[n:]
+    kp, dkp = p_rows[:, :n_p], p_rows[:, n_p:2 * n_p]
 
-    inv_d = _masked_inverse((w[:, None] * kq).T @ kp)
+    # mixture denominator sum_b w_b K_b and the aggregates
+    # sk_m = sum_b w_b s_bm K_b in one product, sgp_m = sum_b w_b s_bm
+    # Kq_b dKp_b/dp in another
+    wkq = np.concatenate([w[:, None], w[:, None] * s], axis=1)[:, :, None] \
+        * kq[:, None, :]
+    wkq = wkq.reshape(n, 4 * n_q)
+    den_sk = (wkq.T @ kp).reshape(4, n_q, n_p)
+    sk = den_sk[1:]
+    sgp = (wkq[:, n_q:].T @ dkp).reshape(3, n_q, n_p)
+
+    inv_d = _masked_inverse(den_sk[0])
     inv_dw = inv_d * wq[:, None]
     inv_dw *= wp[None, :]
 
     # Hamiltonian gradient components stay in broadcastable shape (many are
     # constants or functions of one coordinate only)
-    qq = q_nodes[:, None]
-    pp = p_nodes[None, :]
-    gq_vec = list(h.grad_q(qq, pp))[1:]
-
-    ws = w[:, None] * s  # (N, 3)
-
-    def aggregate(rows_q, rows_p):
-        return [(ws[:, m][:, None] * rows_q).T @ rows_p for m in range(3)]
-
-    sk = aggregate(kq, kp)
-    sgp = aggregate(kq, dkp)
+    gq_vec = list(h.grad_q(q_nodes[:, None], p_nodes[None, :]))[1:]
     b1 = _cross3(gq_vec, sgp)     # = -(sgp x gq_vec)
 
     s_field = -2.0 * HBAR * sum(sk[m] * b1[m] for m in range(3))
     energy = float(np.sum(s_field * inv_dw))
 
-    f1 = [c * inv_dw for c in b1]
-    f2q = [c * inv_dw for c in _cross3(sk, gq_vec)]
-    fs2 = s_field * inv_d * inv_dw
-
     # per-particle integrals sum_{q,p} rows_q[e,q] field[q,p] rows_p[e,p],
-    # split into a p-stage (rows_p @ field.T) and a q-stage; the fields carry
-    # the quadrature weights, and a p-stage shared by two integrals is
-    # computed once
-    def p_stage(fields, rows_p):
-        return [rows_p @ f.T for f in fields]
-
-    def q_stage(rows_q, stages):
-        return np.stack([np.sum(rows_q * t, axis=1) for t in stages],
-                        axis=1)  # (N, 3)
-
-    f1_kp = p_stage(f1, kp)
-    f2q_dkp = p_stage(f2q, dkp)
+    # split into a p-stage (rows_p @ field.T) and a q-stage.  Row block m of
+    # `fields` is [f1_m | f2q_m] with f1 = b1 / D and f2q = (sk x gq) / D,
+    # both times the quadrature weights, so [kp|dkp] and [dkp|ddkp] times
+    # it give kp f1_m + dkp f2q_m and dkp f1_m + ddkp f2q_m for all m
+    fields = np.empty((3, n_q, 2 * n_p))
+    f2q = _cross3(sk, gq_vec)
+    for m in range(3):
+        np.multiply(b1[m], inv_dw, out=fields[m, :, :n_p])
+        np.multiply(f2q[m], inv_dw, out=fields[m, :, n_p:])
+    fields = fields.reshape(3 * n_q, 2 * n_p).T
+    stage_k = (p_rows[:, :2 * n_p] @ fields).reshape(n, 3, n_q)
+    stage_dk = (p_rows[:, n_p:] @ fields).reshape(n, 3, n_q)
+    # the denominator term: [kq; dkq] @ fs2 gives kq fs2 and dkq fs2
+    fs2 = s_field * inv_d * inv_dw
+    stage_fs2 = q_rows @ fs2
 
     # gradient of the coupling term w.r.t. the particle coordinates, already
     # divided by the weights: d(q_e)/dt gains +dB/dp_e/w_e, d(p_e)/dt gains
     # -dB/dq_e/w_e
-    grad_q_sum = -q_stage(dkq, f1_kp) - q_stage(dkq, f2q_dkp)
-    grad_p_sum = (-q_stage(kq, p_stage(f1, dkp))
-                  - q_stage(kq, p_stage(f2q, ddkp)))
+    grad_q_sum = -np.einsum("eq,emq->em", dkq, stage_k)
+    grad_p_sum = -np.einsum("eq,emq->em", kq, stage_dk)
     db_dq = -2.0 * HBAR * np.sum(s * grad_q_sum, axis=1) \
-        + np.sum(dkq * (kp @ fs2.T), axis=1)
+        + np.sum(stage_fs2[n:] * kp, axis=1)
     db_dp = -2.0 * HBAR * np.sum(s * grad_p_sum, axis=1) \
-        + np.sum(kq * (dkp @ fs2.T), axis=1)
+        + np.sum(stage_fs2[:n] * dkp, axis=1)
 
     # effective quantum field: H_vec(z_e) - 2 hbar sum_b w_b (s_b x I_eb)
-    qvec = q_stage(kq, f1_kp) + q_stage(kq, f2q_dkp)
-    heff = -HBAR * qvec
+    heff = -HBAR * np.einsum("eq,emq->em", kq, stage_k)
 
     return KoopmonTerms(energy=energy, dqdot_extra=db_dp, dpdot_extra=-db_dq,
                         heff_vec=heff)
@@ -304,7 +324,7 @@ def bohmion_terms(e: ParticleEnsemble, mass: float, grid: Grid1D,
     s = comp[:, 1:]
     w = e.w
 
-    k, dk, ddk = _kernel_rows(spec, e.q, grid.nodes)
+    k, dk, ddk = _kernel_rows(spec, e.q, grid.nodes, 3)
     inv_d = _masked_inverse(w @ k)
     u = w @ dk
     vg0 = (w * s0) @ dk
@@ -418,8 +438,8 @@ def _axis_tables(q: np.ndarray, p: np.ndarray, w: np.ndarray,
                  scalar: ScalarFactor, matrix: MatrixFactor) -> AxisTables:
     grid = build_grid(q, p, spec, params)
     n = q.shape[0]
-    kq, dkq, _ = _kernel_rows(spec, q, grid.q_nodes)
-    kp, dkp, _ = _kernel_rows(spec, p, grid.p_nodes)
+    kq, dkq = _kernel_rows(spec, q, grid.q_nodes)
+    kp, dkp = _kernel_rows(spec, p, grid.p_nodes)
     inv_d = _masked_inverse((w[:, None] * kq).T @ kp)
 
     qq = grid.q_nodes[:, None]
@@ -505,7 +525,7 @@ def bohmion_pairs_factorized_2dof(e2: Ensemble2D, spec1: KernelSpec,
     out = []
     for q, w, spec in ((e2.q1, e2.w1, spec1), (e2.q2, e2.w2, spec2)):
         grid = build_grid_1d(q, spec, params)
-        k, dk, _ = _kernel_rows(spec, q, grid.nodes)
+        k, dk = _kernel_rows(spec, q, grid.nodes)
         inv_d = _masked_inverse(w @ k)
         wts = grid.weights * inv_d
         i_tab = (dk * wts[None, :]) @ dk.T

@@ -24,6 +24,9 @@ from .soft import WavepacketState
 
 HBAR = 1.0
 
+#: Shifts per gather block of `wigner`.
+_SHIFT_BLOCK = 256
+
 
 @dataclass
 class DiagnosticsRecord:
@@ -106,16 +109,19 @@ def wigner(state: WavepacketState, q_nodes: np.ndarray,
     j_idx = np.clip(np.round((q_nodes - grid.r_min) / dr).astype(int), 0, n - 1)
     q_snapped = grid.r_min + dr * j_idx
 
+    # psi*(q+y) psi(q-y) is gathered a block of shifts at a time from copies
+    # of psi padded with m_half zeros at each end, so that points off the
+    # grid read as zero; the block bounds the index and product temporaries
+    padded = np.zeros((2, n + 2 * m_half), dtype=complex)
+    padded[:, m_half:m_half + n] = state.psi
     corr = np.zeros((len(j_idx), len(m)), dtype=complex)
-    for comp in range(2):
-        psi = state.psi[comp]
-        for col, shift in enumerate(m):
-            plus = j_idx + shift
-            minus = j_idx - shift
-            ok = (plus >= 0) & (plus < n) & (minus >= 0) & (minus < n)
-            vals = np.zeros(len(j_idx), dtype=complex)
-            vals[ok] = np.conj(psi[plus[ok]]) * psi[minus[ok]]
-            corr[:, col] += vals
+    for start in range(0, len(m), _SHIFT_BLOCK):
+        shifts = m[start:start + _SHIFT_BLOCK]
+        plus = j_idx[:, None] + (shifts + m_half)
+        minus = j_idx[:, None] - (shifts - m_half)
+        block = corr[:, start:start + len(shifts)]
+        for psi in padded:
+            block += np.conj(psi[plus]) * psi[minus]
 
     phases = np.exp(2j * np.outer(m * dr, p_nodes) / HBAR)
     w = (corr @ phases).real * dr / (np.pi * HBAR)

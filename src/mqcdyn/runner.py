@@ -65,8 +65,9 @@ def write_density(field: DensityField, path: Path) -> None:
                  f"n_{ax1}={len(field.axis1)}\n")
         fh.write(f"# {ax2}_min={field.axis2[0]:.17g} {ax2}_max={field.axis2[-1]:.17g} "
                  f"n_{ax2}={len(field.axis2)}\n")
+        row_format = ",".join(["%.17g"] * field.values.shape[1]) + "\n"
         for row in field.values:
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+            fh.write(row_format % tuple(row.tolist()))
 
 
 @dataclass

@@ -261,6 +261,7 @@ def test_bohmion_rabi_ds_drift_converges_at_rk4_order():
     assert coarse / fine >= 16.0, (coarse, fine)
 
 
+@pytest.mark.slow
 def test_criterion_4_energy_conservation(desk_runs):
     details, violations = [], []
     for (key, rows) in desk_runs.items():
@@ -380,6 +381,7 @@ def test_criterion_7_factorized_2dof():
 # 8. Benchmark physics at desk scale against the in-repo quantum reference
 # -------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_8_benchmark_physics(desk_runs, soft_reference):
     # quantum reference values at the comparison times
     ref = soft_reference["tully1"]

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
-from mqcdyn.backreaction import (HBAR, bohmion_coupling_energy, bohmion_pairs,
-                                 bohmion_terms, koopmon_coupling_energy,
-                                 koopmon_pairs, koopmon_terms)
+from mqcdyn.backreaction import (HBAR, _kernel_rows, bohmion_coupling_energy,
+                                 bohmion_pairs, bohmion_terms,
+                                 koopmon_coupling_energy, koopmon_pairs,
+                                 koopmon_terms)
 from mqcdyn.ensemble import ParticleEnsemble
 from mqcdyn.models import HybridHamiltonian, make_model
 from mqcdyn.pauli import pauli_decompose, projector
 from mqcdyn.regularization import (GridParams, KernelSpec, build_grid,
                                    build_grid_1d)
+
+from helpers import fd_gradient_check
 
 
 def bloch_state(theta, phi):
@@ -57,6 +60,24 @@ def purely_quantum_model():
                                0.1 + 0.0 * np.asarray(q, dtype=float)),
         d_interaction=lambda q: (0.0 * np.asarray(q, dtype=float),) * 4,
     )
+
+
+def periodic_model():
+    """dH/dq varies along q everywhere, unlike the Rabi models' constant one."""
+    def interaction(q):
+        q = np.asarray(q, dtype=float)
+        return 0.0 * q, np.sin(q), 0.0 * q, 0.5 * np.cos(q)
+
+    def d_interaction(q):
+        q = np.asarray(q, dtype=float)
+        return 0.0 * q, np.cos(q), 0.0 * q, -0.5 * np.sin(q)
+
+    classical = purely_classical_model()
+    return HybridHamiltonian(
+        name="periodic", mass=1.0, classical=classical.classical,
+        d_classical_q=classical.d_classical_q,
+        d_classical_p=classical.d_classical_p,
+        interaction=interaction, d_interaction=d_interaction)
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +268,35 @@ def test_bohmion_quantum_term_matches_pair_assembly():
                                                     table.values, e.w, s)
     terms = bohmion_terms(e, h.mass, grid, spec)
     assert np.allclose(terms.heff_vec, expected, rtol=1e-10, atol=1e-15)
+
+
+@pytest.mark.parametrize("dq,dp", [(0.0, 40.0), (40.0, 0.0)])
+def test_koopmon_terms_on_a_split_cloud(dq, dp):
+    # two groups farther apart in p (or in q) than twice the kernel flush
+    # radius, 26.5 alpha, share no node where a kernel is nonzero:
+    # koopmon_terms drops the nodes between them and must still agree with
+    # the pair tables on the whole box and be the gradient of the energy
+    a = random_ensemble(3, seed=21, q0=0.0, p0=0.0)
+    b = random_ensemble(3, seed=22, q0=dq, p0=dp)
+    e = ParticleEnsemble(q=np.concatenate([a.q, b.q]),
+                         p=np.concatenate([a.p, b.p]),
+                         rho=np.concatenate([a.rho, b.rho]), w=np.full(6, 1 / 6))
+    h = periodic_model()
+    spec = KernelSpec(alpha=0.5)
+    grid = build_grid(e.q, e.p, spec)
+    kq = _kernel_rows(spec, e.q, grid.q_nodes)[0]
+    kp = _kernel_rows(spec, e.p, grid.p_nodes)[0]
+    assert not (kq.any(axis=0).all() and kp.any(axis=0).all())
+
+    table = koopmon_pairs(e, h, grid, spec)
+    terms = koopmon_terms(e, h, grid, spec)
+    assert terms.energy == pytest.approx(koopmon_coupling_energy(e, table),
+                                         rel=1e-12, abs=1e-16)
+    s = pauli_decompose(e.rho)[:, 1:]
+    expected = -2.0 * HBAR * np.einsum(
+        "b,abk->ak", e.w, np.cross(s[None, :, :], table.values[:, :, 1:]))
+    assert np.allclose(terms.heff_vec, expected, rtol=1e-10, atol=1e-15)
+    fd_gradient_check("koopmon", e, h, spec)
 
 
 def test_single_particle_koopmon_terms_are_exact_zeros():

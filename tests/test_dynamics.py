@@ -3,13 +3,14 @@ import collections
 import numpy as np
 import pytest
 
-from mqcdyn import backreaction, dynamics, soft
+from mqcdyn import _heap, backreaction, dynamics, soft
 from mqcdyn.dynamics import (EnergyDriftError, MethodKind, default_grid,
                              energy, propagate, rhs, rk4_step, snapshot_steps)
 from mqcdyn.ensemble import ParticleEnsemble, validate
 from mqcdyn.models import HybridHamiltonian, make_model
 from mqcdyn.pauli import SIGMA_X, projector
 from mqcdyn.regularization import GridParams, KernelSpec
+from mqcdyn.sampling import InitSpec, init_ensemble
 
 from helpers import bloch_state, fd_gradient_check, random_ensemble
 
@@ -322,6 +323,29 @@ def test_steps_and_coupling_evaluations_pass_the_module_globals(monkeypatch):
     state = soft.init_wavepacket(grid, 0.0, 0.0, 1.0, np.array([1.0, 0.0]))
     soft.propagate_soft(state, make_model("rabi_ds"), 0.01, n * 0.01)
     assert calls["strang_step"] == n
+
+
+@pytest.mark.skipif(not _heap.FREED_MEMORY_KEPT,
+                    reason="libc has no mallopt; the allocator keeps its defaults")
+def test_koopmon_steps_reuse_freed_work_arrays():
+    # a rabi_ds cloud at paper N: each RHS evaluation frees MBs of
+    # (particles x nodes) work arrays; kept in the heap, the next evaluation
+    # reuses them instead of faulting fresh pages in (about 4400 minor
+    # faults per step under glibc's default thresholds)
+    import resource
+
+    e = init_ensemble(InitSpec(mu_q=0.0, mu_p=0.0, sigma_q=1.0 / np.sqrt(2.0),
+                               rho0=projector(np.array([0.0, 1.0])), n=500))
+    h = make_model("rabi_ds")
+    spec = KernelSpec(alpha=0.5)
+    for _ in range(2):
+        e = rk4_step("koopmon", e, h, spec, 0.05)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    n_steps = 20
+    for _ in range(n_steps):
+        e = rk4_step("koopmon", e, h, spec, 0.05)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 100 * n_steps, faults
 
 
 def test_propagate_aborts_on_energy_blowup():

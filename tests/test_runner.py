@@ -7,8 +7,10 @@ import pytest
 
 from mqcdyn.cli import main as cli_main
 from mqcdyn.config import (ConfigError, PRESETS, load_config, resolve_config)
+from mqcdyn.diagnostics import DensityField
 from mqcdyn.models import make_model
-from mqcdyn.runner import (IncompatibleRunsError, compare, rho0_vector, run)
+from mqcdyn.runner import (IncompatibleRunsError, compare, rho0_vector, run,
+                           write_density)
 
 
 def test_preset_tully1_paper_values():
@@ -169,6 +171,26 @@ def test_run_soft_writes_wavefunction_and_wigner(tmp_path):
     assert (out / "waterfall.csv").exists()
     header = (out / "wavefunction_t0.csv").read_text().splitlines()[0]
     assert header == "r,re_psi1,im_psi1,re_psi2,im_psi2"
+
+
+def test_write_density_writes_each_value_as_format_17g(tmp_path):
+    # the row format must write every value as format(v, ".17g") does,
+    # special values included
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal((4, 9)) * 10.0 ** rng.integers(-300, 300, (4, 9))
+    values[0] = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324,
+                 2.2250738585072009e-308, np.finfo(float).max]
+    values[1, :3] = [-2.5e-310, 1.0, -1e16]
+    field = DensityField(kind="wigner", axis1=np.linspace(-1.0, 1.0, 4),
+                         axis2=np.linspace(-2.0, 2.0, 9), values=values,
+                         meta={"t": 0.5})
+    path = tmp_path / "density.csv"
+    write_density(field, path)
+    data = [line for line in path.read_bytes().splitlines(keepends=True)
+            if not line.startswith(b"#")]
+    expected = [(",".join(format(v, ".17g") for v in row) + "\n").encode()
+                for row in values]
+    assert data == expected
 
 
 def test_compare_identical_runs(tmp_path):
