@@ -44,13 +44,11 @@ from typing import Callable
 import numpy as np
 
 from .ensemble import Ensemble2D, ParticleEnsemble
-from .models import HybridHamiltonian
+from .models import HBAR, HybridHamiltonian, on_points
 from .pauli import PauliVector, pauli_decompose
 from .regularization import (DENOMINATOR_FLOOR, Grid1D, GridParams, KernelSpec,
                              QuadratureGrid, build_grid, build_grid_1d,
                              trapezoid_1d, trapezoid_2d)
-
-HBAR = 1.0
 
 
 @dataclass(frozen=True)
@@ -117,12 +115,7 @@ def _hamiltonian_fields_on(h: HybridHamiltonian, q_nodes: np.ndarray,
     """Pauli coefficients of dH/dq and dH/dp on a tensor grid of nodes."""
     qq = q_nodes[:, None]
     pp = p_nodes[None, :]
-    shape = (len(q_nodes), len(p_nodes))
-    gq = np.stack([np.broadcast_to(c, shape).astype(float)
-                   for c in h.grad_q(qq, pp)])
-    gp = np.stack([np.broadcast_to(c, shape).astype(float)
-                   for c in h.grad_p(qq, pp)])
-    return gq, gp
+    return np.stack(h.grad_q(qq, pp)), np.stack(h.grad_p(qq, pp))
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +258,8 @@ def koopmon_terms(e: ParticleEnsemble, h: HybridHamiltonian,
     inv_dw = inv_d * wq[:, None]
     inv_dw *= wp[None, :]
 
-    # Hamiltonian gradient components stay in broadcastable shape (many are
-    # constants or functions of one coordinate only)
+    # Hamiltonian gradient components are zero-stride views wherever they
+    # are constants or functions of one coordinate only
     gq_vec = list(h.grad_q(q_nodes[:, None], p_nodes[None, :]))[1:]
     b1 = _cross3(gq_vec, sgp)     # = -(sgp x gq_vec)
 
@@ -376,19 +369,17 @@ class MatrixFactor:
 
 def constant_matrix_factor(h0=0.0, h1=0.0, h2=0.0, h3=0.0) -> MatrixFactor:
     def val(q, p):
-        z = 0.0 * np.asarray(q, dtype=float) + 0.0 * np.asarray(p, dtype=float)
-        return h0 + z, h1 + z, h2 + z, h3 + z
+        return h0, h1, h2, h3
 
     def zero(q, p):
-        z = 0.0 * np.asarray(q, dtype=float) + 0.0 * np.asarray(p, dtype=float)
-        return z, z, z, z
+        return 0.0, 0.0, 0.0, 0.0
 
     return MatrixFactor(f=val, df_dq=zero, df_dp=zero)
 
 
 def zero_scalar_factor() -> ScalarFactor:
     def zero(q, p):
-        return 0.0 * np.asarray(q, dtype=float) + 0.0 * np.asarray(p, dtype=float)
+        return 0.0
 
     return ScalarFactor(f=zero, df_dq=zero, df_dp=zero)
 
@@ -444,13 +435,11 @@ def _axis_tables(q: np.ndarray, p: np.ndarray, w: np.ndarray,
 
     qq = grid.q_nodes[:, None]
     pp = grid.p_nodes[None, :]
-    sh = grid.shape
-    f = np.broadcast_to(np.asarray(scalar.f(qq, pp), dtype=float), sh)
-    fq = np.broadcast_to(np.asarray(scalar.df_dq(qq, pp), dtype=float), sh)
-    fp = np.broadcast_to(np.asarray(scalar.df_dp(qq, pp), dtype=float), sh)
-    m = np.stack([np.broadcast_to(c, sh).astype(float) for c in matrix.f(qq, pp)])
-    mq = np.stack([np.broadcast_to(c, sh).astype(float) for c in matrix.df_dq(qq, pp)])
-    mp = np.stack([np.broadcast_to(c, sh).astype(float) for c in matrix.df_dp(qq, pp)])
+    f, fq, fp = on_points(qq, pp, scalar.f(qq, pp), scalar.df_dq(qq, pp),
+                          scalar.df_dp(qq, pp))
+    m = np.stack(on_points(qq, pp, *matrix.f(qq, pp)))
+    mq = np.stack(on_points(qq, pp, *matrix.df_dq(qq, pp)))
+    mp = np.stack(on_points(qq, pp, *matrix.df_dp(qq, pp)))
 
     i_scalar = np.zeros((n, n))
     j_scalar = np.zeros((n, n))

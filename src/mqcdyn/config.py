@@ -21,6 +21,8 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
+from .regularization import GridParams
+
 PRESET_PROVENANCE = {
     "tully1": "single avoided crossing, low momentum; final time 3000",
     "tully2": "dual avoided crossing, low momentum; final time 2000",
@@ -134,6 +136,7 @@ _RHO0_NAMES = ("ground", "excited", "plus")
 
 # section.key -> (type, default); REQUIRED means no default
 _REQUIRED = object()
+_BOX = GridParams()
 
 _SCHEMA: dict[str, tuple] = {
     "run.preset": (str, None),
@@ -146,10 +149,10 @@ _SCHEMA: dict[str, tuple] = {
     "run.snapshot_times": ("floats", ()),
     "run.energy_tol": (float, 1e-2),
     "run.workers": (int, 0),
-    "grid.n_q": (int, 8),
-    "grid.n_p": (int, 8),
-    "grid.j_q": (int, 2),
-    "grid.j_p": (int, 2),
+    "grid.n_q": (int, _BOX.n_q),
+    "grid.n_p": (int, _BOX.n_p),
+    "grid.j_q": (int, _BOX.j_q),
+    "grid.j_p": (int, _BOX.j_p),
     "init.mu_q": (float, _REQUIRED),
     "init.mu_p": (float, _REQUIRED),
     "init.sigma_q": (float, None),

@@ -17,12 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ensemble import ParticleEnsemble, aggregate_density
-from .models import HybridHamiltonian, adiabatic_basis
+from .models import HBAR, HybridHamiltonian, adiabatic_basis
 from .pauli import pauli_decompose
 from .regularization import KernelSpec, kernel_1d
 from .soft import WavepacketState
-
-HBAR = 1.0
 
 #: Shifts per gather block of `wigner`.
 _SHIFT_BLOCK = 256

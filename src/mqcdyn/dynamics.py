@@ -30,9 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import backreaction
-from .backreaction import HBAR
 from .ensemble import ParticleEnsemble, rehermitize
-from .models import HybridHamiltonian
+from .models import HBAR, HybridHamiltonian
 from .pauli import SIGMA_X, SIGMA_Y, SIGMA_Z, pauli_decompose
 from .regularization import (GridParams, KernelSpec, build_grid, build_grid_1d)
 
@@ -95,11 +94,11 @@ def _mean_field(e: ParticleEnsemble, h: HybridHamiltonian):
     """<rho_a, dH/dp_a>, <rho_a, dH/dq_a>, the local Pauli field H_vec and
     the mean-field energy sum_a w_a <rho_a, H(zeta_a)>."""
     comp = pauli_decompose(e.rho)  # (N, 4): trace/2 and half Bloch vector
-    gq = np.stack(np.broadcast_arrays(*h.grad_q(e.q, e.p)), axis=1)
-    gp = np.stack(np.broadcast_arrays(*h.grad_p(e.q, e.p)), axis=1)
+    gq = np.stack(h.grad_q(e.q, e.p), axis=1)
+    gp = np.stack(h.grad_p(e.q, e.p), axis=1)
     dq = 2.0 * np.sum(comp * gp, axis=1)
     dp_mf = 2.0 * np.sum(comp * gq, axis=1)
-    hp = np.stack(np.broadcast_arrays(*h.pauli(e.q, e.p)), axis=1)
+    hp = np.stack(h.pauli(e.q, e.p), axis=1)
     mean = float(e.w @ (2.0 * np.sum(comp * hp, axis=1)))
     return dq, dp_mf, hp[:, 1:], mean
 

@@ -2,8 +2,9 @@
 
 Storage is struct-of-arrays: positions, momenta and weights are contiguous
 float arrays of length N, and the per-particle density matrices form one
-complex array of shape (N, 2, 2).  The pairwise coupling loops read these
-arrays directly, so keeping each field contiguous matters.
+complex array of shape (N, 2, 2).  The kernel rows and aggregate products
+of the coupling terms read these arrays directly, so keeping each field
+contiguous matters.
 """
 
 from __future__ import annotations

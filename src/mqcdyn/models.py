@@ -20,6 +20,9 @@ import numpy as np
 
 from .pauli import pauli_matrix
 
+#: Reduced Planck constant in atomic units, shared by every module.
+HBAR = 1.0
+
 #: Position threshold below which two electronic levels are treated as
 #: exactly degenerate (eigenvectors are then fixed by convention, and the
 #: nonadiabatic coupling is undefined).
@@ -30,15 +33,33 @@ class DegeneratePotentialError(ValueError):
     """Raised when an operation requires a nonzero electronic gap."""
 
 
+def on_points(q, p, *coeffs):
+    """Each coefficient as a float array of the broadcast shape of q and p.
+
+    Coefficients of that shape are returned as they are; the others become
+    read-only zero-stride views (`np.broadcast_to` costs ~5 us a call, so it
+    is skipped where there is nothing to broadcast).
+    """
+    shape = np.broadcast(q, p).shape
+    out = []
+    for c in coeffs:
+        c = np.asarray(c, dtype=float)
+        out.append(c if c.shape == shape else np.broadcast_to(c, shape))
+    return tuple(out)
+
+
 @dataclass(frozen=True, eq=False)
 class HybridHamiltonian:
     """Operator-valued phase-space function in Pauli form.
 
     ``classical`` and its derivatives are scalar functions of (q, p); the
     interaction callables return the four Pauli coefficients of H_I(q).
-    All callables accept and return numpy arrays elementwise.  Models compare
-    and hash by identity, so results computed for one model object can be
-    kept for it alone.
+    The callables are applied elementwise to numpy arrays and may return
+    scalars or arrays broadcastable to their inputs; the methods below cast
+    and broadcast them, returning four float arrays of the broadcast shape
+    of (q, p) (of q for `electronic_pauli`).  Models compare and hash by
+    identity, so results computed for one model object can be kept for it
+    alone.
     """
 
     name: str
@@ -52,27 +73,27 @@ class HybridHamiltonian:
 
     def pauli(self, q, p):
         """Full Hamiltonian Pauli coefficients (h0, h1, h2, h3) at (q, p)."""
+        q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
         i0, i1, i2, i3 = self.interaction(q)
-        h0 = self.classical(q, p) + i0
-        return h0, i1 + 0.0 * h0, i2 + 0.0 * h0, i3 + 0.0 * h0
+        return on_points(q, p, self.classical(q, p) + i0, i1, i2, i3)
 
     def grad_q(self, q, p):
         """d/dq of the four Pauli coefficients."""
+        q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
         d0, d1, d2, d3 = self.d_interaction(q)
-        g0 = self.d_classical_q(q, p) + d0
-        return g0, d1 + 0.0 * g0, d2 + 0.0 * g0, d3 + 0.0 * g0
+        return on_points(q, p, self.d_classical_q(q, p) + d0, d1, d2, d3)
 
     def grad_p(self, q, p):
         """d/dp of the four Pauli coefficients (interaction is p-free)."""
-        g0 = self.d_classical_p(q, p)
-        z = 0.0 * g0
-        return g0, z, z, z
+        q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
+        g0, zero = on_points(q, p, self.d_classical_p(q, p), 0.0)
+        return g0, zero, zero, zero
 
     def electronic_pauli(self, q):
         """Pauli coefficients of the electronic matrix V_C(q)*1 + H_I(q)."""
+        q = np.asarray(q, dtype=float)
         i0, i1, i2, i3 = self.interaction(q)
-        h0 = self.classical(q, 0.0 * np.asarray(q, dtype=float)) + i0
-        return h0, i1 + 0.0 * h0, i2 + 0.0 * h0, i3 + 0.0 * h0
+        return on_points(q, 0.0, self.classical(q, 0.0) + i0, i1, i2, i3)
 
     def matrix(self, q: float, p: float) -> np.ndarray:
         """Dense 2x2 Hermitian matrix at a phase-space point."""
@@ -127,13 +148,13 @@ def make_tully(variant: str, **overrides) -> HybridHamiltonian:
     mass = prm["mass"]
 
     def classical_kinetic(q, p):
-        return np.asarray(p, dtype=float) ** 2 / (2.0 * mass) + 0.0 * np.asarray(q, dtype=float)
+        return p**2 / (2.0 * mass)
 
     def d_kin_q(q, p):
-        return 0.0 * np.asarray(q, dtype=float) + 0.0 * np.asarray(p, dtype=float)
+        return 0.0
 
     def d_kin_p(q, p):
-        return np.asarray(p, dtype=float) / mass + 0.0 * np.asarray(q, dtype=float)
+        return p / mass
 
     a, b, c = prm["a"], prm["b"], prm["c"]
 
@@ -141,17 +162,15 @@ def make_tully(variant: str, **overrides) -> HybridHamiltonian:
         d = prm["d"]
 
         def interaction(q):
-            q = np.asarray(q, dtype=float)
             h1 = c * np.exp(-d * q**2)
             h3 = a * np.sign(q) * (1.0 - np.exp(-b * np.abs(q)))
-            return 0.0 * q, h1, 0.0 * q, h3
+            return 0.0, h1, 0.0, h3
 
         def d_interaction(q):
-            q = np.asarray(q, dtype=float)
             dh1 = -2.0 * c * d * q * np.exp(-d * q**2)
             # one-sided derivatives agree at q=0, so the kink is C^1
             dh3 = a * b * np.exp(-b * np.abs(q))
-            return 0.0 * q, dh1, 0.0 * q, dh3
+            return 0.0, dh1, 0.0, dh3
 
         classical, d_cl_q, d_cl_p = classical_kinetic, d_kin_q, d_kin_p
 
@@ -162,38 +181,32 @@ def make_tully(variant: str, **overrides) -> HybridHamiltonian:
             return e0 - a * np.exp(-b * q**2)
 
         def classical(q, p):
-            q = np.asarray(q, dtype=float)
             return classical_kinetic(q, p) + h0_fn(q)
 
         def d_cl_q(q, p):
-            q = np.asarray(q, dtype=float)
-            return 2.0 * a * b * q * np.exp(-b * q**2) + 0.0 * np.asarray(p, dtype=float)
+            return 2.0 * a * b * q * np.exp(-b * q**2)
 
         d_cl_p = d_kin_p
 
         def interaction(q):
-            q = np.asarray(q, dtype=float)
             h1 = c * np.exp(-d * q**2)
-            return 0.0 * q, h1, 0.0 * q, -h0_fn(q)
+            return 0.0, h1, 0.0, -h0_fn(q)
 
         def d_interaction(q):
-            q = np.asarray(q, dtype=float)
             dh1 = -2.0 * c * d * q * np.exp(-d * q**2)
             dh3 = -2.0 * a * b * q * np.exp(-b * q**2)
-            return 0.0 * q, dh1, 0.0 * q, dh3
+            return 0.0, dh1, 0.0, dh3
 
     else:  # III
         def interaction(q):
-            q = np.asarray(q, dtype=float)
             h1 = np.where(q > 0.0,
                           b * (2.0 - np.exp(-c * np.clip(q, 0.0, None))),
                           b * np.exp(c * np.clip(q, None, 0.0)))
-            return 0.0 * q, h1, 0.0 * q, a + 0.0 * q
+            return 0.0, h1, 0.0, a
 
         def d_interaction(q):
-            q = np.asarray(q, dtype=float)
             dh1 = b * c * np.exp(-c * np.abs(q))
-            return 0.0 * q, dh1, 0.0 * q, 0.0 * q
+            return 0.0, dh1, 0.0, 0.0
 
         classical, d_cl_q, d_cl_p = classical_kinetic, d_kin_q, d_kin_p
 
@@ -228,23 +241,19 @@ def make_rabi(regime: str, **overrides) -> HybridHamiltonian:
     mass, omega, gamma, c0 = prm["mass"], prm["omega"], prm["gamma"], prm["c0"]
 
     def classical(q, p):
-        q = np.asarray(q, dtype=float)
-        p = np.asarray(p, dtype=float)
         return 0.5 * (p**2 / mass + mass * omega**2 * q**2)
 
     def d_cl_q(q, p):
-        return mass * omega**2 * np.asarray(q, dtype=float) + 0.0 * np.asarray(p, dtype=float)
+        return mass * omega**2 * q
 
     def d_cl_p(q, p):
-        return np.asarray(p, dtype=float) / mass + 0.0 * np.asarray(q, dtype=float)
+        return p / mass
 
     def interaction(q):
-        q = np.asarray(q, dtype=float)
-        return 0.0 * q, c0 + 0.0 * q, 0.0 * q, gamma * q
+        return 0.0, c0, 0.0, gamma * q
 
     def d_interaction(q):
-        q = np.asarray(q, dtype=float)
-        return 0.0 * q, 0.0 * q, 0.0 * q, gamma + 0.0 * q
+        return 0.0, 0.0, 0.0, gamma
 
     return HybridHamiltonian(
         name="rabi_us" if regime == "ultrastrong" else "rabi_ds",
@@ -292,9 +301,6 @@ def _eigvecs_from_pauli(h1, h2, h3):
     positive (ties resolved toward the first component).  Returns arrays of
     shape (..., 2) for the lower and upper eigenvectors.
     """
-    h1 = np.asarray(h1, dtype=float)
-    h2 = np.asarray(h2, dtype=float)
-    h3 = np.asarray(h3, dtype=float)
     r = np.sqrt(h1**2 + h2**2 + h3**2)
     off = h1 + 1j * h2          # matrix element <2|H|1>
     lower = np.empty(np.shape(r) + (2,), dtype=complex)

@@ -23,7 +23,7 @@ drift stops converging with the step size; at ``8 sigma_K`` it is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -128,7 +128,6 @@ class QuadratureGrid:
     p_nodes: np.ndarray
     dq: float
     dp: float
-    params: GridParams = field(default_factory=GridParams)
 
     @property
     def q_min(self) -> float:
@@ -186,7 +185,7 @@ def build_grid(q: np.ndarray, p: np.ndarray, spec: KernelSpec,
     dp = s / params.j_p
     q_nodes = _axis_nodes(np.min(q) - params.n_q * s, np.max(q) + params.n_q * s, dq)
     p_nodes = _axis_nodes(np.min(p) - params.n_p * s, np.max(p) + params.n_p * s, dp)
-    return QuadratureGrid(q_nodes=q_nodes, p_nodes=p_nodes, dq=dq, dp=dp, params=params)
+    return QuadratureGrid(q_nodes=q_nodes, p_nodes=p_nodes, dq=dq, dp=dp)
 
 
 def build_grid_1d(q: np.ndarray, spec: KernelSpec,

@@ -19,10 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import HybridHamiltonian, adiabatic_basis
+from .models import HBAR, HybridHamiltonian, adiabatic_basis
 from .pauli import pauli_decompose
-
-HBAR = 1.0
 
 BOUNDARY_MASS_TOL = 1e-12
 
@@ -113,7 +111,7 @@ def _check_separable(h: HybridHamiltonian, grid: SpatialGrid1D) -> None:
     q = np.linspace(grid.r_min, grid.r_max, 7)
     p = np.array([-3.0, -1.0, 0.5, 2.0, 4.0, 7.0, 11.0])
     hc = h.classical(q, p)
-    split = h.classical(q, 0.0 * q) + p**2 / (2.0 * h.mass)
+    split = h.classical(q, 0.0) + p**2 / (2.0 * h.mass)
     if not np.allclose(hc, split, rtol=1e-10, atol=1e-12):
         raise ValueError("classical part is not kinetic + potential; the "
                          "split-operator propagator does not apply")
@@ -121,10 +119,7 @@ def _check_separable(h: HybridHamiltonian, grid: SpatialGrid1D) -> None:
 
 def potential_matrix_fields(h: HybridHamiltonian, r: np.ndarray):
     """Pauli coefficients of the full potential matrix on the grid."""
-    i0, i1, i2, i3 = h.interaction(r)
-    v0 = h.classical(r, 0.0 * r) + i0
-    return v0, np.broadcast_to(i1, r.shape), np.broadcast_to(i2, r.shape), \
-        np.broadcast_to(i3, r.shape)
+    return h.electronic_pauli(r)
 
 
 def _frozen(*arrays):

@@ -24,6 +24,25 @@ def test_rhs_is_gradient_of_energy(kind, model_name, q0, p0):
     fd_gradient_check(kind, e, h, KernelSpec(alpha=0.5))
 
 
+def ramp_model():
+    """V = 0.3 q and H_I = 0.1 sx + 0.2 sz: every derivative callable
+    returns plain scalars."""
+    return HybridHamiltonian(
+        name="ramp", mass=1.0,
+        classical=lambda q, p: 0.5 * p**2 + 0.3 * q,
+        d_classical_q=lambda q, p: 0.3,
+        d_classical_p=lambda q, p: p,
+        interaction=lambda q: (0.0, 0.1, 0.0, 0.2),
+        d_interaction=lambda q: (0.0, 0.0, 0.0, 0.0),
+    )
+
+
+@pytest.mark.parametrize("kind", ["ehrenfest", "koopmon", "bohmion"])
+def test_rhs_is_gradient_of_energy_for_scalar_valued_model(kind):
+    e = random_ensemble(4, seed=42, q0=0.0, p0=1.0)
+    fd_gradient_check(kind, e, ramp_model(), KernelSpec(alpha=0.5))
+
+
 def test_ehrenfest_rhs_example():
     h = make_model("tully1")
     from mqcdyn.models import adiabatic_basis

@@ -211,3 +211,24 @@ def test_model_registry():
     assert h.params["a"] == 0.02
     with pytest.raises(ValueError):
         make_model("tully1", bogus=1.0)
+
+
+@pytest.mark.parametrize("name", ALL_MODELS)
+@pytest.mark.parametrize("q,p,shape", [
+    (np.linspace(-3.0, 3.0, 5)[:, None], np.linspace(-2.0, 2.0, 4)[None, :], (5, 4)),
+    (np.linspace(-3.0, 3.0, 6), np.linspace(-2.0, 2.0, 6), (6,)),
+    (-1.5, 0.5, ()),
+])
+def test_coefficients_come_back_as_float_arrays_of_the_broadcast_shape(name, q, p, shape):
+    h = make_model(name)
+    for coeffs in (h.pauli(q, p), h.grad_q(q, p), h.grad_p(q, p)):
+        assert len(coeffs) == 4
+        for c in coeffs:
+            assert isinstance(c, np.ndarray)
+            assert c.dtype == np.float64 and c.shape == shape
+    el_shape = np.shape(q)
+    coeffs = h.electronic_pauli(q)
+    assert len(coeffs) == 4
+    for c in coeffs:
+        assert isinstance(c, np.ndarray)
+        assert c.dtype == np.float64 and c.shape == el_shape

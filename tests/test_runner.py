@@ -9,6 +9,7 @@ from mqcdyn.cli import main as cli_main
 from mqcdyn.config import (ConfigError, PRESETS, load_config, resolve_config)
 from mqcdyn.diagnostics import DensityField
 from mqcdyn.models import make_model
+from mqcdyn.regularization import GridParams
 from mqcdyn.runner import (IncompatibleRunsError, compare, rho0_vector, run,
                            write_density)
 
@@ -40,6 +41,14 @@ def test_all_presets_resolve():
     for name in PRESETS:
         cfg = resolve_config(preset=name, overrides={"run.method": "soft"})
         assert cfg.model == name
+
+
+def test_preset_without_grid_keys_resolves_to_default_box():
+    for name in PRESETS:
+        assert not any(k.startswith("grid.") for k in PRESETS[name])
+        cfg = resolve_config(preset=name, overrides={"run.method": "koopmon"})
+        box = GridParams(n_q=cfg.n_q, n_p=cfg.n_p, j_q=cfg.j_q, j_p=cfg.j_p)
+        assert box == GridParams()
 
 
 def test_missing_method_is_reported():
