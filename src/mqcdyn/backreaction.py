@@ -14,21 +14,30 @@ Three families:
 The explicit N x N tables are exposed for testing and debugging; the
 right-hand-side evaluation used by the integrator goes through aggregated
 kernel fields instead, which is algebraically identical but costs
-O(N * grid) rather than O(N^2 * grid).
+O(N * patch + grid) rather than O(N^2 * grid).
 
-`koopmon_terms` spends its time in five matrix products, 21 N nq np
-multiply-adds in all for N particles on the nq x np nodes where some kernel
-is nonzero.  The kernel rows are built once per axis: the q rows stacked as
-[kq; dkq] (2N, nq), the p rows side by side as [kp | dkp | ddkp] (N, 3 np),
-so that [kp | dkp] and [dkp | ddkp] are column slices.  The products are
+Every kernel is cut off at ``_KERNEL_CUTOFF sigma_K`` (see `regularization`),
+so a particle's kernel rows are nonzero only on the nodes of its patch, a
+square of side 16 sigma_K.  `koopmon_terms` makes its cost follow those
+patches rather than the box: it sorts the particles along the box axis with
+more nodes and cuts them into blocks of `_PARTICLE_BLOCK`.  A block's window
+is the range of nodes within the cutoff radius of its particles, per axis and
+clipped to the box; outside it all of the block's rows are exact zeros.  For
+a block of B particles on a wq x wp window, the q rows are stacked as
+[kq; dkq] (2B, wq) and the p rows laid side by side as [kp | dkp | ddkp]
+(B, 3 wp), so that [kp | dkp] and [dkp | ddkp] are column slices.  Two passes
+over the blocks make 21 B wq wp multiply-adds per block in all:
 
-* [w kq | w s_1 kq | w s_2 kq | w s_3 kq]^T kp: the mixture denominator and
-  the three aggregates sum_b w_b s_b K_b (4 N nq np),
-* [w s_m kq]^T dkp: the three momentum-derivative aggregates (3 N nq np),
-* [kp | dkp] and [dkp | ddkp] times one (2 np, 3 nq) block of the six
-  weighted fields: every p-stage of the forces and the quantum field
-  (2 x 6 N nq np), each finished by a row-wise contraction with kq or dkq,
-* [kq; dkq] times the denominator-derivative field (2 N nq np).
+* pass 1 adds [w kq | w s_1 kq | w s_2 kq | w s_3 kq]^T kp (the mixture
+  denominator and the aggregates sum_b w_b s_b K_b, 4 B wq wp) and
+  [w s_m kq]^T dkp (the momentum-derivative aggregates, 3 B wq wp) into
+  (nq, np) arrays on the box;
+* the weighted fields are then formed once on the box, O(nq np);
+* pass 2 multiplies [kp | dkp] and [dkp | ddkp] by the block's window of the
+  (2 np, 3 nq) block of the six weighted fields, for every p-stage of the
+  forces and the quantum field (2 x 6 B wq wp), each finished by a row-wise
+  contraction with kq or dkq, and [kq; dkq] by the window of the
+  denominator-derivative field (2 B wq wp).
 
 All formulas below use the half Bloch vectors ``s_a = Tr(rho_a sigma)/2``;
 with hbar = 1 the commutator pairing is
@@ -46,9 +55,12 @@ import numpy as np
 from .ensemble import Ensemble2D, ParticleEnsemble
 from .models import HBAR, HybridHamiltonian, on_points
 from .pauli import PauliVector, pauli_decompose
-from .regularization import (DENOMINATOR_FLOOR, Grid1D, GridParams, KernelSpec,
-                             QuadratureGrid, build_grid, build_grid_1d,
-                             trapezoid_1d, trapezoid_2d)
+from .regularization import (_KERNEL_CUTOFF, DENOMINATOR_FLOOR, Grid1D,
+                             GridParams, KernelSpec, QuadratureGrid, build_grid,
+                             build_grid_1d, trapezoid_1d, trapezoid_2d)
+
+#: Particles per block of `koopmon_terms`.
+_PARTICLE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -64,35 +76,37 @@ class PairIntegralTable:
 
 
 def _kernel_rows(spec: KernelSpec, centers: np.ndarray, nodes: np.ndarray,
-                 n_rows: int = 2):
+                 n_rows: int = 2) -> np.ndarray:
     """Kernel value and derivative matrices K(node - center) and K', plus
-    K'' when ``n_rows`` is 3; each of shape (N, n_nodes).
+    K'' when ``n_rows`` is 3, stacked to shape (n_rows, N, n_nodes).
 
-    Tails beyond the subnormal range are flushed to exact zero: their
-    contribution to any accumulated integral is below the resolution of a
-    double, and exact zeros keep the far tails out of the arithmetic.
+    All three are exact zeros where |node - center| >= _KERNEL_CUTOFF
+    sigma_K, where the kernel is e^-32 of its peak.  The cut sits a relative
+    1e-10 inside that radius, so that the edge nodes of a box padded by it,
+    which lie at the radius from the extreme particles up to rounding, carry
+    exact zeros.
     """
     y = nodes[None, :] - centers[:, None]
     a2 = spec.alpha**2
     t = y * y / a2
-    k = np.zeros_like(t)
-    np.exp(-t, out=k, where=t < 700.0)
+    rows = np.zeros((n_rows,) + y.shape)
+    k = rows[0]
+    np.exp(-t, out=k, where=t < 0.5 * _KERNEL_CUTOFF**2 * (1.0 - 1e-10))
     k /= spec.alpha * np.sqrt(np.pi)
-    rows = [k, (-2.0 / a2) * y * k]
+    np.multiply((-2.0 / a2) * y, k, out=rows[1])
     if n_rows == 3:
-        rows.append((4.0 / (a2 * a2) * y * y - 2.0 / a2) * k)
+        np.multiply(4.0 / (a2 * a2) * y * y - 2.0 / a2, k, out=rows[2])
     return rows
 
 
-def _active_block(spec: KernelSpec, centers: np.ndarray, nodes: np.ndarray,
-                  weights: np.ndarray, n_rows: int, axis: int):
-    """Kernel rows of `_kernel_rows` at the nodes where some kernel is
-    nonzero, joined along ``axis`` (0 stacks them, 1 lays them side by side),
-    with those nodes and their quadrature weights."""
-    rows = _kernel_rows(spec, centers, nodes, n_rows)
-    active = rows[0].any(axis=0)
-    block = np.concatenate([r[:, active] for r in rows], axis=axis)
-    return block, nodes[active], weights[active]
+def _windows(nodes: np.ndarray, centers: np.ndarray, starts: np.ndarray,
+             radius: float) -> list:
+    """For each block of ``centers`` (blocks begin at ``starts``), the slice
+    of the sorted ``nodes`` within ``radius`` of the block's range."""
+    lo = np.searchsorted(nodes, np.minimum.reduceat(centers, starts) - radius)
+    hi = np.searchsorted(nodes, np.maximum.reduceat(centers, starts) + radius,
+                         "right")
+    return [slice(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
 
 
 def _cross3(a, b):
@@ -216,7 +230,8 @@ def koopmon_terms(e: ParticleEnsemble, h: HybridHamiltonian,
     Equivalent to assembling the full pair table and differentiating it under
     the integral sign (closed-form Gaussian derivatives, including the kernel
     inside the mixture denominator), but organized through aggregated fields
-    so the cost is O(N * grid) instead of O(N^2 * grid).  The energy comes
+    over blocks of particles (see the module docstring), so the cost is
+    O(N * patch + grid) instead of O(N^2 * grid).  The energy comes
     out of the same pass as the forces; ``dynamics.rhs`` returns both.
 
     The interaction of a `HybridHamiltonian` does not depend on p, so dH/dp
@@ -229,38 +244,46 @@ def koopmon_terms(e: ParticleEnsemble, h: HybridHamiltonian,
         return KoopmonTerms(energy=0.0, dqdot_extra=np.zeros(1),
                             dpdot_extra=np.zeros(1), heff_vec=np.zeros((1, 3)))
     n = e.n
-    s = pauli_decompose(e.rho)[:, 1:]
-    w = e.w
+    n_q, n_p = grid.shape
+    # particles sorted along the longer box axis, in blocks of
+    # _PARTICLE_BLOCK from `starts`, each with its node window per axis
+    order = np.argsort(e.q if n_q >= n_p else e.p, kind="stable")
+    q, p = e.q[order], e.p[order]
+    s = pauli_decompose(e.rho[order])[:, 1:]
+    ws = np.concatenate([e.w[order, None], e.w[order, None] * s], axis=1)
+    starts = np.arange(0, n, _PARTICLE_BLOCK)
+    radius = _KERNEL_CUTOFF * spec.sigma_k
+    blocks = [(slice(a, a + _PARTICLE_BLOCK), qw, pw) for a, qw, pw in zip(
+        starts.tolist(), _windows(grid.q_nodes, q, starts, radius),
+        _windows(grid.p_nodes, p, starts, radius))]
 
-    # every integrand term carries at least one kernel factor per axis, so
-    # nodes where all kernels underflow to exact zero contribute nothing;
-    # dropping them keeps the result and saves a split-cloud-sized box.
-    # q rows are stacked, [kq; dkq]; p rows sit side by side, [kp|dkp|ddkp]
-    q_rows, q_nodes, wq = _active_block(spec, e.q, grid.q_nodes,
-                                        grid.trap_weights_q(), 2, axis=0)
-    p_rows, p_nodes, wp = _active_block(spec, e.p, grid.p_nodes,
-                                        grid.trap_weights_p(), 3, axis=1)
-    n_q, n_p = len(q_nodes), len(p_nodes)
-    kq, dkq = q_rows[:n], q_rows[n:]
-    kp, dkp = p_rows[:, :n_p], p_rows[:, n_p:2 * n_p]
+    # pass 1: mixture denominator sum_b w_b K_b, the aggregates
+    # sk_m = sum_b w_b s_bm K_b and sgp_m = sum_b w_b s_bm Kq_b dKp_b/dp,
+    # each block adding its two products on its window.  Kernel rows are
+    # kept for pass 2: q rows stacked, [kq; dkq], p rows side by side,
+    # [kp|dkp|ddkp]
+    agg = np.zeros((7, n_q, n_p))
+    rows = []
+    for blk, qw, pw in blocks:
+        q_rows = _kernel_rows(spec, q[blk], grid.q_nodes[qw])
+        p_rows = np.concatenate(
+            _kernel_rows(spec, p[blk], grid.p_nodes[pw], 3), axis=1)
+        _, b, wq = q_rows.shape
+        wp = pw.stop - pw.start
+        wkq = (ws[blk, :, None] * q_rows[0, :, None, :]).reshape(b, 4 * wq)
+        agg[:4, qw, pw] += (wkq.T @ p_rows[:, :wp]).reshape(4, wq, wp)
+        agg[4:, qw, pw] += (wkq[:, wq:].T @ p_rows[:, wp:2 * wp]).reshape(
+            3, wq, wp)
+        rows.append((q_rows, p_rows))
+    sk, sgp = agg[1:4], agg[4:]
 
-    # mixture denominator sum_b w_b K_b and the aggregates
-    # sk_m = sum_b w_b s_bm K_b in one product, sgp_m = sum_b w_b s_bm
-    # Kq_b dKp_b/dp in another
-    wkq = np.concatenate([w[:, None], w[:, None] * s], axis=1)[:, :, None] \
-        * kq[:, None, :]
-    wkq = wkq.reshape(n, 4 * n_q)
-    den_sk = (wkq.T @ kp).reshape(4, n_q, n_p)
-    sk = den_sk[1:]
-    sgp = (wkq[:, n_q:].T @ dkp).reshape(3, n_q, n_p)
-
-    inv_d = _masked_inverse(den_sk[0])
-    inv_dw = inv_d * wq[:, None]
-    inv_dw *= wp[None, :]
+    inv_d = _masked_inverse(agg[0])
+    inv_dw = inv_d * grid.trap_weights_q()[:, None]
+    inv_dw *= grid.trap_weights_p()[None, :]
 
     # Hamiltonian gradient components are zero-stride views wherever they
     # are constants or functions of one coordinate only
-    gq_vec = list(h.grad_q(q_nodes[:, None], p_nodes[None, :]))[1:]
+    gq_vec = list(h.grad_q(grid.q_nodes[:, None], grid.p_nodes[None, :]))[1:]
     b1 = _cross3(gq_vec, sgp)     # = -(sgp x gq_vec)
 
     s_field = -2.0 * HBAR * sum(sk[m] * b1[m] for m in range(3))
@@ -271,33 +294,43 @@ def koopmon_terms(e: ParticleEnsemble, h: HybridHamiltonian,
     # `fields` is [f1_m | f2q_m] with f1 = b1 / D and f2q = (sk x gq) / D,
     # both times the quadrature weights, so [kp|dkp] and [dkp|ddkp] times
     # it give kp f1_m + dkp f2q_m and dkp f1_m + ddkp f2q_m for all m
-    fields = np.empty((3, n_q, 2 * n_p))
+    fields = np.empty((3, n_q, 2, n_p))
     f2q = _cross3(sk, gq_vec)
     for m in range(3):
-        np.multiply(b1[m], inv_dw, out=fields[m, :, :n_p])
-        np.multiply(f2q[m], inv_dw, out=fields[m, :, n_p:])
-    fields = fields.reshape(3 * n_q, 2 * n_p).T
-    stage_k = (p_rows[:, :2 * n_p] @ fields).reshape(n, 3, n_q)
-    stage_dk = (p_rows[:, n_p:] @ fields).reshape(n, 3, n_q)
+        np.multiply(b1[m], inv_dw, out=fields[m, :, 0])
+        np.multiply(f2q[m], inv_dw, out=fields[m, :, 1])
     # the denominator term: [kq; dkq] @ fs2 gives kq fs2 and dkq fs2
     fs2 = s_field * inv_d * inv_dw
-    stage_fs2 = q_rows @ fs2
 
-    # gradient of the coupling term w.r.t. the particle coordinates, already
-    # divided by the weights: d(q_e)/dt gains +dB/dp_e/w_e, d(p_e)/dt gains
-    # -dB/dq_e/w_e
-    grad_q_sum = -np.einsum("eq,emq->em", dkq, stage_k)
-    grad_p_sum = -np.einsum("eq,emq->em", kq, stage_dk)
-    db_dq = -2.0 * HBAR * np.sum(s * grad_q_sum, axis=1) \
-        + np.sum(stage_fs2[n:] * kp, axis=1)
-    db_dp = -2.0 * HBAR * np.sum(s * grad_p_sum, axis=1) \
-        + np.sum(stage_fs2[:n] * dkp, axis=1)
+    # pass 2, per block on its window.  The gradient of the coupling term
+    # w.r.t. the particle coordinates, already divided by the weights:
+    # d(q_e)/dt gains +dB/dp_e/w_e, d(p_e)/dt gains -dB/dq_e/w_e.  The
+    # effective quantum field is H_vec(z_e) - 2 hbar sum_b w_b (s_b x I_eb)
+    db_dq = np.empty(n)
+    db_dp = np.empty(n)
+    heff = np.empty((n, 3))
+    for (blk, qw, pw), (q_rows, p_rows) in zip(blocks, rows):
+        _, b, wq = q_rows.shape
+        wp = pw.stop - pw.start
+        kq, dkq = q_rows
+        kp, dkp = p_rows[:, :wp], p_rows[:, wp:2 * wp]
+        f = fields[:, qw, :, pw].reshape(3 * wq, 2 * wp).T
+        stage_k = (p_rows[:, :2 * wp] @ f).reshape(b, 3, wq)
+        stage_dk = (p_rows[:, wp:] @ f).reshape(b, 3, wq)
+        stage_fs2 = q_rows.reshape(2 * b, wq) @ fs2[qw, pw]
+        # kq and dkq against stage_k in one contraction
+        k_stage_k = np.einsum("req,emq->rem", q_rows, stage_k)
+        k_stage_dk = np.einsum("eq,emq->em", kq, stage_dk)
+        db_dq[blk] = 2.0 * HBAR * np.einsum("em,em->e", s[blk], k_stage_k[1]) \
+            + np.einsum("eq,eq->e", stage_fs2[b:], kp)
+        db_dp[blk] = 2.0 * HBAR * np.einsum("em,em->e", s[blk], k_stage_dk) \
+            + np.einsum("eq,eq->e", stage_fs2[:b], dkp)
+        heff[blk] = -HBAR * k_stage_k[0]
 
-    # effective quantum field: H_vec(z_e) - 2 hbar sum_b w_b (s_b x I_eb)
-    heff = -HBAR * np.einsum("eq,emq->em", kq, stage_k)
-
-    return KoopmonTerms(energy=energy, dqdot_extra=db_dp, dpdot_extra=-db_dq,
-                        heff_vec=heff)
+    # back to the particles' own order
+    inverse = np.argsort(order)
+    return KoopmonTerms(energy=energy, dqdot_extra=db_dp[inverse],
+                        dpdot_extra=-db_dq[inverse], heff_vec=heff[inverse])
 
 
 @dataclass

@@ -32,7 +32,7 @@ import numpy as np
 from . import backreaction
 from .ensemble import ParticleEnsemble, rehermitize
 from .models import HBAR, HybridHamiltonian
-from .pauli import SIGMA_X, SIGMA_Y, SIGMA_Z, pauli_decompose
+from .pauli import pauli_decompose
 from .regularization import (GridParams, KernelSpec, build_grid, build_grid_1d)
 
 
@@ -78,16 +78,24 @@ class EnsembleDerivative:
     energy: float
 
 
-_SIGMA_STACK = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
-
-
 def _drho_from_field(hvec: np.ndarray, s: np.ndarray) -> np.ndarray:
     """drho = (2/hbar) (hvec x s) . sigma for per-particle field vectors.
 
-    Exactly Hermitian and traceless by construction.
+    Exactly Hermitian and traceless by construction.  The entries are
+    written from ds = (2/hbar) hvec x s directly; every entry that is zero
+    is +0.0, as in a sum of complex products that starts from zero.
     """
     ds = (2.0 / HBAR) * np.cross(hvec, s)
-    return np.einsum("ak,kij->aij", ds, _SIGMA_STACK)
+    plus = ds + 0.0
+    minus = 0.0 - ds
+    drho = np.zeros((len(ds), 2, 2), dtype=complex)
+    re, im = drho.real, drho.imag
+    re[:, 0, 0] = plus[:, 2]
+    re[:, 1, 1] = minus[:, 2]
+    re[:, 0, 1] = re[:, 1, 0] = plus[:, 0]
+    im[:, 0, 1] = minus[:, 1]
+    im[:, 1, 0] = plus[:, 1]
+    return drho
 
 
 def _mean_field(e: ParticleEnsemble, h: HybridHamiltonian):

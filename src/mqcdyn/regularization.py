@@ -13,12 +13,18 @@ the current state at every evaluation, while the spacings ``sigma_K/j_q`` and
 the spacing, the upper edge is pushed out to the next grid node, so nodes are
 always anchored at the lower edge with uniform spacing.
 
-The default padding is ``8 sigma_K``.  Because the box is rebuilt at every
-RK4 stage, the discrete energy changes discontinuously whenever the box gains
-or loses a node, by an amount set by the kernel at the box edge.  At
-``2 sigma_K`` the edge kernel is still ``e^-2`` of its peak and the energy
-drift stops converging with the step size; at ``8 sigma_K`` it is
-``e^-32 ~ 1e-14`` of its peak and the drift converges at RK4 order again.
+The kernel is cut off at ``_KERNEL_CUTOFF sigma_K = 8 sigma_K``, where it is
+``e^-32 ~ 1.3e-14`` of its peak: `backreaction._kernel_rows` returns exact
+zeros for the kernel and its derivatives at every node at least that far from
+the particle, and every coupling integral is built from those rows.  The
+default padding is the same radius.  Because the box is rebuilt at every RK4
+stage, it gains or loses nodes as the cloud moves; a node that enters or
+leaves a box padded by the cutoff radius lies at least that far from every
+particle, so it carries exact zeros and the discrete energy does not depend
+on the box extent.  What is left is a step of at most ``e^-32`` of the
+kernel's peak where a node crosses the cutoff radius of one particle.  With
+a ``2 sigma_K`` padding the edge kernel was still ``e^-2`` of its peak and the
+energy drift stopped converging with the step size.
 """
 
 from __future__ import annotations
@@ -31,6 +37,9 @@ import numpy as np
 #: denominator underflows below this are set to zero (the exact integrand
 #: vanishes there as well).
 DENOMINATOR_FLOOR = 1e-300
+
+#: Kernel cutoff radius in units of sigma_K, and the default box padding.
+_KERNEL_CUTOFF = 8
 
 
 class GridCoverageError(ValueError):
@@ -57,13 +66,14 @@ class KernelSpec:
 class GridParams:
     """Box padding multiples and nodes-per-sigma for the quadrature grid.
 
-    The padding defaults to ``8 sigma_K`` so that the kernel at the box edge
-    (``e^-32`` of its peak) is negligible and the box-size changes between RK4
-    stages leave the conserved energy smooth; see the module docstring.
+    The padding defaults to the kernel cutoff radius, ``8 sigma_K``, so that
+    every kernel is exactly zero on the edge nodes and the box-size changes
+    between RK4 stages leave the conserved energy unchanged; see the module
+    docstring.
     """
 
-    n_q: int = 8
-    n_p: int = 8
+    n_q: int = _KERNEL_CUTOFF
+    n_p: int = _KERNEL_CUTOFF
     j_q: int = 2
     j_p: int = 2
 

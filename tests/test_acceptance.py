@@ -30,7 +30,7 @@ from helpers import bloch_state, fd_gradient_check, random_ensemble
 from test_backreaction import purely_classical_model, purely_quantum_model
 from test_factorized_2dof import (SPEC as SPEC_2DOF,
                                   bohmion_brute_force_coupling,
-                                  koopmon_brute_force_coupling,
+                                  koopmon_4d_oracle,
                                   make_ensemble2d, separable_hamiltonian)
 
 REPORT = "ACCEPTANCE {num} {name}: PASS ({detail})"
@@ -364,7 +364,7 @@ def test_criterion_7_factorized_2dof():
     tables = koopmon_pairs_factorized_2dof(
         e2, ham, SPEC_2DOF, SPEC_2DOF, GridParams(n_q=5, n_p=5, j_q=3, j_p=3))
     fac_k = koopmon_2dof_coupling(e2, tables)
-    brute_k = koopmon_brute_force_coupling(e2, ham)
+    brute_k = koopmon_4d_oracle()
     assert abs(fac_k - brute_k) < 1e-5
 
     t1, t2 = bohmion_pairs_factorized_2dof(e2, SPEC_2DOF, SPEC_2DOF,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mqcdyn import backreaction
 from mqcdyn.backreaction import (HBAR, _kernel_rows, bohmion_coupling_energy,
                                  bohmion_pairs, bohmion_terms,
                                  koopmon_coupling_energy, koopmon_pairs,
@@ -272,10 +273,11 @@ def test_bohmion_quantum_term_matches_pair_assembly():
 
 @pytest.mark.parametrize("dq,dp", [(0.0, 40.0), (40.0, 0.0)])
 def test_koopmon_terms_on_a_split_cloud(dq, dp):
-    # two groups farther apart in p (or in q) than twice the kernel flush
-    # radius, 26.5 alpha, share no node where a kernel is nonzero:
-    # koopmon_terms drops the nodes between them and must still agree with
-    # the pair tables on the whole box and be the gradient of the energy
+    # two groups 40 apart in p (or in q), far more than twice the kernel
+    # cutoff radius 8 sigma_K, share no node where a kernel is nonzero: the
+    # nodes between them carry exact zeros, and koopmon_terms must still
+    # agree with the pair tables on the whole box and be the gradient of
+    # the energy
     a = random_ensemble(3, seed=21, q0=0.0, p0=0.0)
     b = random_ensemble(3, seed=22, q0=dq, p0=dp)
     e = ParticleEnsemble(q=np.concatenate([a.q, b.q]),
@@ -297,6 +299,58 @@ def test_koopmon_terms_on_a_split_cloud(dq, dp):
         "b,abk->ak", e.w, np.cross(s[None, :, :], table.values[:, :, 1:]))
     assert np.allclose(terms.heff_vec, expected, rtol=1e-10, atol=1e-15)
     fd_gradient_check("koopmon", e, h, spec)
+
+
+def rabi_like_cloud(n):
+    """A compact cloud of the rabi_ds kind: one cluster a few sigma_K wide."""
+    return random_ensemble(n, seed=31, q0=0.0, p0=0.0, spread=1.0)
+
+
+def cloud_split_in_p(n):
+    """Two groups 20 sigma_K apart in p (alpha = 0.5): windows of blocks in
+    one group overlap, those of blocks in different groups do not."""
+    gap = 20.0 * KernelSpec(alpha=0.5).sigma_k
+    a = random_ensemble(n // 2, seed=32, q0=0.0, p0=0.0)
+    b = random_ensemble(n - n // 2, seed=33, q0=0.5, p0=gap)
+    return ParticleEnsemble(q=np.concatenate([a.q, b.q]),
+                            p=np.concatenate([a.p, b.p]),
+                            rho=np.concatenate([a.rho, b.rho]),
+                            w=np.full(n, 1.0 / n))
+
+
+@pytest.mark.parametrize("cloud,model", [(rabi_like_cloud, "rabi_ds"),
+                                         (cloud_split_in_p, "periodic")])
+def test_blocked_koopmon_terms_equal_a_single_block(cloud, model, monkeypatch):
+    e = cloud(3 * backreaction._PARTICLE_BLOCK + 5)
+    h = periodic_model() if model == "periodic" else make_model(model)
+    spec = KernelSpec(alpha=0.5)
+    grid = build_grid(e.q, e.p, spec)
+    blocked = koopmon_terms(e, h, grid, spec)
+    monkeypatch.setattr(backreaction, "_PARTICLE_BLOCK", e.n)
+    single = koopmon_terms(e, h, grid, spec)
+    assert blocked.energy == pytest.approx(single.energy, rel=1e-12)
+    for name in ("dqdot_extra", "dpdot_extra", "heff_vec"):
+        got, want = getattr(blocked, name), getattr(single, name)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
+
+
+def test_koopmon_gradient_across_overlapping_blocks(monkeypatch):
+    monkeypatch.setattr(backreaction, "_PARTICLE_BLOCK", 4)
+    e = random_ensemble(12, seed=34, q0=0.0, p0=0.0, spread=1.5)
+    fd_gradient_check("koopmon", e, periodic_model(), KernelSpec(alpha=0.5))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_kernel_rows_are_exact_zeros_on_the_box_edges(seed):
+    rng = np.random.default_rng(seed)
+    e = random_ensemble(7, seed=seed, q0=rng.uniform(-30.0, 30.0),
+                        p0=rng.uniform(-30.0, 30.0), spread=3.0)
+    spec = KernelSpec(alpha=rng.uniform(0.2, 1.5))
+    grid = build_grid(e.q, e.p, spec)
+    for centers, nodes in ((e.q, grid.q_nodes), (e.p, grid.p_nodes)):
+        for rows in _kernel_rows(spec, centers, nodes, 3):
+            assert np.all(rows[:, [0, -1]] == 0.0)
+            assert np.any(rows[:, [1, -2]] != 0.0)
 
 
 def test_single_particle_koopmon_terms_are_exact_zeros():

@@ -6,6 +6,8 @@ on its own tensor-product trapezoid nodes, independent of the per-axis
 factorization path.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,15 @@ def koopmon_brute_force_coupling(e2, ham, pad=5.0, frac=0.25):
     return total
 
 
+@functools.cache
+def koopmon_4d_oracle():
+    """`koopmon_brute_force_coupling` on `make_ensemble2d()` and
+    `separable_hamiltonian()`, evaluated once for every test that checks
+    against it (it takes seconds; the factorized path takes milliseconds)."""
+    return koopmon_brute_force_coupling(make_ensemble2d(),
+                                        separable_hamiltonian())
+
+
 def bohmion_brute_force_coupling(e2, pad=6.0, frac=0.2):
     r1 = axis_nodes(e2.q1, pad, frac)
     r2 = axis_nodes(e2.q2, pad, frac)
@@ -212,7 +223,7 @@ def test_koopmon_factorized_matches_4d_oracle():
     tables = koopmon_pairs_factorized_2dof(
         e2, ham, SPEC, SPEC, GridParams(n_q=5, n_p=5, j_q=3, j_p=3))
     fac = koopmon_2dof_coupling(e2, tables)
-    brute = koopmon_brute_force_coupling(e2, ham)
+    brute = koopmon_4d_oracle()
     assert abs(fac) > 1e-4          # a nontrivial coupling
     assert abs(fac - brute) < 1e-5
 

@@ -1,0 +1,148 @@
+"""Alternating before/after runs of the benchmark, parent revision against
+the working tree.
+
+    python3 tools/ab_bench.py --parent REV --workload W --seed S --pairs K \
+        --out BENCH_<n>.json
+
+Run from anywhere inside a checkout.  REV is unpacked with ``git archive``
+into a temporary directory.  Each pair runs
+
+    python3 perfbench/run.py --workload W --seed S --seconds 35 --trace 0
+
+once in that tree and once in the working tree, one after the other; the side
+that goes first alternates from pair to pair, so a slow phase of the host
+does not always fall on the same side.  The output file holds, for every
+pair, both sides' end-to-end metrics, ``correct``, ``attempted`` and
+``failed``, and per metric the medians and quartiles of each side and the
+number of pairs the working tree wins.  Metric names and their better
+direction come from ``BENCHMARK.json``.  Progress goes to standard error.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SECONDS = 35
+
+
+def log(msg: str) -> None:
+    print(msg, file=sys.stderr, flush=True)
+
+
+def unpack(rev: str, into: Path) -> str:
+    """Write the files of ``rev`` into ``into``; return its commit id."""
+    sha = subprocess.run(["git", "rev-parse", "--verify", rev + "^{commit}"],
+                         cwd=ROOT, check=True, capture_output=True,
+                         text=True).stdout.strip()
+    tar = subprocess.run(["git", "archive", "--format=tar", sha], cwd=ROOT,
+                         check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(into, filter="data")
+    return sha
+
+
+def bench(tree: Path, workload: str, seed: int) -> dict:
+    """One untraced benchmark invocation in ``tree``: its last output line."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
+    done = subprocess.run(cmd, cwd=tree, stdin=subprocess.DEVNULL,
+                          capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines:
+        return {"correct": False, "error": f"exit {done.returncode}: "
+                + done.stderr.strip()[-2000:]}
+    return json.loads(lines[-1])
+
+
+def summarize(pairs: list, metrics: list) -> dict:
+    """Medians, quartiles and change wins over the pairs where both sides
+    produced the metric."""
+    out = {}
+    for spec in metrics:
+        name, lower = spec["name"], spec["better"] == "lower"
+        both = [(p["parent"]["metrics"][name]["value"],
+                 p["change"]["metrics"][name]["value"]) for p in pairs
+                if "metrics" in p["parent"] and "metrics" in p["change"]]
+        entry = {"unit": spec["unit"], "better": spec["better"],
+                 "pairs": len(both)}
+        for side, k in (("parent", 0), ("change", 1)):
+            values = [b[k] for b in both]
+            if len(values) >= 2:
+                q1, _, q3 = statistics.quantiles(values, n=4)
+                entry[side] = {"median": statistics.median(values),
+                               "q1": q1, "q3": q3}
+        entry["change_wins"] = sum((c < p) if lower else (c > p)
+                                   for p, c in both)
+        if "parent" in entry:
+            entry["median_change_rel"] = (entry["change"]["median"]
+                                          / entry["parent"]["median"] - 1.0)
+        out[name] = entry
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True, help="git revision to compare with")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--out", type=Path, required=True)
+    args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be positive")
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, check=True,
+                          capture_output=True, text=True).stdout.strip()
+    if subprocess.run(["git", "diff", "--quiet", "HEAD"], cwd=ROOT).returncode:
+        head += " with uncommitted changes"
+
+    pairs = []
+    with tempfile.TemporaryDirectory(prefix="ab_bench-") as tmp:
+        parent_tree = Path(tmp)
+        parent = unpack(args.parent, parent_tree)
+        trees = {"parent": parent_tree, "change": ROOT}
+        for k in range(args.pairs):
+            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+            pair = {"first": order[0]}
+            for side in order:
+                pair[side] = bench(trees[side], args.workload, args.seed)
+                found = pair[side].get("metrics", {})
+                log(f"pair {k} {side}: correct {pair[side].get('correct')}, "
+                    f"failed {pair[side].get('failed')}, " + ", ".join(
+                        f"{n} {v['value']:.4g}" for n, v in found.items()))
+            pairs.append(pair)
+
+    result = {
+        "workload": args.workload,
+        "seed": args.seed,
+        "seconds": SECONDS,
+        "parent": parent,
+        "change": f"working tree on {head}",
+        "all_correct": all(p[s].get("correct") for p in pairs
+                           for s in ("parent", "change")),
+        "failed": sum(p[s].get("failed", 0) for p in pairs
+                      for s in ("parent", "change")),
+        "summary": summarize(pairs, metrics),
+        "pairs": pairs,
+    }
+    args.out.write_text(json.dumps(result, indent=1) + "\n")
+    for name, entry in result["summary"].items():
+        if "parent" in entry:
+            log(f"{name}: {entry['parent']['median']:.4g} -> "
+                f"{entry['change']['median']:.4g} "
+                f"({100 * entry['median_change_rel']:+.1f}%), change wins "
+                f"{entry['change_wins']}/{entry['pairs']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
