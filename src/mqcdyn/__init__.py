@@ -23,9 +23,9 @@ from .ensemble import (Ensemble2D, ParticleEnsemble, aggregate_density,
 from .models import (HybridHamiltonian, SpectralData, make_model, make_rabi,
                      make_tully, model_names, nac, spectral)
 from .pauli import PauliVector
-from .regularization import (GridParams, KernelSpec, QuadratureGrid,
+from .regularization import (GridParams, KernelSpec, Lattice, QuadratureGrid,
                              build_grid, build_grid_1d, kernel_1d,
-                             kernel_1d_deriv, trapezoid_1d, trapezoid_2d)
+                             kernel_1d_deriv, quadrature)
 from .runner import CompareReport, compare, run
 from .sampling import InitSpec, init_ensemble, sobol_2d
 from .soft import (SpatialGrid1D, WavepacketState, init_wavepacket,

@@ -18,7 +18,7 @@ O(N * patch + grid) rather than O(N^2 * grid).
 
 Every kernel is cut off at ``_KERNEL_CUTOFF sigma_K`` (see `regularization`),
 so a particle's kernel rows are nonzero only on the nodes of its patch, a
-square of side 16 sigma_K.  `koopmon_terms` makes its cost follow those
+square of side 18 sigma_K.  `koopmon_terms` makes its cost follow those
 patches rather than the box: it sorts the particles along the box axis with
 more nodes and cuts them into blocks of `_PARTICLE_BLOCK`.  A block's window
 is the range of nodes within the cutoff radius of its particles, per axis and
@@ -55,9 +55,9 @@ import numpy as np
 from .ensemble import Ensemble2D, ParticleEnsemble
 from .models import HBAR, HybridHamiltonian, on_points
 from .pauli import PauliVector, pauli_decompose
-from .regularization import (_KERNEL_CUTOFF, DENOMINATOR_FLOOR, Grid1D,
-                             GridParams, KernelSpec, QuadratureGrid, build_grid,
-                             build_grid_1d, trapezoid_1d, trapezoid_2d)
+from .regularization import (_KERNEL_CUTOFF, DENOMINATOR_FLOOR, GridParams,
+                             KernelSpec, Lattice, QuadratureGrid, build_grid,
+                             build_grid_1d, quadrature)
 
 #: Particles per block of `koopmon_terms`.
 _PARTICLE_BLOCK = 64
@@ -81,7 +81,7 @@ def _kernel_rows(spec: KernelSpec, centers: np.ndarray, nodes: np.ndarray,
     K'' when ``n_rows`` is 3, stacked to shape (n_rows, N, n_nodes).
 
     All three are exact zeros where |node - center| >= _KERNEL_CUTOFF
-    sigma_K, where the kernel is e^-32 of its peak.  The cut sits a relative
+    sigma_K, where the kernel is e^-40.5 of its peak.  The cut sits a relative
     1e-10 inside that radius, so that the edge nodes of a box padded by it,
     which lie at the radius from the extreme particles up to rounding, carry
     exact zeros.
@@ -164,7 +164,7 @@ def koopmon_pairs(e: ParticleEnsemble, h: HybridHamiltonian,
             fq = k_a * gq_b - k_b * gq_a
             fp = k_a * gp_b - k_b * gp_a
             integrand = 0.5 * (fq[None] * gp - fp[None] * gq) * inv_d[None]
-            vals = trapezoid_2d(np.moveaxis(integrand, 0, -1), grid)
+            vals = quadrature(np.moveaxis(integrand, 0, -1), grid)
             values[a, b] = vals
             values[b, a] = -vals
     return PairIntegralTable(values=values, kind="koopmon")
@@ -178,7 +178,7 @@ def koopmon_coupling_energy(e: ParticleEnsemble, table: PairIntegralTable) -> fl
     return 0.5 * float(np.einsum("a,b,ab->", e.w, e.w, pair))
 
 
-def bohmion_pairs(e: ParticleEnsemble, grid: Grid1D,
+def bohmion_pairs(e: ParticleEnsemble, grid: Lattice,
                   spec: KernelSpec) -> PairIntegralTable:
     """Symmetric scalar pair integrals
     ``I_ab = int K'(r - q_a) K'(r - q_b) / sum_c w_c K(r - q_c) dr``.
@@ -186,6 +186,7 @@ def bohmion_pairs(e: ParticleEnsemble, grid: Grid1D,
     The Hamiltonian does not enter.  Computed as a Gram matrix, so the table
     is exactly symmetric and its diagonal nonnegative.
     """
+    grid.check_coverage(e.q)
     k, dk = _kernel_rows(spec, e.q, grid.nodes)
     den = e.w @ k
     weight = grid.weights * _masked_inverse(den)
@@ -278,8 +279,8 @@ def koopmon_terms(e: ParticleEnsemble, h: HybridHamiltonian,
     sk, sgp = agg[1:4], agg[4:]
 
     inv_d = _masked_inverse(agg[0])
-    inv_dw = inv_d * grid.trap_weights_q()[:, None]
-    inv_dw *= grid.trap_weights_p()[None, :]
+    inv_dw = inv_d * grid.q.weights[:, None]
+    inv_dw *= grid.p.weights[None, :]
 
     # Hamiltonian gradient components are zero-stride views wherever they
     # are constants or functions of one coordinate only
@@ -342,9 +343,10 @@ class BohmionTerms:
     heff_vec: np.ndarray
 
 
-def bohmion_terms(e: ParticleEnsemble, mass: float, grid: Grid1D,
+def bohmion_terms(e: ParticleEnsemble, mass: float, grid: Lattice,
                   spec: KernelSpec) -> BohmionTerms:
     """Pair energy, forces and effective fields via aggregated 1D fields."""
+    grid.check_coverage(e.q)
     comp = pauli_decompose(e.rho)
     s0 = comp[:, 0]
     s = comp[:, 1:]
@@ -358,7 +360,7 @@ def bohmion_terms(e: ParticleEnsemble, mass: float, grid: Grid1D,
     t_field = 4.0 * vg0**2 + 4.0 * np.einsum("km,km->m", vg, vg) - u**2
 
     pref = HBAR**2 / (8.0 * mass)
-    energy = pref * trapezoid_1d(t_field * inv_d, grid)
+    energy = pref * float(quadrature(t_field * inv_d, grid))
 
     wts = grid.weights
     # d/dq_e of the pair sum; center derivatives are minus the grid ones
@@ -485,12 +487,12 @@ def _axis_tables(q: np.ndarray, p: np.ndarray, w: np.ndarray,
         for b in range(n):
             base = fields_k[a] * inv_d
             bracket = fields_gq[b] * fp - fields_gp[b] * fq
-            i_scalar[a, b] = trapezoid_2d(base * bracket, grid)
-            j_scalar[a, b] = trapezoid_2d(base * fields_k[b] * f, grid)
+            i_scalar[a, b] = quadrature(base * bracket, grid)
+            j_scalar[a, b] = quadrature(base * fields_k[b] * f, grid)
             bracket_m = fields_gq[b][None] * mp - fields_gp[b][None] * mq
-            i_matrix[a, b] = trapezoid_2d(
+            i_matrix[a, b] = quadrature(
                 np.moveaxis(base[None] * bracket_m, 0, -1), grid)
-            j_matrix[a, b] = trapezoid_2d(
+            j_matrix[a, b] = quadrature(
                 np.moveaxis(base[None] * fields_k[b][None] * m, 0, -1), grid)
     return AxisTables(i_scalar=i_scalar, j_scalar=j_scalar,
                       i_matrix=i_matrix, j_matrix=j_matrix)

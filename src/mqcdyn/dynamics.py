@@ -12,8 +12,10 @@ coupling for the koopmon method, or plus the configuration-space
 quantum-potential coupling for the bohmion method.  The gradients of the
 coupling terms are obtained by differentiating the quadrature sums exactly
 (closed-form kernel derivatives), so the analytic right-hand side is the
-exact gradient of `energy` on the same grid; the finite-difference tests pin
-this contract.  One `rhs` evaluation returns the energy together with the
+exact gradient of `energy` on any covering box of the global lattice (see
+`regularization`), which is the energy RK4 integrates; the
+finite-difference tests pin this contract with a box rebuilt for every
+perturbed state.  One `rhs` evaluation returns the energy together with the
 derivative, since both come from the same coupling integrals.
 
 Time stepping is plain fixed-step RK4 with the quadrature grid rebuilt from
@@ -141,7 +143,9 @@ def rhs(kind: MethodKind, e: ParticleEnsemble, h: HybridHamiltonian,
 
     ``grid`` is the quadrature grid to use for the coupling integrals
     (2D for koopmon, 1D for bohmion); when omitted it is built from the
-    current state with default box parameters.  Ehrenfest ignores it.
+    current state with default box parameters.  Ehrenfest ignores it.  The
+    derivative is the exact gradient of the energy on any covering box of
+    the lattice, the one RK4 integrates.
     """
     kind = MethodKind.parse(kind)
     dq, dp_mf, hvec, total = _mean_field(e, h)

@@ -6,30 +6,39 @@ The phase-space kernel is a product of 1D normalized Gaussians
 ``sigma_K = alpha/sqrt(2)``.
 
 Integrals are evaluated with the composite trapezoidal rule on a rectangular
-box that tracks the particle cloud: the box extends ``n_q sigma_K`` /
-``n_p sigma_K`` beyond the extreme particle coordinates and is rebuilt from
-the current state at every evaluation, while the spacings ``sigma_K/j_q`` and
-``sigma_K/j_p`` are fixed.  When the box extent is not an integer multiple of
-the spacing, the upper edge is pushed out to the next grid node, so nodes are
-always anchored at the lower edge with uniform spacing.
+box around the particle cloud.  Each axis of the box is a `Lattice`: a range
+of the nodes ``i * spacing`` of one lattice through the origin, with the
+spacings ``sigma_K/j_q`` and ``sigma_K/j_p`` fixed and the integer range of
+``i`` the shortest that spans ``n_q sigma_K`` / ``n_p sigma_K`` beyond the
+extreme particle coordinates.  The box is rebuilt from the current state at
+every evaluation, but its nodes do not move with the cloud: a rebuilt box only
+gains or loses nodes at its ends, and a node that two boxes share sits at
+bitwise the same place in both.
 
-The kernel is cut off at ``_KERNEL_CUTOFF sigma_K = 8 sigma_K``, where it is
-``e^-32 ~ 1.3e-14`` of its peak: `backreaction._kernel_rows` returns exact
+The kernel is cut off at ``_KERNEL_CUTOFF sigma_K = 9 sigma_K``, where it is
+``e^-40.5 ~ 2.6e-18`` of its peak: `backreaction._kernel_rows` returns exact
 zeros for the kernel and its derivatives at every node at least that far from
 the particle, and every coupling integral is built from those rows.  The
-default padding is the same radius.  Because the box is rebuilt at every RK4
-stage, it gains or loses nodes as the cloud moves; a node that enters or
-leaves a box padded by the cutoff radius lies at least that far from every
-particle, so it carries exact zeros and the discrete energy does not depend
-on the box extent.  What is left is a step of at most ``e^-32`` of the
-kernel's peak where a node crosses the cutoff radius of one particle.  With
-a ``2 sigma_K`` padding the edge kernel was still ``e^-2`` of its peak and the
-energy drift stopped converging with the step size.
+default padding is the same radius, so a node that enters or leaves the box
+lies at least that far from every particle and carries exact zeros.  Neither
+the extent of the box nor where it starts enters the discrete energy: it is
+the quadrature sum over the whole lattice, one smooth function of the state,
+and the forces, which differentiate the kernel centres only, are its exact
+gradient.  What is left is the cut itself: a step of at most ``e^-40.5`` of
+the kernel's peak where a node crosses one particle's cutoff radius, and the
+tail it drops.  The bohmion integrand weights the kernel by up to the cube of
+K'/K, so at 8 sigma_K the tail that a lone bohmion misses on the lattice gave
+it a self force of about 1e-12 at alpha = 0.5; at 9 sigma_K it is below
+1e-15.  Both conditions are needed: with nodes that moved with the box, or a
+padding short of the cutoff, the energy would change with the box in a way
+the forces do not see, and the energy drift would stop converging with the
+step size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,11 +48,23 @@ import numpy as np
 DENOMINATOR_FLOOR = 1e-300
 
 #: Kernel cutoff radius in units of sigma_K, and the default box padding.
-_KERNEL_CUTOFF = 8
+_KERNEL_CUTOFF = 9
 
 
 class GridCoverageError(ValueError):
-    """A particle lies outside the quadrature box it is paired with."""
+    """Particles lie outside the quadrature box they are paired with.
+
+    ``particles`` holds their indices, ``bounds`` the (first, last) node of
+    the box on each axis.
+    """
+
+    def __init__(self, particles: np.ndarray, bounds: tuple):
+        self.particles = particles
+        self.bounds = bounds
+        box = " x ".join(f"[{lo:g}, {hi:g}]" for lo, hi in bounds)
+        more = " ..." if particles.size > 10 else ""
+        super().__init__(f"{particles.size} particle(s) outside the quadrature "
+                         f"box {box}: {particles[:10].tolist()}{more}")
 
 
 @dataclass(frozen=True)
@@ -66,7 +87,7 @@ class KernelSpec:
 class GridParams:
     """Box padding multiples and nodes-per-sigma for the quadrature grid.
 
-    The padding defaults to the kernel cutoff radius, ``8 sigma_K``, so that
+    The padding defaults to the kernel cutoff radius, ``9 sigma_K``, so that
     every kernel is exactly zero on the edge nodes and the box-size changes
     between RK4 stages leave the conserved energy unchanged; see the module
     docstring.
@@ -102,143 +123,110 @@ def kernel_1d_deriv2(spec: KernelSpec, y):
     return (4.0 * y**2 / a2**2 - 2.0 / a2) * kernel_1d(spec, y)
 
 
-def _axis_nodes(lo: float, hi: float, spacing: float) -> np.ndarray:
-    extent = hi - lo
-    # never collapse to a single node; ceil pushes the upper edge outward
-    n_cells = max(int(np.ceil(extent / spacing - 1e-12)), 1)
-    return lo + spacing * np.arange(n_cells + 1)
+class _Box:
+    """The coverage check shared by the 1-D and the 2-D box; each box lists
+    its `Lattice` per coordinate in ``axes``."""
+
+    def check_coverage(self, *coords: np.ndarray) -> None:
+        """Raise `GridCoverageError` unless every particle lies in the box;
+        ``coords`` holds one coordinate array per axis."""
+        outside = np.zeros(np.shape(coords[0]), dtype=bool)
+        for axis, x in zip(self.axes, coords):
+            outside |= (x < axis.nodes[0]) | (x > axis.nodes[-1])
+        if outside.any():
+            raise GridCoverageError(
+                np.flatnonzero(outside),
+                tuple((float(a.nodes[0]), float(a.nodes[-1])) for a in self.axes))
 
 
 @dataclass(frozen=True)
-class Grid1D:
-    """Uniform 1D quadrature grid for configuration-space integrals.
+class Lattice(_Box):
+    """One axis of a quadrature box, and the 1-D box itself: the nodes
+    ``spacing * i`` of the lattice through the origin for the integers
+    ``i0 <= i <= i1``, with composite-trapezoid weights."""
 
-    ``rule`` is "midpoint" (nodes at cell centers, equal weights) or
-    "trapezoid" (nodes include the box edges, half-weighted there).
-    """
-
-    nodes: np.ndarray
+    i0: int
+    i1: int
     spacing: float
-    rule: str = "midpoint"
+
+    @classmethod
+    def covering(cls, x, pad: float, spacing: float) -> "Lattice":
+        """The shortest index range whose nodes span ``[min x - pad,
+        max x + pad]``; it extends that interval by less than one spacing at
+        each end."""
+        x = np.asarray(x, dtype=float)
+        if x.size < 1:
+            raise ValueError("at least one particle is required to build a grid")
+        return cls(int(np.floor((np.min(x) - pad) / spacing)),
+                   int(np.ceil((np.max(x) + pad) / spacing)), spacing)
 
     @property
+    def axes(self) -> tuple["Lattice"]:
+        return (self,)
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        return self.spacing * np.arange(self.i0, self.i1 + 1)
+
+    @cached_property
     def weights(self) -> np.ndarray:
-        w = np.full(self.nodes.shape, self.spacing)
-        if self.rule == "trapezoid":
-            w[0] *= 0.5
-            w[-1] *= 0.5
+        w = np.full(self.i1 - self.i0 + 1, self.spacing)
+        w[[0, -1]] *= 0.5
         return w
 
 
 @dataclass(frozen=True)
-class QuadratureGrid:
-    """Tensor-product trapezoid grid over the phase-space truncation box."""
+class QuadratureGrid(_Box):
+    """The phase-space box: the tensor product of a q and a p `Lattice`."""
 
-    q_nodes: np.ndarray
-    p_nodes: np.ndarray
-    dq: float
-    dp: float
+    q: Lattice
+    p: Lattice
 
     @property
-    def q_min(self) -> float:
-        return float(self.q_nodes[0])
+    def axes(self) -> tuple[Lattice, Lattice]:
+        return self.q, self.p
 
     @property
-    def q_max(self) -> float:
-        return float(self.q_nodes[-1])
+    def q_nodes(self) -> np.ndarray:
+        return self.q.nodes
 
     @property
-    def p_min(self) -> float:
-        return float(self.p_nodes[0])
-
-    @property
-    def p_max(self) -> float:
-        return float(self.p_nodes[-1])
+    def p_nodes(self) -> np.ndarray:
+        return self.p.nodes
 
     @property
     def shape(self) -> tuple[int, int]:
-        return len(self.q_nodes), len(self.p_nodes)
-
-    def trap_weights_q(self) -> np.ndarray:
-        w = np.full(self.q_nodes.shape, self.dq)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return w
-
-    def trap_weights_p(self) -> np.ndarray:
-        w = np.full(self.p_nodes.shape, self.dp)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return w
-
-    def check_coverage(self, q: np.ndarray, p: np.ndarray) -> None:
-        if (np.min(q) < self.q_min or np.max(q) > self.q_max
-                or np.min(p) < self.p_min or np.max(p) > self.p_max):
-            raise GridCoverageError(
-                "particles outside quadrature box "
-                f"[{self.q_min}, {self.q_max}] x [{self.p_min}, {self.p_max}]")
+        return len(self.q.nodes), len(self.p.nodes)
 
 
 def build_grid(q: np.ndarray, p: np.ndarray, spec: KernelSpec,
                params: GridParams = GridParams()) -> QuadratureGrid:
-    """Quadrature grid adapted to the current particle coordinates.
+    """Phase-space box for the current particle coordinates.
 
-    The box is ``[min q - n_q s, max q + n_q s] x [min p - n_p s, max p + n_p s]``
-    with ``s = sigma_K``; spacings are ``sigma_K/j_q`` and ``sigma_K/j_p``.
+    Its axes are the lattices of spacing ``sigma_K/j_q`` and ``sigma_K/j_p``
+    that cover ``[min q - n_q s, max q + n_q s] x [min p - n_p s,
+    max p + n_p s]`` with ``s = sigma_K``.
     """
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if q.size < 1:
-        raise ValueError("at least one particle is required to build a grid")
     s = spec.sigma_k
-    dq = s / params.j_q
-    dp = s / params.j_p
-    q_nodes = _axis_nodes(np.min(q) - params.n_q * s, np.max(q) + params.n_q * s, dq)
-    p_nodes = _axis_nodes(np.min(p) - params.n_p * s, np.max(p) + params.n_p * s, dp)
-    return QuadratureGrid(q_nodes=q_nodes, p_nodes=p_nodes, dq=dq, dp=dp)
+    return QuadratureGrid(Lattice.covering(q, params.n_q * s, s / params.j_q),
+                          Lattice.covering(p, params.n_p * s, s / params.j_p))
 
 
 def build_grid_1d(q: np.ndarray, spec: KernelSpec,
-                  params: GridParams = GridParams(),
-                  rule: str = "midpoint") -> Grid1D:
-    """1D analogue of `build_grid` over the position coordinates only.
-
-    The default composite midpoint rule keeps every node strictly inside the
-    truncation box, which noticeably reduces the edge noise of the
-    kernel-ratio integrands as the box follows the cloud.
-    """
-    q = np.asarray(q, dtype=float)
-    if q.size < 1:
-        raise ValueError("at least one particle is required to build a grid")
-    if rule not in ("midpoint", "trapezoid"):
-        raise ValueError(f"unknown quadrature rule {rule!r}")
+                  params: GridParams = GridParams()) -> Lattice:
+    """Configuration-space box: the q axis of `build_grid`."""
     s = spec.sigma_k
-    dr = s / params.j_q
-    lo = np.min(q) - params.n_q * s
-    hi = np.max(q) + params.n_q * s
-    if rule == "trapezoid":
-        return Grid1D(nodes=_axis_nodes(lo, hi, dr), spacing=dr, rule=rule)
-    n_cells = max(int(np.ceil((hi - lo) / dr - 1e-12)), 1)
-    nodes = lo + dr * (np.arange(n_cells) + 0.5)
-    return Grid1D(nodes=nodes, spacing=dr, rule=rule)
+    return Lattice.covering(q, params.n_q * s, s / params.j_q)
 
 
-def trapezoid_1d(values: np.ndarray, grid: Grid1D) -> float:
-    """Composite quadrature on a `Grid1D`; the weights come from the grid's
-    rule (midpoint or trapezoid)."""
-    return float(np.sum(np.asarray(values) * grid.weights))
+def quadrature(values: np.ndarray, box):
+    """Composite trapezoid rule over a `Lattice` or a `QuadratureGrid`.
 
-
-def trapezoid_2d(values: np.ndarray, grid: QuadratureGrid):
-    """Composite trapezoid rule over the box.
-
-    ``values`` has shape ``grid.shape`` for a scalar integrand, or
-    ``grid.shape + extra`` for an array-valued integrand (e.g. Pauli
-    components); the quadrature is applied to the two leading axes.
+    Each axis's weights contract the matching leading axis of ``values``, so
+    an array-valued integrand (e.g. Pauli components last) keeps its trailing
+    axes; a scalar integrand gives a numpy scalar.
     """
-    values = np.asarray(values)
-    wq = grid.trap_weights_q()
-    wp = grid.trap_weights_p()
-    weighted = values * wq.reshape((-1, 1) + (1,) * (values.ndim - 2))
-    weighted = weighted * wp.reshape((1, -1) + (1,) * (values.ndim - 2))
-    return np.sum(weighted, axis=(0, 1))
+    out = np.asarray(values)
+    for axis in box.axes:
+        out = np.tensordot(axis.weights, out, axes=1)
+    return out[()]

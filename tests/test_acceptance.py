@@ -75,12 +75,13 @@ SOFT_GRIDS = {
 }
 
 
-def run_desk(kind, model_name, alpha=None, n=None, dt=None):
+def run_desk(kind, model_name, alpha=None, n=None, dt=None, t_final=None):
     """Desk-scale particle run; returns (time, P1, purity, drift) array."""
-    a0, dt0, t_final, n0 = DESK[model_name]
+    a0, dt0, t0, n0 = DESK[model_name]
     alpha = a0 if alpha is None else alpha
     n = n0 if n is None else n
     dt = dt0 if dt is None else dt
+    t_final = t0 if t_final is None else t_final
     h, e0, _, _ = benchmark_init(model_name, n)
     rows = []
 
@@ -252,11 +253,16 @@ def test_population_jumps_flags_an_injected_step():
     assert not np.max(population_jumps(stepped)) < 0.05
 
 
-def test_bohmion_rabi_ds_drift_converges_at_rk4_order():
-    # the discrete energy is a smooth function of the state on the default
-    # box, so halving dt cuts the drift by about 2^4 or more
-    coarse = float(np.max(run_desk("bohmion", "rabi_ds")[:, 3]))
-    fine = float(np.max(run_desk("bohmion", "rabi_ds", dt=0.025)[:, 3]))
+@pytest.mark.parametrize("kind,dt,t_final", [("bohmion", 0.05, None),
+                                             ("koopmon", 0.025, 6.0),
+                                             ("bohmion", 0.025, 6.0)])
+def test_rabi_ds_drift_converges_at_rk4_order(kind, dt, t_final):
+    # the discrete energy is one smooth function of the state on the lattice,
+    # so halving dt cuts the drift by about 2^4 or more, down to small dt
+    coarse = float(np.max(run_desk(kind, "rabi_ds", dt=dt,
+                                   t_final=t_final)[:, 3]))
+    fine = float(np.max(run_desk(kind, "rabi_ds", dt=dt / 2,
+                                 t_final=t_final)[:, 3]))
     assert coarse < 1e-2
     assert coarse / fine >= 16.0, (coarse, fine)
 

@@ -9,8 +9,8 @@ from mqcdyn.backreaction import (HBAR, _kernel_rows, bohmion_coupling_energy,
 from mqcdyn.ensemble import ParticleEnsemble
 from mqcdyn.models import HybridHamiltonian, make_model
 from mqcdyn.pauli import pauli_decompose, projector
-from mqcdyn.regularization import (GridParams, KernelSpec, build_grid,
-                                   build_grid_1d)
+from mqcdyn.regularization import (GridCoverageError, GridParams, KernelSpec,
+                                   build_grid, build_grid_1d)
 
 from helpers import fd_gradient_check
 
@@ -125,6 +125,24 @@ def test_bohmion_distant_particles_decouple():
     table = bohmion_pairs(e, grid, spec)
     assert abs(table.values[0, 1]) < 1e-12
     assert table.values[0, 0] > 1.0
+
+
+def test_bohmion_box_that_misses_a_particle_raises():
+    # the box of the other particles ends less than 10 sigma_K past them,
+    # short of the particle at 12 sigma_K; both bohmion paths name it and
+    # the box
+    e = random_ensemble(5, seed=4)
+    spec = KernelSpec(alpha=0.5)
+    q = e.q.copy()
+    q[2] = np.max(np.delete(q, 2)) + 12.0 * spec.sigma_k
+    e = ParticleEnsemble(q=q, p=e.p, rho=e.rho, w=e.w)
+    grid = build_grid_1d(np.delete(q, 2), spec)
+    for call in (lambda: bohmion_terms(e, 2000.0, grid, spec),
+                 lambda: bohmion_pairs(e, grid, spec)):
+        with pytest.raises(GridCoverageError) as err:
+            call()
+        assert err.value.particles.tolist() == [2]
+        assert err.value.bounds == ((grid.nodes[0], grid.nodes[-1]),)
 
 
 def test_purely_classical_hamiltonian_gives_zero_coupling():
@@ -274,7 +292,7 @@ def test_bohmion_quantum_term_matches_pair_assembly():
 @pytest.mark.parametrize("dq,dp", [(0.0, 40.0), (40.0, 0.0)])
 def test_koopmon_terms_on_a_split_cloud(dq, dp):
     # two groups 40 apart in p (or in q), far more than twice the kernel
-    # cutoff radius 8 sigma_K, share no node where a kernel is nonzero: the
+    # cutoff radius 9 sigma_K, share no node where a kernel is nonzero: the
     # nodes between them carry exact zeros, and koopmon_terms must still
     # agree with the pair tables on the whole box and be the gradient of
     # the energy

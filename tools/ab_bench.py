@@ -1,8 +1,8 @@
 """Alternating before/after runs of the benchmark, parent revision against
 the working tree.
 
-    python3 tools/ab_bench.py --parent REV --workload W --seed S --pairs K \
-        --out BENCH_<n>.json
+    python3 tools/ab_bench.py --parent REV --workload W [--workload W2 ...] \
+        --seed S --pairs K --out BENCH_<n>.json
 
 Run from anywhere inside a checkout.  REV is unpacked with ``git archive``
 into a temporary directory.  Each pair runs
@@ -11,11 +11,13 @@ into a temporary directory.  Each pair runs
 
 once in that tree and once in the working tree, one after the other; the side
 that goes first alternates from pair to pair, so a slow phase of the host
-does not always fall on the same side.  The output file holds, for every
-pair, both sides' end-to-end metrics, ``correct``, ``attempted`` and
-``failed``, and per metric the medians and quartiles of each side and the
-number of pairs the working tree wins.  Metric names and their better
-direction come from ``BENCHMARK.json``.  Progress goes to standard error.
+does not always fall on the same side.  With several workloads, pair k of
+every workload runs before pair k + 1 of any.  The output file holds, per
+workload, for every pair both sides' end-to-end metrics, ``correct``,
+``attempted`` and ``failed``, and per metric the medians and quartiles of
+each side and the number of pairs the working tree wins.  Metric names and
+their better direction come from ``BENCHMARK.json``.  Progress goes to
+standard error.
 """
 
 from __future__ import annotations
@@ -92,7 +94,8 @@ def summarize(pairs: list, metrics: list) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="git revision to compare with")
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", required=True, action="append",
+                    help="repeat to compare several workloads")
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--out", type=Path, required=True)
@@ -105,42 +108,46 @@ def main(argv=None) -> int:
     if subprocess.run(["git", "diff", "--quiet", "HEAD"], cwd=ROOT).returncode:
         head += " with uncommitted changes"
 
-    pairs = []
+    pairs = {workload: [] for workload in args.workload}
     with tempfile.TemporaryDirectory(prefix="ab_bench-") as tmp:
         parent_tree = Path(tmp)
         parent = unpack(args.parent, parent_tree)
         trees = {"parent": parent_tree, "change": ROOT}
         for k in range(args.pairs):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-            pair = {"first": order[0]}
-            for side in order:
-                pair[side] = bench(trees[side], args.workload, args.seed)
-                found = pair[side].get("metrics", {})
-                log(f"pair {k} {side}: correct {pair[side].get('correct')}, "
-                    f"failed {pair[side].get('failed')}, " + ", ".join(
-                        f"{n} {v['value']:.4g}" for n, v in found.items()))
-            pairs.append(pair)
+            for workload, done in pairs.items():
+                pair = {"first": order[0]}
+                for side in order:
+                    pair[side] = bench(trees[side], workload, args.seed)
+                    found = pair[side].get("metrics", {})
+                    log(f"{workload} pair {k} {side}: correct "
+                        f"{pair[side].get('correct')}, failed "
+                        f"{pair[side].get('failed')}, " + ", ".join(
+                            f"{n} {v['value']:.4g}" for n, v in found.items()))
+                done.append(pair)
 
+    sides = ("parent", "change")
     result = {
-        "workload": args.workload,
         "seed": args.seed,
         "seconds": SECONDS,
         "parent": parent,
         "change": f"working tree on {head}",
-        "all_correct": all(p[s].get("correct") for p in pairs
-                           for s in ("parent", "change")),
-        "failed": sum(p[s].get("failed", 0) for p in pairs
-                      for s in ("parent", "change")),
-        "summary": summarize(pairs, metrics),
-        "pairs": pairs,
+        "all_correct": all(p[s].get("correct") for done in pairs.values()
+                           for p in done for s in sides),
+        "failed": sum(p[s].get("failed", 0) for done in pairs.values()
+                      for p in done for s in sides),
+        "workloads": {workload: {"summary": summarize(done, metrics),
+                                 "pairs": done}
+                      for workload, done in pairs.items()},
     }
     args.out.write_text(json.dumps(result, indent=1) + "\n")
-    for name, entry in result["summary"].items():
-        if "parent" in entry:
-            log(f"{name}: {entry['parent']['median']:.4g} -> "
-                f"{entry['change']['median']:.4g} "
-                f"({100 * entry['median_change_rel']:+.1f}%), change wins "
-                f"{entry['change_wins']}/{entry['pairs']}")
+    for workload, entry in result["workloads"].items():
+        for name, metric in entry["summary"].items():
+            if "parent" in metric:
+                log(f"{workload} {name}: {metric['parent']['median']:.4g} -> "
+                    f"{metric['change']['median']:.4g} "
+                    f"({100 * metric['median_change_rel']:+.1f}%), change wins "
+                    f"{metric['change_wins']}/{metric['pairs']}")
     return 0
 
 
