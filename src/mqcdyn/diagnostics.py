@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ensemble import ParticleEnsemble, aggregate_density
-from .models import HBAR, HybridHamiltonian, adiabatic_basis
+from .models import HBAR, HybridHamiltonian, lower_adiabatic_vector
 from .pauli import pauli_decompose
 from .regularization import KernelSpec, kernel_1d
 from .soft import WavepacketState
@@ -73,7 +73,7 @@ class DensityField:
 def particle_diagnostics(e: ParticleEnsemble, h: HybridHamiltonian,
                          t: float = 0.0) -> DiagnosticsRecord:
     """Populations, purity and Bloch vector of a particle ensemble."""
-    _, _, v1, _ = adiabatic_basis(h, e.q)
+    v1 = lower_adiabatic_vector(h, e.q)
     amp = np.einsum("ak,akl,al->a", v1.conj(), e.rho, v1)
     p1 = float(np.sum(e.w * amp.real))
     rho = aggregate_density(e)

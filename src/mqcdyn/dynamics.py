@@ -34,7 +34,7 @@ import numpy as np
 from . import backreaction
 from .ensemble import ParticleEnsemble, rehermitize
 from .models import HBAR, HybridHamiltonian
-from .pauli import pauli_decompose
+from .pauli import pauli_components
 from .regularization import (GridParams, KernelSpec, build_grid, build_grid_1d)
 
 
@@ -55,7 +55,24 @@ class MethodKind(str, enum.Enum):
 
 
 class NonFiniteDerivativeError(FloatingPointError):
-    """The right-hand side produced NaN or Inf."""
+    """The right-hand side produced NaN or Inf.
+
+    ``particles`` lists the indices of the particles whose dq, dp or drho is
+    not finite; ``t`` is the time of the step that was being taken, which
+    `propagate` sets (None when `rhs` is called directly).
+    """
+
+    def __init__(self, particles: list, t: float | None = None):
+        super().__init__()
+        self.particles = particles
+        self.t = t
+
+    def __str__(self) -> str:
+        at = "" if self.t is None else f" at t={self.t:g}"
+        shown = ", ".join(str(a) for a in self.particles[:10])
+        more = (f", ... ({len(self.particles)} in all)"
+                if len(self.particles) > 10 else "")
+        return f"non-finite time derivative{at} for particles [{shown}{more}]"
 
 
 class EnergyDriftError(RuntimeError):
@@ -80,37 +97,60 @@ class EnsembleDerivative:
     energy: float
 
 
-def _drho_from_field(hvec: np.ndarray, s: np.ndarray) -> np.ndarray:
+def _drho_from_field(hvec, s) -> np.ndarray:
     """drho = (2/hbar) (hvec x s) . sigma for per-particle field vectors.
 
-    Exactly Hermitian and traceless by construction.  The entries are
-    written from ds = (2/hbar) hvec x s directly; every entry that is zero
-    is +0.0, as in a sum of complex products that starts from zero.
+    ``hvec`` and ``s`` are the three Pauli components, one array over the
+    particles each.  Exactly Hermitian and traceless by construction.  The
+    entries are written from ds = (2/hbar) hvec x s directly, its components
+    formed as `np.cross` forms them; every entry that is zero is +0.0, as
+    in a sum of complex products that starts from zero.
     """
-    ds = (2.0 / HBAR) * np.cross(hvec, s)
-    plus = ds + 0.0
-    minus = 0.0 - ds
-    drho = np.zeros((len(ds), 2, 2), dtype=complex)
+    (h1, h2, h3), (s1, s2, s3) = hvec, s
+    dx = h2 * s3
+    dx -= h3 * s2
+    dy = h3 * s1
+    dy -= h1 * s3
+    dz = h1 * s2
+    dz -= h2 * s1
+    drho = np.zeros((len(dx), 2, 2), dtype=complex)
     re, im = drho.real, drho.imag
-    re[:, 0, 0] = plus[:, 2]
-    re[:, 1, 1] = minus[:, 2]
-    re[:, 0, 1] = re[:, 1, 0] = plus[:, 0]
-    im[:, 0, 1] = minus[:, 1]
-    im[:, 1, 0] = plus[:, 1]
+    scale = 2.0 / HBAR
+    for d in (dx, dy, dz):
+        d *= scale
+    np.add(dz, 0.0, out=re[:, 0, 0])
+    np.subtract(0.0, dz, out=re[:, 1, 1])
+    np.add(dx, 0.0, out=re[:, 0, 1])
+    re[:, 1, 0] = re[:, 0, 1]
+    np.subtract(0.0, dy, out=im[:, 0, 1])
+    np.add(dy, 0.0, out=im[:, 1, 0])
     return drho
 
 
-def _mean_field(e: ParticleEnsemble, h: HybridHamiltonian):
+def _contract(comp, coeffs) -> np.ndarray:
+    """Tr(rho_a A_a) = 2 sum_mu comp_mu coeffs_mu over the four Pauli
+    components of rho_a and A_a.
+
+    The sum runs from +0.0 in component order, the order `np.sum` takes
+    over a trailing axis of length 4, so it equals that sum bit for bit.
+    """
+    acc = comp[0] * coeffs[0]
+    acc += 0.0
+    for c, g in zip(comp[1:], coeffs[1:]):
+        acc += c * g
+    acc *= 2.0
+    return acc
+
+
+def _mean_field(comp, e: ParticleEnsemble, h: HybridHamiltonian):
     """<rho_a, dH/dp_a>, <rho_a, dH/dq_a>, the local Pauli field H_vec and
-    the mean-field energy sum_a w_a <rho_a, H(zeta_a)>."""
-    comp = pauli_decompose(e.rho)  # (N, 4): trace/2 and half Bloch vector
-    gq = np.stack(h.grad_q(e.q, e.p), axis=1)
-    gp = np.stack(h.grad_p(e.q, e.p), axis=1)
-    dq = 2.0 * np.sum(comp * gp, axis=1)
-    dp_mf = 2.0 * np.sum(comp * gq, axis=1)
-    hp = np.stack(h.pauli(e.q, e.p), axis=1)
-    mean = float(e.w @ (2.0 * np.sum(comp * hp, axis=1)))
-    return dq, dp_mf, hp[:, 1:], mean
+    the mean-field energy sum_a w_a <rho_a, H(zeta_a)>, for the Pauli
+    components ``comp`` of the rho_a (trace/2 and half Bloch vector)."""
+    gq = h.grad_q(e.q, e.p)
+    gp = h.grad_p(e.q, e.p)
+    hp = h.pauli(e.q, e.p)
+    mean = float(e.w @ _contract(comp, hp))
+    return _contract(comp, gp), _contract(comp, gq), hp[1:], mean
 
 
 def default_grid(kind: MethodKind, e: ParticleEnsemble, spec: KernelSpec | None,
@@ -148,7 +188,8 @@ def rhs(kind: MethodKind, e: ParticleEnsemble, h: HybridHamiltonian,
     the lattice, the one RK4 integrates.
     """
     kind = MethodKind.parse(kind)
-    dq, dp_mf, hvec, total = _mean_field(e, h)
+    comp = pauli_components(e.rho)
+    dq, dp_mf, hvec, total = _mean_field(comp, e, h)
     dp = -dp_mf
 
     terms = _coupling_terms(kind, e, h, spec, grid)
@@ -157,14 +198,15 @@ def rhs(kind: MethodKind, e: ParticleEnsemble, h: HybridHamiltonian,
         if isinstance(terms, backreaction.KoopmonTerms):
             dq = dq + terms.dqdot_extra
         dp = dp + terms.dpdot_extra
-        hvec = hvec + terms.heff_vec
+        hvec = [hm + terms.heff_vec[:, m] for m, hm in enumerate(hvec)]
 
-    s = pauli_decompose(e.rho)[:, 1:]
-    drho = _drho_from_field(hvec, s)
+    drho = _drho_from_field(hvec, comp[1:])
 
     if not (np.all(np.isfinite(dq)) and np.all(np.isfinite(dp))
             and np.all(np.isfinite(drho))):
-        raise NonFiniteDerivativeError("non-finite time derivative")
+        finite = (np.isfinite(dq) & np.isfinite(dp)
+                  & np.all(np.isfinite(drho), axis=(1, 2)))
+        raise NonFiniteDerivativeError(np.flatnonzero(~finite).tolist())
     return EnsembleDerivative(dq=dq, dp=dp, drho=drho, energy=total)
 
 
@@ -248,7 +290,8 @@ def propagate(kind: MethodKind, e0: ParticleEnsemble, h: HybridHamiltonian,
     of each state is the one `rhs` returns for the first RK4 stage at that
     state, so it is measured on the box that steps the trajectory.  Raises
     `EnergyDriftError` when the relative drift exceeds ten times
-    ``energy_tol``, before the step from that state is taken.
+    ``energy_tol``, before the step from that state is taken, and
+    `NonFiniteDerivativeError` with the time of the step it was raised in.
     """
     kind = MethodKind.parse(kind)
     if dt <= 0.0:
@@ -268,22 +311,26 @@ def propagate(kind: MethodKind, e0: ParticleEnsemble, h: HybridHamiltonian,
     traj = Trajectory(times=times)
 
     state = e0.copy()
-    for k in range(n_steps + 1):
-        t = times[k]
-        d = rhs(kind, state, h, spec,
-                default_grid(kind, state, spec, grid_params))
-        e_now = d.energy
-        if k == 0:
-            e_ref = e_now
-        drift = abs(e_now - e_ref) / max(abs(e_ref), 1e-300)
-        if drift > 10.0 * energy_tol:
-            raise EnergyDriftError(t, drift, energy_tol)
-        if diagnostics_fn is not None:
-            traj.records.append(diagnostics_fn(t, state, e_now, drift))
-        if k in snap_at:
-            traj.snapshots.append((t, state.copy()))
-        if progress is not None:
-            progress(k, n_steps)
-        if k < n_steps:
-            state = rk4_step(kind, state, h, spec, dt, grid_params, k1=d)
+    try:
+        for k in range(n_steps + 1):
+            t = times[k]
+            d = rhs(kind, state, h, spec,
+                    default_grid(kind, state, spec, grid_params))
+            e_now = d.energy
+            if k == 0:
+                e_ref = e_now
+            drift = abs(e_now - e_ref) / max(abs(e_ref), 1e-300)
+            if drift > 10.0 * energy_tol:
+                raise EnergyDriftError(t, drift, energy_tol)
+            if diagnostics_fn is not None:
+                traj.records.append(diagnostics_fn(t, state, e_now, drift))
+            if k in snap_at:
+                traj.snapshots.append((t, state.copy()))
+            if progress is not None:
+                progress(k, n_steps)
+            if k < n_steps:
+                state = rk4_step(kind, state, h, spec, dt, grid_params, k1=d)
+    except NonFiniteDerivativeError as err:
+        err.t = float(t)
+        raise
     return traj

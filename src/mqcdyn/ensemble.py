@@ -116,12 +116,15 @@ def rehermitize(rho: np.ndarray) -> np.ndarray:
     trace when it has drifted beyond `TRACE_RENORM_THRESHOLD`.
 
     This is the minimal-norm repair for integrator round-off; it does not
-    touch the spectrum otherwise.
+    touch the spectrum otherwise.  Only the drifted matrices are divided, so
+    the others come back as the Hermitian projection returns them.
     """
     out = hermitize(rho)
     tr = (out[..., 0, 0] + out[..., 1, 1]).real
-    scale = np.where(np.abs(tr - 1.0) > TRACE_RENORM_THRESHOLD, tr, 1.0)
-    return out / scale[..., None, None]
+    drifted = np.abs(tr - 1.0) > TRACE_RENORM_THRESHOLD
+    if np.any(drifted):
+        out[drifted] /= tr[drifted][:, None, None]
+    return out
 
 
 @dataclass

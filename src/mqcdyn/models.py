@@ -293,42 +293,45 @@ def make_model(name: str, **overrides) -> HybridHamiltonian:
 # Spectral data and nonadiabatic coupling
 # ---------------------------------------------------------------------------
 
-def _eigvecs_from_pauli(h1, h2, h3):
-    """Unit eigenvectors of h1*sx + h2*sy + h3*sz, vectorized over inputs.
+def _eigvec_from_pauli(h1, h2, h3, upper: bool):
+    """Unit eigenvector of h1*sx + h2*sy + h3*sz for the eigenvalue +r
+    (``upper``) or -r, vectorized over inputs; shape (..., 2).
 
     Branch choice keeps the formulas away from their removable singularities;
     the phase is then fixed so the largest-magnitude component is real
-    positive (ties resolved toward the first component).  Returns arrays of
-    shape (..., 2) for the lower and upper eigenvectors.
+    positive (ties resolved toward the first component).  At exact
+    degeneracy the vectors are the canonical basis.
     """
     r = np.sqrt(h1**2 + h2**2 + h3**2)
     off = h1 + 1j * h2          # matrix element <2|H|1>
-    lower = np.empty(np.shape(r) + (2,), dtype=complex)
-    upper = np.empty_like(lower)
+    v = np.empty(np.shape(r) + (2,), dtype=complex)
 
     use_minus = h3 <= 0.0       # stable branch selector
-    # eigenvector for +r
-    upper[..., 0] = np.where(use_minus, np.conj(off), r + h3)
-    upper[..., 1] = np.where(use_minus, r - h3, off)
-    # eigenvector for -r
-    lower[..., 0] = np.where(use_minus, r - h3, -np.conj(off))
-    lower[..., 1] = np.where(use_minus, -off, r + h3)
+    if upper:
+        v[..., 0] = np.where(use_minus, np.conj(off), r + h3)
+        v[..., 1] = np.where(use_minus, r - h3, off)
+    else:
+        v[..., 0] = np.where(use_minus, r - h3, -np.conj(off))
+        v[..., 1] = np.where(use_minus, -off, r + h3)
 
     degenerate = r <= DEGENERACY_EPS
     if np.any(degenerate):
-        # convention at exact degeneracy: the canonical basis
-        lower[degenerate] = (1.0, 0.0)
-        upper[degenerate] = (0.0, 1.0)
+        v[degenerate] = (0.0, 1.0) if upper else (1.0, 0.0)
 
-    for v in (lower, upper):
-        norm = np.sqrt(np.abs(v[..., 0])**2 + np.abs(v[..., 1])**2)
-        v /= norm[..., None]
-        mag0 = np.abs(v[..., 0])
-        mag1 = np.abs(v[..., 1])
-        dominant = np.where(mag0 >= mag1, v[..., 0], v[..., 1])
-        phase = np.where(np.abs(dominant) > 0.0, dominant / np.abs(dominant), 1.0)
-        v /= phase[..., None]
-    return lower, upper
+    norm = np.sqrt(np.abs(v[..., 0])**2 + np.abs(v[..., 1])**2)
+    v /= norm[..., None]
+    mag0 = np.abs(v[..., 0])
+    mag1 = np.abs(v[..., 1])
+    dominant = np.where(mag0 >= mag1, v[..., 0], v[..., 1])
+    phase = np.where(np.abs(dominant) > 0.0, dominant / np.abs(dominant), 1.0)
+    v /= phase[..., None]
+    return v
+
+
+def lower_adiabatic_vector(h: HybridHamiltonian, q):
+    """The eigenvector ``v1`` of `adiabatic_basis` alone, shape q.shape + (2,)."""
+    _, h1, h2, h3 = h.electronic_pauli(q)
+    return _eigvec_from_pauli(h1, h2, h3, upper=False)
 
 
 def adiabatic_basis(h: HybridHamiltonian, q):
@@ -339,8 +342,8 @@ def adiabatic_basis(h: HybridHamiltonian, q):
     """
     h0, h1, h2, h3 = h.electronic_pauli(q)
     r = np.sqrt(h1**2 + h2**2 + h3**2)
-    v1, v2 = _eigvecs_from_pauli(h1, h2, h3)
-    return h0 - r, h0 + r, v1, v2
+    return (h0 - r, h0 + r, _eigvec_from_pauli(h1, h2, h3, upper=False),
+            _eigvec_from_pauli(h1, h2, h3, upper=True))
 
 
 def spectral(h: HybridHamiltonian, q: float) -> SpectralData:

@@ -49,17 +49,22 @@ def pauli_matrix(h0, h1, h2, h3) -> np.ndarray:
     return out
 
 
-def pauli_decompose(a: np.ndarray) -> np.ndarray:
-    """Pauli coefficients (a0, ax, ay, az) of Hermitian matrices.
+def pauli_components(a: np.ndarray) -> tuple:
+    """Pauli coefficients (a0, ax, ay, az) of Hermitian matrices, as four
+    real arrays of shape ``a.shape[:-2]`` for ``a`` of shape ``(..., 2, 2)``.
 
-    `a` has shape ``(..., 2, 2)``; returns a real array of shape ``(..., 4)``.
     Any anti-Hermitian part is discarded.
     """
     a0 = 0.5 * (a[..., 0, 0].real + a[..., 1, 1].real)
     az = 0.5 * (a[..., 0, 0].real - a[..., 1, 1].real)
     ax = 0.5 * (a[..., 0, 1] + a[..., 1, 0]).real
     ay = 0.5 * (a[..., 1, 0] - a[..., 0, 1]).imag
-    return np.stack([a0, ax, ay, az], axis=-1)
+    return a0, ax, ay, az
+
+
+def pauli_decompose(a: np.ndarray) -> np.ndarray:
+    """`pauli_components` stacked on a last axis: shape ``(..., 4)``."""
+    return np.stack(pauli_components(a), axis=-1)
 
 
 def hermitize(rho: np.ndarray) -> np.ndarray:

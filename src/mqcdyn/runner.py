@@ -173,8 +173,7 @@ def _run_particles(cfg: RunConfig, model, out: Path, warnings_seen):
 
 
 def _wigner_momentum_range(state) -> tuple[float, float]:
-    psi_k = np.fft.fft(state.psi, axis=1)
-    dens = np.sum(np.abs(psi_k) ** 2, axis=0)
+    dens = np.sum(np.abs(state.psi_k) ** 2, axis=0)
     k = state.grid.k
     idx = dens > 1e-10 * dens.max()
     lo, hi = k[idx].min(), k[idx].max()
@@ -207,14 +206,15 @@ def _run_soft(cfg: RunConfig, model, out: Path, warnings_seen):
             snapshot_times=cfg.snapshot_times, diagnostics_fn=diag)
     warnings_seen.extend(str(w.message) for w in caught)
 
+    row_format = ",".join(["%.17g"] * 5) + "\n"
     for t, snap in snapshots:
         label = _time_label(t)
+        columns = np.stack([grid.r, snap.psi[0].real, snap.psi[0].imag,
+                            snap.psi[1].real, snap.psi[1].imag], axis=1)
         with open(out / f"wavefunction_{label}.csv", "w") as fh:
             fh.write("r,re_psi1,im_psi1,re_psi2,im_psi2\n")
-            for j in range(grid.n_points):
-                row = (grid.r[j], snap.psi[0, j].real, snap.psi[0, j].imag,
-                       snap.psi[1, j].real, snap.psi[1, j].imag)
-                fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+            for row in columns:
+                fh.write(row_format % tuple(row.tolist()))
         q_nodes = np.linspace(grid.r_min, grid.r_max, cfg.wigner_nodes)
         p_lo, p_hi = _wigner_momentum_range(snap)
         p_nodes = np.linspace(p_lo, p_hi, cfg.wigner_nodes)

@@ -29,6 +29,15 @@ class BoundaryMassWarning(UserWarning):
     """Wavepacket amplitude at the grid edge is no longer negligible."""
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _frozen(*arrays) -> tuple:
+    return tuple(_read_only(a) for a in arrays)
+
+
 @dataclass(frozen=True)
 class SpatialGrid1D:
     """Uniform periodic grid with its dual momentum nodes."""
@@ -47,19 +56,26 @@ class SpatialGrid1D:
     def dr(self) -> float:
         return (self.r_max - self.r_min) / self.n_points
 
-    @property
+    @functools.cached_property
     def r(self) -> np.ndarray:
-        return self.r_min + self.dr * np.arange(self.n_points)
+        """Grid nodes, built once per grid (read-only)."""
+        return _read_only(self.r_min + self.dr * np.arange(self.n_points))
 
-    @property
+    @functools.cached_property
     def k(self) -> np.ndarray:
-        """Momentum nodes in FFT layout; dk * dr * n = 2 pi."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.dr)
+        """Momentum nodes in FFT layout, built once per grid (read-only);
+        dk * dr * n = 2 pi."""
+        return _read_only(2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.dr))
 
 
 @dataclass
 class WavepacketState:
-    """Two-component complex wavefunction on a spatial grid."""
+    """Two-component complex wavefunction on a spatial grid.
+
+    ``psi_k`` is computed once per state, when first read, so ``psi`` must
+    not change after that; every function here returns a new state rather
+    than changing one.
+    """
 
     grid: SpatialGrid1D
     psi: np.ndarray          # shape (2, n_points)
@@ -69,6 +85,11 @@ class WavepacketState:
         self.psi = np.asarray(self.psi, dtype=complex)
         if self.psi.shape != (2, self.grid.n_points):
             raise ValueError("psi must have shape (2, n_points)")
+
+    @functools.cached_property
+    def psi_k(self) -> np.ndarray:
+        """FFT of both components along the grid (read-only)."""
+        return _read_only(np.fft.fft(self.psi, axis=1))
 
     def copy(self) -> "WavepacketState":
         return WavepacketState(grid=self.grid, psi=self.psi.copy(), time=self.time)
@@ -99,8 +120,8 @@ def init_wavepacket(grid: SpatialGrid1D, mu_q: float, mu_p: float,
     psi0 = (g / np.pi) ** 0.25 * np.exp(
         1j * mu_p * (r - mu_q) / HBAR - 0.5 * g * (r - mu_q) ** 2)
     psi = np.stack([v0[0] * psi0, v0[1] * psi0])
+    psi /= np.sqrt(WavepacketState(grid=grid, psi=psi).norm())
     state = WavepacketState(grid=grid, psi=psi, time=0.0)
-    state.psi /= np.sqrt(state.norm())
     if state.boundary_mass() > BOUNDARY_MASS_TOL:
         warnings.warn("initial wavepacket tails exceed the boundary tolerance; "
                       "enlarge the grid", BoundaryMassWarning)
@@ -120,12 +141,6 @@ def _check_separable(h: HybridHamiltonian, grid: SpatialGrid1D) -> None:
 def potential_matrix_fields(h: HybridHamiltonian, r: np.ndarray):
     """Pauli coefficients of the full potential matrix on the grid."""
     return h.electronic_pauli(r)
-
-
-def _frozen(*arrays):
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
 
 
 # The builders below are keyed on the grid (a frozen value), the model object
@@ -164,11 +179,12 @@ def strang_step(state: WavepacketState, h: HybridHamiltonian,
 
     The propagator factors do not change during a run; they are built once
     per (grid, model object, dt), when the model is also checked to be
-    separable.
+    separable.  The first kinetic half step reads ``state.psi_k``, which the
+    energy of ``state`` reads too.
     """
     kin, u00, u01, u10, u11 = _strang_factors(state.grid, h, float(dt))
 
-    psi = np.fft.ifft(kin * np.fft.fft(state.psi, axis=1), axis=1)
+    psi = np.fft.ifft(kin * state.psi_k, axis=1)
     psi0 = u00 * psi[0] + u01 * psi[1]
     psi1 = u10 * psi[0] + u11 * psi[1]
     psi = np.stack([psi0, psi1])
@@ -185,8 +201,7 @@ def density_matrix(state: WavepacketState) -> np.ndarray:
 def energy(state: WavepacketState, h: HybridHamiltonian) -> float:
     """Total energy <Psi|H|Psi> via Fourier kinetic + pointwise potential."""
     grid = state.grid
-    psi_k = np.fft.fft(state.psi, axis=1)
-    e_kin = float(np.sum(grid.k**2 / (2.0 * h.mass) * np.abs(psi_k) ** 2)
+    e_kin = float(np.sum(grid.k**2 / (2.0 * h.mass) * np.abs(state.psi_k) ** 2)
                   * grid.dr / grid.n_points)
     v0, v1, v2, v3, _ = _grid_fields(grid, h)
     d = np.abs(state.psi[0]) ** 2
@@ -205,12 +220,13 @@ def observables(state: WavepacketState, h: HybridHamiltonian) -> dict:
     v1 = _grid_fields(state.grid, h)[4]
     amp1 = np.conj(v1[:, 0]) * state.psi[0] + np.conj(v1[:, 1]) * state.psi[1]
     p1 = float(np.sum(np.abs(amp1) ** 2) * state.grid.dr)
+    norm = state.norm()
     return {
-        "norm": state.norm(),
+        "norm": norm,
         "energy": energy(state, h),
         "rho": rho,
         "p1": p1,
-        "p2": state.norm() - p1,
+        "p2": norm - p1,
         "purity": purity,
         "bloch": 2.0 * comp[1:],
     }
@@ -222,8 +238,7 @@ def position_expectation(state: WavepacketState) -> float:
 
 
 def momentum_expectation(state: WavepacketState) -> float:
-    psi_k = np.fft.fft(state.psi, axis=1)
-    dens_k = np.sum(np.abs(psi_k) ** 2, axis=0)
+    dens_k = np.sum(np.abs(state.psi_k) ** 2, axis=0)
     norm_k = np.sum(dens_k)
     return float(np.sum(state.grid.k * dens_k) / norm_k)
 

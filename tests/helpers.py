@@ -4,6 +4,7 @@ import numpy as np
 
 from mqcdyn.dynamics import MethodKind, energy, rhs
 from mqcdyn.ensemble import ParticleEnsemble
+from mqcdyn.models import HybridHamiltonian
 from mqcdyn.pauli import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, projector
 
 HERM_BASIS = [IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z]
@@ -12,6 +13,19 @@ HERM_BASIS = [IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z]
 def bloch_state(theta, phi=0.0):
     v = np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
     return projector(v)
+
+
+def nan_past(q_cut):
+    """A free particle with a constant two-level coupling whose dH/dq is NaN
+    where q > q_cut: the motion is q0 + p t exactly until then."""
+    return HybridHamiltonian(
+        name="nan_past", mass=1.0,
+        classical=lambda q, p: 0.5 * p**2,
+        d_classical_q=lambda q, p: 0.0,
+        d_classical_p=lambda q, p: p,
+        interaction=lambda q: (0.0, 0.1, 0.0, 0.2),
+        d_interaction=lambda q: (0.0, np.where(q > q_cut, np.nan, 0.0), 0.0, 0.0),
+    )
 
 
 def random_ensemble(n, seed, q0, p0, spread=0.5):

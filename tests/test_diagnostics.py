@@ -5,7 +5,7 @@ from mqcdyn.diagnostics import (DiagnosticsRecord, default_phase_grid,
                                 particle_diagnostics, smoothed_cloud,
                                 waterfall, wigner)
 from mqcdyn.ensemble import ParticleEnsemble
-from mqcdyn.models import adiabatic_basis, make_model
+from mqcdyn.models import adiabatic_basis, lower_adiabatic_vector, make_model
 from mqcdyn.pauli import projector
 from mqcdyn.sampling import InitSpec, init_ensemble
 from mqcdyn.soft import SpatialGrid1D, init_wavepacket
@@ -42,6 +42,27 @@ def test_particle_diagnostics_mixed_pair():
     assert rec.purity == pytest.approx(0.5, abs=1e-12)
     assert np.allclose(rec.bloch, (0.0, 0.0, 0.0), atol=1e-12)
     assert rec.p1 + rec.p2 == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("name,params", [
+    ("tully1", {}), ("tully2", {}), ("tully3", {}), ("rabi_us", {}),
+    ("rabi_ds", {"c0": 0.0}),   # exactly degenerate at q = 0
+])
+def test_populations_use_the_lower_vector_of_the_adiabatic_basis(name, params):
+    h = make_model(name, **params)
+    rng = np.random.default_rng(21)
+    q = np.concatenate([[0.0, -0.0], rng.uniform(-6.0, 6.0, 40)])
+    rho = np.stack([projector(v / np.linalg.norm(v)) for v in
+                    rng.standard_normal((len(q), 2))
+                    + 1j * rng.standard_normal((len(q), 2))])
+    e = ParticleEnsemble(q=q, p=rng.standard_normal(len(q)), rho=rho,
+                         w=np.full(len(q), 1.0 / len(q)))
+    v1 = adiabatic_basis(h, q)[2]
+    assert lower_adiabatic_vector(h, q).tobytes() == v1.tobytes()
+    if params:
+        assert np.array_equal(v1[0], [1.0, 0.0])
+    amp = np.einsum("ak,akl,al->a", v1.conj(), rho, v1)
+    assert particle_diagnostics(e, h).p1 == float(np.sum(e.w * amp.real))
 
 
 def test_purity_consistent_with_bloch_norm():

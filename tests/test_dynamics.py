@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from mqcdyn import _heap, backreaction, dynamics, soft
-from mqcdyn.dynamics import (EnergyDriftError, MethodKind, default_grid,
-                             energy, propagate, rhs, rk4_step, snapshot_steps)
+from mqcdyn.dynamics import (EnergyDriftError, MethodKind,
+                             NonFiniteDerivativeError, default_grid, energy,
+                             propagate, rhs, rk4_step, snapshot_steps)
 from mqcdyn.ensemble import ParticleEnsemble, validate
-from mqcdyn.models import HybridHamiltonian, make_model
-from mqcdyn.pauli import SIGMA_X, projector
+from mqcdyn.models import HBAR, HybridHamiltonian, make_model
+from mqcdyn.pauli import SIGMA_X, pauli_matrix, projector
 from mqcdyn.regularization import GridParams, KernelSpec
 from mqcdyn.sampling import InitSpec, init_ensemble
 
-from helpers import bloch_state, fd_gradient_check, random_ensemble
+from helpers import bloch_state, fd_gradient_check, nan_past, random_ensemble
 
 
 @pytest.mark.parametrize("kind", ["ehrenfest", "koopmon", "bohmion"])
@@ -395,3 +396,53 @@ def test_validate_after_100_tully_steps_at_tight_tolerance():
     traj = propagate(MethodKind.KOOPMON, e, h, spec, dt=2.0, t_final=200.0,
                      snapshot_times=(200.0,))
     assert validate(traj.snapshots[-1][1], psd_tol=1e-8) == []
+
+
+@pytest.mark.parametrize("kind", ["ehrenfest", "koopmon", "bohmion"])
+def test_drho_is_the_commutator_with_the_effective_field(kind):
+    # drho_a = -(i/hbar) [H_eff(a), rho_a] with H_eff the local Hamiltonian
+    # plus the coupling field, built here from dense 2x2 products
+    e = random_ensemble(7, seed=55, q0=0.0, p0=1.0, spread=1.0)
+    h = make_model("rabi_ds")
+    spec = KernelSpec(alpha=0.5)
+    d = rhs(kind, e, h, spec)
+    h0, h1, h2, h3 = h.pauli(e.q, e.p)
+    field = np.stack([h1, h2, h3], axis=1)
+    grid = default_grid(kind, e, spec)
+    if kind == "koopmon":
+        field = field + backreaction.koopmon_terms(e, h, grid, spec).heff_vec
+    elif kind == "bohmion":
+        field = field + backreaction.bohmion_terms(e, h.mass, grid, spec).heff_vec
+    heff = pauli_matrix(h0, *field.T)
+    expected = -1j / HBAR * (heff @ e.rho - e.rho @ heff)
+    scale = np.max(np.abs(expected))
+    assert scale > 0.0
+    assert np.max(np.abs(d.drho - expected)) <= 1e-14 * scale
+    assert np.array_equal(d.drho, np.conj(np.swapaxes(d.drho, -1, -2)))
+    assert np.all(d.drho[:, 0, 0] + d.drho[:, 1, 1] == 0.0)
+
+
+def test_nonfinite_derivative_names_the_particles():
+    e = random_ensemble(4, seed=5, q0=0.0, p0=0.1)
+    e.q[:] = [0.0, 1.2, -1.0, 2.0]
+    with pytest.raises(NonFiniteDerivativeError) as info:
+        rhs("ehrenfest", e, nan_past(1.0))
+    assert info.value.particles == [1, 3]
+    assert info.value.t is None
+    assert str(info.value) == "non-finite time derivative for particles [1, 3]"
+
+
+def test_propagate_adds_the_time_of_the_failing_step():
+    # particle 1 reaches q = 0.975 at t = 5, and the RK4 stage half a step
+    # later is past q = 1, so the step from t = 5 is the one that fails
+    e = random_ensemble(3, seed=6, q0=0.0, p0=0.1)
+    e.q[:] = [0.0, 0.475, -1.0]
+    e.p[:] = 0.1
+    times = []
+    with pytest.raises(NonFiniteDerivativeError) as info:
+        propagate("ehrenfest", e, nan_past(1.0), None, dt=1.0, t_final=10.0,
+                  diagnostics_fn=lambda t, *_: times.append(t))
+    assert info.value.particles == [1]
+    assert info.value.t == 5.0
+    assert times[-1] == 5.0
+    assert "at t=5 for particles [1]" in str(info.value)

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mqcdyn.ensemble import (Ensemble2D, ParticleEnsemble, aggregate_density,
+from mqcdyn.ensemble import (TRACE_RENORM_THRESHOLD, Ensemble2D,
+                             ParticleEnsemble, aggregate_density,
                              read_snapshot, rehermitize, snapshot_string,
                              validate, write_snapshot)
-from mqcdyn.pauli import projector
+from mqcdyn.pauli import hermitize, projector
 
 
 def pure_state(theta, phi=0.0):
@@ -96,6 +97,32 @@ def test_rehermitize_projects_and_renormalizes():
     # a clean state passes through bitwise
     clean = np.asarray([pure_state(0.3)])
     assert np.array_equal(rehermitize(clean), clean)
+
+
+def test_rehermitize_divides_only_the_drifted_matrices():
+    rng = np.random.default_rng(12)
+    n = 9
+    rho = np.stack([pure_state(t, f) for t, f in
+                    zip(rng.uniform(0, np.pi, n), rng.uniform(0, 2 * np.pi, n))])
+    # a non-Hermitian part that leaves the real part of the trace alone
+    noise = 1e-9 * (rng.standard_normal((n, 2, 2))
+                    + 1j * rng.standard_normal((n, 2, 2)))
+    noise[:, [0, 1], [0, 1]] = noise[:, [0, 1], [0, 1]].imag * 1j
+    rho += noise
+    # the trace of matrices 0, 4 and 8 drifts past the threshold; matrix 3
+    # drifts by less than it
+    rho[[0, 4, 8]] *= 1.0 + 1e-8
+    rho[3] *= 1.0 + 0.5 * TRACE_RENORM_THRESHOLD
+    projected = hermitize(rho)
+    tr = (projected[:, 0, 0] + projected[:, 1, 1]).real
+    drifted = np.abs(tr - 1.0) > TRACE_RENORM_THRESHOLD
+    assert drifted.any() and not drifted.all() and not drifted[3]
+
+    fixed = rehermitize(rho)
+    assert fixed[~drifted].tobytes() == projected[~drifted].tobytes()
+    assert fixed[drifted].tobytes() == \
+        (projected[drifted] / tr[drifted][:, None, None]).tobytes()
+    assert np.all(np.abs(np.trace(fixed[drifted], axis1=1, axis2=2) - 1.0) < 1e-15)
 
 
 def test_snapshot_roundtrip():

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from mqcdyn import runner
 from mqcdyn.cli import main as cli_main
 from mqcdyn.config import (ConfigError, PRESETS, load_config, resolve_config)
 from mqcdyn.diagnostics import DensityField
@@ -12,6 +13,9 @@ from mqcdyn.models import make_model
 from mqcdyn.regularization import GridParams
 from mqcdyn.runner import (IncompatibleRunsError, compare, rho0_vector, run,
                            write_density)
+from mqcdyn.soft import SpatialGrid1D
+
+from helpers import nan_past
 
 
 def test_preset_tully1_paper_values():
@@ -182,6 +186,19 @@ def test_run_soft_writes_wavefunction_and_wigner(tmp_path):
     assert header == "r,re_psi1,im_psi1,re_psi2,im_psi2"
 
 
+def test_wavefunction_rows_are_grid_nodes_and_format_17g(tmp_path):
+    cfg = small_cfg(method="soft")
+    run(cfg, tmp_path / "soft")
+    grid = SpatialGrid1D(cfg.soft_r_min, cfg.soft_r_max, cfg.soft_n_points)
+    lines = (tmp_path / "soft" / "wavefunction_t1.csv").read_text().splitlines()
+    assert len(lines) == 1 + grid.n_points
+    for r, line in zip(grid.r, lines[1:]):
+        values = line.split(",")
+        assert len(values) == 5
+        assert values[0] == format(r, ".17g")
+        assert line == ",".join(format(float(v), ".17g") for v in values)
+
+
 def test_write_density_writes_each_value_as_format_17g(tmp_path):
     # the row format must write every value as format(v, ".17g") does,
     # special values included
@@ -271,6 +288,20 @@ def test_cli_solver_error_exit_code(tmp_path, capsys):
     assert cli_main(args) == 2
     assert "solver error" in capsys.readouterr().err
     manifest = json.loads((tmp_path / "bad" / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+
+
+def test_cli_names_time_and_particles_of_a_non_finite_derivative(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(runner, "make_model", lambda name, **kw: nan_past(3.0))
+    args = ["run", "--preset", "rabi_us", "--method", "ehrenfest",
+            "--set", "n_particles=8", "--set", "t_final=2",
+            "--set", "run.snapshot_times=0", "--out", str(tmp_path / "nan")]
+    assert cli_main(args) == 2
+    err = capsys.readouterr().err
+    assert "solver error: non-finite time derivative at t=" in err
+    assert "for particles [" in err
+    manifest = json.loads((tmp_path / "nan" / "manifest.json").read_text())
     assert manifest["status"] == "failed"
 
 

@@ -35,6 +35,25 @@ def test_grid_momentum_duality():
         SpatialGrid1D(r_min=0.0, r_max=1.0, n_points=1000)  # not a power of 2
 
 
+def test_grid_nodes_are_built_once_and_read_only():
+    g = SpatialGrid1D(-5.0, 5.0, 64)
+    assert g.r is g.r and g.k is g.k
+    assert not g.r.flags.writeable and not g.k.flags.writeable
+    assert np.array_equal(g.r, g.r_min + g.dr * np.arange(64))
+
+
+def test_a_state_whose_fft_was_read_measures_and_steps_as_a_fresh_copy():
+    g = SpatialGrid1D(-30.0, 40.0, 1024)
+    h = make_model("tully1")
+    state = strang_step(init_wavepacket(g, -8.0, 10.0, 1.0, [1.0, 0.0]), h, 1.0)
+    e_read = energy(state, h)             # reads state.psi_k
+    assert not state.psi_k.flags.writeable
+    fresh = state.copy()
+    assert e_read == energy(fresh, h)
+    assert strang_step(state, h, 1.0).psi.tobytes() == \
+        strang_step(fresh, h, 1.0).psi.tobytes()
+
+
 def test_init_wavepacket_norm_and_moments():
     g = tully_grid()
     state = init_wavepacket(g, mu_q=-8.0, mu_p=10.0, sigma_q=np.sqrt(2.0), v0=E1)
