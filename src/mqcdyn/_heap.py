@@ -11,10 +11,9 @@ Raising the trim threshold alone leaves the mappings in place and faults
 more.
 
 8 MiB holds the work arrays of every preset at paper N on a compact box
-(2-3 MB at N=1000), while the 16-34 MB temporaries of a Wigner transform
-on a 4096-point grid stay mapped and go back to the system when freed.
-With the threshold at 32 MiB they stayed in the heap as well, and the peak
-RSS of a tully1 split-operator run rose from 173 to 188 MB.
+(2-3 MB at N=1000) and the per-block temporaries of a Wigner transform
+(1 MB or less with 256 nodes per axis); larger arrays stay mapped and go
+back to the system when freed.
 """
 
 from __future__ import annotations

@@ -107,7 +107,14 @@ class GridParams:
 def kernel_1d(spec: KernelSpec, y):
     """Normalized 1D Gaussian kernel Ktilde(y)."""
     y = np.asarray(y, dtype=float)
-    return np.exp(-(y / spec.alpha) ** 2) / (spec.alpha * np.sqrt(np.pi))
+    # exp(-(y/alpha)^2)/(alpha sqrt(pi)), each step written into one array;
+    # a 0-d input still gives a numpy scalar
+    k = np.divide(y, spec.alpha, out=np.empty_like(y))
+    np.square(k, out=k)
+    np.negative(k, out=k)
+    np.exp(k, out=k)
+    np.divide(k, spec.alpha * np.sqrt(np.pi), out=k)
+    return k[()]
 
 
 def kernel_1d_deriv(spec: KernelSpec, y):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,10 +7,11 @@ from mqcdyn.diagnostics import (DiagnosticsRecord, default_phase_grid,
                                 particle_diagnostics, smoothed_cloud,
                                 waterfall, wigner)
 from mqcdyn.ensemble import ParticleEnsemble
-from mqcdyn.models import adiabatic_basis, lower_adiabatic_vector, make_model
+from mqcdyn.models import (HBAR, adiabatic_basis, lower_adiabatic_vector,
+                           make_model)
 from mqcdyn.pauli import projector
 from mqcdyn.sampling import InitSpec, init_ensemble
-from mqcdyn.soft import SpatialGrid1D, init_wavepacket
+from mqcdyn.soft import SpatialGrid1D, WavepacketState, init_wavepacket
 
 
 def test_particle_diagnostics_tully1_initial():
@@ -171,6 +174,72 @@ def test_wigner_interference_negative_but_normalized():
     field = wigner(state, q, p)
     assert field.values.min() < -1e-2
     assert field.integral() == pytest.approx(1.0, abs=1e-6)
+
+
+def wigner_by_definition(state, q_nodes, p_nodes):
+    # W(q, p) = (dr/pi hbar) sum_c sum_{|m| <= m_half} psi_c*(q + m dr)
+    # psi_c(q - m dr) exp(2i p m dr/hbar): every shift of both signs, one
+    # complex phase each; off-grid points are zero
+    grid, psi = state.grid, state.psi
+    n, dr = grid.n_points, grid.dr
+    dens = np.sum(np.abs(psi) ** 2, axis=0)
+    occupied = np.nonzero(dens > 1e-28 * dens.max())[0]
+    m_half = max(int(occupied[-1] - occupied[0]), 1)
+    j = np.clip(np.round((q_nodes - grid.r_min) / dr).astype(int), 0, n - 1)
+    w = np.zeros((len(j), len(p_nodes)), dtype=complex)
+    for m in range(-m_half, m_half + 1):
+        plus, minus = j + m, j - m
+        inside = (plus >= 0) & (plus < n) & (minus >= 0) & (minus < n)
+        corr = np.zeros(len(j), dtype=complex)
+        for c in range(2):
+            corr[inside] += np.conj(psi[c, plus[inside]]) * psi[c, minus[inside]]
+        w += corr[:, None] * np.exp(2j * p_nodes[None, :] * m * dr / HBAR)
+    return w.real * dr / (np.pi * HBAR)
+
+
+@pytest.mark.parametrize("support", ["one node", "compact", "whole grid"])
+def test_wigner_matches_the_definition(support):
+    rng = np.random.default_rng(11)
+    grid = SpatialGrid1D(r_min=-4.0, r_max=5.0, n_points=128)
+    psi = np.zeros((2, 128), dtype=complex)
+    nodes = {"one node": slice(50, 51), "compact": slice(23, 70),
+             "whole grid": slice(0, 128)}[support]
+    shape = psi[:, nodes].shape
+    psi[:, nodes] = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    psi[1] *= 0.6
+    state = WavepacketState(grid=grid, psi=psi, time=0.0)
+    # q nodes beyond both grid edges (clipped to the edge nodes) and on the
+    # occupied nodes, unsorted
+    q = rng.permutation(np.concatenate([rng.uniform(-6.0, 7.0, 37),
+                                        [-5.0, -4.0, 5.0, 6.5],
+                                        grid.r[[50, 51, 60]]]))
+    p = rng.permutation(np.concatenate([rng.uniform(-9.0, 9.0, 30),
+                                        rng.uniform(-0.5, 0.5, 9)]))
+    field = wigner(state, q, p)
+    exact = wigner_by_definition(state, q, p)
+    assert np.max(np.abs(exact)) > 0.0
+    assert np.max(np.abs(field.values - exact)) <= 1e-13 * np.max(np.abs(exact))
+    j = np.clip(np.round((q - grid.r_min) / grid.dr).astype(int), 0, 127)
+    assert np.array_equal(field.axis1, grid.r_min + grid.dr * j)
+    assert np.array_equal(field.axis2, p)
+
+
+def test_wigner_memory_does_not_grow_with_the_grid():
+    # a fully occupied 4096-point state gathers all 8191 shifts at every q
+    # node; a (256, 8191) complex correlation matrix alone would be 33.5 MB
+    rng = np.random.default_rng(5)
+    grid = SpatialGrid1D(r_min=-30.0, r_max=40.0, n_points=4096)
+    psi = rng.normal(size=(2, 4096)) + 1j * rng.normal(size=(2, 4096))
+    state = WavepacketState(grid=grid, psi=psi, time=0.0)
+    q = np.linspace(grid.r_min, grid.r_max, 256)
+    p = np.linspace(-20.0, 40.0, 256)
+    tracemalloc.start()
+    try:
+        wigner(state, q, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 # ---------------------------------------------------------------------------

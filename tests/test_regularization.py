@@ -31,6 +31,19 @@ def test_kernel_peak_value():
     assert kernel_1d_deriv(spec, 0.0) == 0.0
 
 
+@pytest.mark.parametrize("y", [np.float64(-1.3), 0.7, -2, np.array(0.4),
+                               np.linspace(-9.0, 9.0, 301),
+                               np.linspace(-30.0, 30.0, 600).reshape(20, 30).T])
+def test_kernel_equals_the_formula_bitwise(y):
+    spec = KernelSpec(alpha=0.37)
+    expected = np.exp(-(np.asarray(y, dtype=float) / spec.alpha) ** 2) / (
+        spec.alpha * np.sqrt(np.pi))
+    got = kernel_1d(spec, y)
+    assert type(got) is type(expected)
+    assert np.array_equal(np.asarray(got).view(np.uint64),
+                          np.asarray(expected).view(np.uint64))
+
+
 def test_kernel_derivatives_match_fd():
     spec = KernelSpec(alpha=0.7)
     y = np.linspace(-3, 3, 41)

@@ -11,7 +11,10 @@ reference of every preset, each to t=200 (Tully) or t=2 (Rabi) with
 snapshots at 0, half way and the end.  Every artifact is then compared byte
 for byte, except ``manifest.json``, whose keys are compared with
 ``wall_time_s`` left out.  Prints each differing or missing artifact and a
-count; exits 0 when nothing differs and 1 otherwise.
+count; exits 0 when nothing differs and 1 otherwise.  Where both sides of a
+differing artifact are numeric CSV tables of one shape (``#`` lines and a
+header line aside), its line also gives the largest |difference| relative to
+the largest |value| of either side.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from ab_bench import ROOT, log, unpack  # noqa: E402
@@ -78,6 +83,39 @@ def same(a: Path, b: Path) -> bool:
     return manifests[0] == manifests[1]
 
 
+def csv_table(path: Path) -> np.ndarray | None:
+    """The numbers of a CSV file as a 2-D array, skipping ``#`` lines and the
+    lines before the first row of numbers; None unless it is such a table."""
+    if path.suffix != ".csv":
+        return None
+    rows = []
+    for line in path.read_text().splitlines():
+        if line.startswith("#"):
+            continue
+        try:
+            rows.append([float(v) for v in line.split(",")])
+        except ValueError:
+            if rows:
+                return None
+    try:
+        return np.array(rows, dtype=float) if rows else None
+    except ValueError:  # rows of different lengths
+        return None
+
+
+def relative_change(a: Path, b: Path) -> float | None:
+    """Largest |b - a| over the largest |value| of either side, for two
+    numeric CSV tables of one shape (NaN on both sides counts as equal);
+    None for other files."""
+    x, y = csv_table(a), csv_table(b)
+    if x is None or y is None or x.shape != y.shape:
+        return None
+    diff = np.abs(x - y)
+    diff[np.isnan(x) & np.isnan(y)] = 0.0
+    scale = np.nanmax(np.abs(np.concatenate([x, y])))
+    return float(np.max(diff) / scale) if scale > 0 else 0.0
+
+
 def differences(parent: Path, change: Path) -> tuple[int, list]:
     """Number of artifacts compared, and one line per artifact that differs
     or exists on one side only."""
@@ -91,7 +129,10 @@ def differences(parent: Path, change: Path) -> tuple[int, list]:
         elif not a.exists():
             out.append(f"only in change: {rel}")
         elif not same(a, b):
-            out.append(f"differs: {rel}")
+            change_rel = relative_change(a, b)
+            size = ("" if change_rel is None else
+                    f" (max |diff| / max |value| = {change_rel:.3g})")
+            out.append(f"differs: {rel}{size}")
     return len(files), out
 
 
