@@ -6,14 +6,24 @@ the initial wavepacket, N(mu_q, sigma_q^2) x N(mu_p, sigma_p^2) with
 pushing a two-dimensional Sobol sequence through the inverse normal CDF.
 The monotone transform preserves the low discrepancy of the sequence, which
 is what makes the particle methods converge quickly in N.
+
+The inverse normal CDF is a port of Cephes ``ndtri`` (S. L. Moshier), the
+algorithm ``scipy.special.ndtri`` runs: a central rational approximation for
+|u - 1/2| <= 1/2 - exp(-2) and two tail approximations in 1/x, with
+x = sqrt(-2 ln y), split at x = 8.  It is evaluated one element at a time in
+Python floats with ``math.log`` and ``math.sqrt`` and the Cephes Horner
+order, so it is bitwise equal to scipy's ``ndtri`` and the package needs
+numpy alone.  It is scalar code on purpose: ``math.log`` is the C library's
+log, as in Cephes, while numpy's vectorized ``np.log`` differs from it in the
+last bit on some inputs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 from .ensemble import ParticleEnsemble
 
@@ -75,9 +85,137 @@ def _count_trailing_ones(x: int) -> int:
     return c
 
 
+# Cephes ndtri coefficient tables, highest power first.
+# Central range |u - 1/2| <= 1/2 - exp(-2): numerator of
+# x/sqrt(2 pi) = y + y y^2 P0(y^2)/Q0(y^2), y = u - 1/2.
+_P0 = (
+    -5.99633501014107895267E1,
+    9.80010754185999661536E1,
+    -5.66762857469070293439E1,
+    1.39312609387279679503E1,
+    -1.23916583867381258016E0,
+)
+# Central range: denominator Q0.
+_Q0 = (
+    1.0,
+    1.95448858338141759834E0,
+    4.67627912898881538453E0,
+    8.63602421390890590575E1,
+    -2.25462687854119370527E2,
+    2.00260212380060660359E2,
+    -8.20372256168333339912E1,
+    1.59056225126211695515E1,
+    -1.18331621121330003142E0,
+)
+# Tail with 2 <= x < 8, i.e. exp(-32) < y <= exp(-2): numerator of the
+# correction z P1(z)/Q1(z), z = 1/x, subtracted from x - ln(x)/x.
+_P1 = (
+    4.05544892305962419923E0,
+    3.15251094599893866154E1,
+    5.71628192246421288162E1,
+    4.40805073893200834700E1,
+    1.46849561928858024014E1,
+    2.18663306850790267539E0,
+    -1.40256079171354495875E-1,
+    -3.50424626827848203418E-2,
+    -8.57456785154685413611E-4,
+)
+# Tail with 2 <= x < 8: denominator Q1.
+_Q1 = (
+    1.0,
+    1.57799883256466749731E1,
+    4.53907635128879210584E1,
+    4.13172038254672030440E1,
+    1.50425385692907503408E1,
+    2.50464946208309415979E0,
+    -1.42182922854787788574E-1,
+    -3.80806407691578277194E-2,
+    -9.33259480895457427372E-4,
+)
+# Far tail with x >= 8, i.e. y <= exp(-32): numerator of z P2(z)/Q2(z).
+_P2 = (
+    3.23774891776946035970E0,
+    6.91522889068984211695E0,
+    3.93881025292474443415E0,
+    1.33303460815807542389E0,
+    2.01485389549179081538E-1,
+    1.23716634817820021358E-2,
+    3.01581553508235416007E-4,
+    2.65806974686737550832E-6,
+    6.23974539184983293730E-9,
+)
+# Far tail with x >= 8: denominator Q2.
+_Q2 = (
+    1.0,
+    6.02427039364742014255E0,
+    3.67983563856160859403E0,
+    1.37702099489081330271E0,
+    2.16236993594496635890E-1,
+    1.34204006088543189037E-2,
+    3.28014464682127739104E-4,
+    2.89247864745380683936E-6,
+    6.79019408009981274425E-9,
+)
+_EXP_M2 = 0.13533528323661269189  # exp(-2), the central/tail branch point
+_SQRT_2PI = 2.50662827463100050242
+
+
+def _polevl(x: float, coef: tuple) -> float:
+    """Horner's rule.  Cephes ``p1evl`` (leading coefficient 1) starts from
+    ``x + coef[1]``, which is what ``1.0 * x + coef[1]`` rounds to."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtri(y0: float) -> float:
+    if y0 == 0.0:
+        return -math.inf
+    if y0 == 1.0:
+        return math.inf
+    if y0 < 0.0 or y0 > 1.0:
+        return math.nan
+    negate = True
+    y = y0
+    if y > 1.0 - _EXP_M2:
+        y = 1.0 - y
+        negate = False
+    if y > _EXP_M2:
+        y = y - 0.5
+        y2 = y * y
+        x = y + y * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0))
+        return x * _SQRT_2PI
+    # nan falls through to here, and math.log(nan) is nan
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    if x < 8.0:
+        x1 = z * _polevl(z, _P1) / _polevl(z, _Q1)
+    else:
+        x1 = z * _polevl(z, _P2) / _polevl(z, _Q2)
+    x = x0 - x1
+    return -x if negate else x
+
+
 def inverse_normal_cdf(u):
-    """Quantile function of the standard normal (monotone, ~1e-15 accurate)."""
-    return ndtri(u)
+    """Quantile function of the standard normal, elementwise on ``u``.
+
+    Cephes ``ndtri``: the central rational approximation for
+    |u - 1/2| <= 1/2 - exp(-2), and for the tails the approximations in
+    z = 1/x, x = sqrt(-2 ln y) with y = min(u, 1 - u), split at x = 8
+    (y = exp(-32)).  0 maps to -inf, 1 to +inf, and u outside [0, 1] or nan
+    to nan.  The result is bitwise equal to ``scipy.special.ndtri``: each
+    element goes through the same operations in the same order in Python
+    floats, with ``math.log``, which is the C library's log.  ``np.log`` is
+    not: its SIMD log differs from the C library's in the last bit on some
+    inputs, and so would the result.  Returns a float array of the shape of
+    ``u``, or a numpy scalar for a 0-d input.
+    """
+    u = np.asarray(u, dtype=float)
+    x = np.fromiter(map(_ndtri, u.ravel().tolist()), dtype=float,
+                    count=u.size)
+    return x.reshape(u.shape)[()]
 
 
 @dataclass(frozen=True)

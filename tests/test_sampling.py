@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
@@ -63,6 +66,64 @@ def test_inverse_normal_cdf():
     x = inverse_normal_cdf(u)
     assert np.all(np.diff(x) > 0)            # strictly monotone
     assert np.allclose(ndtr(x), u, atol=1e-9)
+
+
+def _neighbours(u0: float, k: int = 4) -> np.ndarray:
+    """``u0`` and its ``k`` nearest floats on either side."""
+    out = [u0]
+    for direction in (0.0, 1.0):
+        u = u0
+        for _ in range(k):
+            u = np.nextafter(u, direction)
+            out.append(u)
+    return np.array(out)
+
+
+def _ndtri_oracle_inputs() -> dict:
+    rng = np.random.default_rng(20240611)
+    tail = 10.0 ** rng.uniform(-300.0, -1.0, 100_000)
+    e2, e32 = np.exp(-2.0), np.exp(-32.0)
+    return {
+        "sobol": sobol_2d(2024, skip=1).ravel(),
+        "uniform": rng.uniform(size=100_000),
+        "tail": tail,
+        "tail_complement": 1.0 - tail,
+        # the central/tail split at y = exp(-2) on either side, and the
+        # split of the two tails at x = 8, i.e. y = exp(-32)
+        "branch_points": np.concatenate([
+            _neighbours(u0) for u0 in (e2, 1.0 - e2, e32, 1.0 - e32)]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_ndtri_oracle_inputs()))
+def test_inverse_normal_cdf_is_bitwise_scipy_ndtri(name):
+    from scipy.special import ndtri
+    u = _ndtri_oracle_inputs()[name]
+    ours, ref = inverse_normal_cdf(u), ndtri(u)
+    assert ours.dtype == np.float64 and ours.shape == u.shape
+    differ = np.flatnonzero(ours.view(np.int64) != ref.view(np.int64))
+    assert differ.size == 0, (differ.size, u[differ[:5]])
+
+
+def test_inverse_normal_cdf_edges_and_shapes():
+    x = inverse_normal_cdf([0.0, 1.0, -0.1, 1.1, np.nan])
+    assert x[0] == -np.inf and x[1] == np.inf
+    assert np.all(np.isnan(x[2:]))
+    for u in (0.3, np.float64(0.3), np.array(0.3), 1):
+        assert type(inverse_normal_cdf(u)) is np.float64
+    u = np.linspace(0.05, 0.95, 12).reshape(3, 4).T
+    assert inverse_normal_cdf(u).shape == (4, 3)
+    assert np.array_equal(inverse_normal_cdf(u),
+                          inverse_normal_cdf(u.ravel()).reshape(4, 3))
+
+
+def test_importing_the_package_does_not_import_scipy():
+    code = ("import sys, mqcdyn, mqcdyn.runner, mqcdyn.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def make_spec(n=1000, **kw):
