@@ -93,9 +93,11 @@ def wigner(state: WavepacketState, q_nodes: np.ndarray,
     ``W(q, p) = (1/pi hbar) int psi*(q+y) psi(q-y) exp(2ipy/hbar) dy`` summed
     over the two components, evaluated on the wavefunction grid in y (each
     requested q snaps to the nearest grid node) and at the exact requested p
-    values.  The sum over y reaches as far as the span of the occupied nodes
-    (density above 1e-28 of its peak), and no further than half the grid,
-    past which one of the two factors is off the grid.
+    values.  The sum over y reaches half the span of the occupied nodes
+    (density above 1e-28 of its peak), rounded up: a longer shift puts
+    q + y and q - y more than that span apart, so at least one of them is
+    unoccupied.  It reaches no further than half the grid either, past
+    which one of the two factors is off the grid.
 
     The correlation is Hermitian in the shift, corr(q, -y) = conj corr(q, y),
     so only the half y >= 0 is gathered:
@@ -113,10 +115,9 @@ def wigner(state: WavepacketState, q_nodes: np.ndarray,
     dens = np.sum(np.abs(state.psi) ** 2, axis=0)
     occupied = np.nonzero(dens > 1e-28 * dens.max())[0]
     lo, hi = int(occupied[0]), int(occupied[-1])
-    # the shifts span the occupied nodes, but psi(q+y) and psi(q-y) are both
-    # on the grid only while 2y is within the grid: a longer shift
-    # multiplies an off-grid zero
-    m_half = min(max(hi - lo, 1), (n - 1) // 2)
+    # psi(q+y) and psi(q-y) are both occupied only while 2y is within the
+    # occupied span, and both on the grid only while 2y is within the grid
+    m_half = min(max((hi - lo + 1) // 2, 1), (n - 1) // 2)
 
     j_idx = np.clip(np.round((q_nodes - grid.r_min) / dr).astype(int), 0, n - 1)
     q_snapped = grid.r_min + dr * j_idx

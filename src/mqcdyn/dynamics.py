@@ -101,10 +101,11 @@ def _drho_from_field(hvec, s) -> np.ndarray:
     """drho = (2/hbar) (hvec x s) . sigma for per-particle field vectors.
 
     ``hvec`` and ``s`` are the three Pauli components, one array over the
-    particles each.  Exactly Hermitian and traceless by construction.  The
-    entries are written from ds = (2/hbar) hvec x s directly, its components
-    formed as `np.cross` forms them; every entry that is zero is +0.0, as
-    in a sum of complex products that starts from zero.
+    particles each; a component of ``hvec`` may also be a scalar.  Exactly
+    Hermitian and traceless by construction.  The entries are written from
+    ds = (2/hbar) hvec x s directly, its components formed as `np.cross`
+    forms them; every entry that is zero is +0.0, as in a sum of complex
+    products that starts from zero.
     """
     (h1, h2, h3), (s1, s2, s3) = hvec, s
     dx = h2 * s3
@@ -145,10 +146,15 @@ def _contract(comp, coeffs) -> np.ndarray:
 def _mean_field(comp, e: ParticleEnsemble, h: HybridHamiltonian):
     """<rho_a, dH/dp_a>, <rho_a, dH/dq_a>, the local Pauli field H_vec and
     the mean-field energy sum_a w_a <rho_a, H(zeta_a)>, for the Pauli
-    components ``comp`` of the rho_a (trace/2 and half Bloch vector)."""
-    gq = h.grad_q(e.q, e.p)
-    gp = h.grad_p(e.q, e.p)
-    hp = h.pauli(e.q, e.p)
+    components ``comp`` of the rho_a (trace/2 and half Bloch vector).
+
+    The coefficients are the model's own, unbroadcast: a constant one stays
+    a scalar, which multiplies each particle's component just as its
+    broadcast array would, so every result is bitwise the one the public
+    `HybridHamiltonian.pauli`, `grad_q` and `grad_p` give.  A component of
+    H_vec may therefore be a scalar.
+    """
+    hp, gq, gp = h._coefficients(e.q, e.p)
     mean = float(e.w @ _contract(comp, hp))
     return _contract(comp, gp), _contract(comp, gq), hp[1:], mean
 

@@ -71,29 +71,42 @@ class HybridHamiltonian:
     d_interaction: Callable
     params: dict = field(default_factory=dict)
 
+    def _coefficients(self, q, p, kinds: str = "hqp") -> list:
+        """Pauli coefficients of H ("h"), dH/dq ("q") and dH/dp ("p") at
+        (q, p), one 4-tuple per letter of ``kinds``, in that order.
+
+        They are the callables' values as returned, neither cast nor
+        broadcast: a constant coefficient stays a scalar.  This is the one
+        evaluation of the callables; the public methods below broadcast it.
+        """
+        q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
+        out = []
+        for kind in kinds:
+            if kind == "h":
+                i0, i1, i2, i3 = self.interaction(q)
+                out.append((self.classical(q, p) + i0, i1, i2, i3))
+            elif kind == "q":
+                d0, d1, d2, d3 = self.d_interaction(q)
+                out.append((self.d_classical_q(q, p) + d0, d1, d2, d3))
+            else:  # "p": the interaction is p-free
+                out.append((self.d_classical_p(q, p), 0.0, 0.0, 0.0))
+        return out
+
     def pauli(self, q, p):
         """Full Hamiltonian Pauli coefficients (h0, h1, h2, h3) at (q, p)."""
-        q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
-        i0, i1, i2, i3 = self.interaction(q)
-        return on_points(q, p, self.classical(q, p) + i0, i1, i2, i3)
+        return on_points(q, p, *self._coefficients(q, p, "h")[0])
 
     def grad_q(self, q, p):
         """d/dq of the four Pauli coefficients."""
-        q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
-        d0, d1, d2, d3 = self.d_interaction(q)
-        return on_points(q, p, self.d_classical_q(q, p) + d0, d1, d2, d3)
+        return on_points(q, p, *self._coefficients(q, p, "q")[0])
 
     def grad_p(self, q, p):
         """d/dp of the four Pauli coefficients (interaction is p-free)."""
-        q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
-        g0, zero = on_points(q, p, self.d_classical_p(q, p), 0.0)
-        return g0, zero, zero, zero
+        return on_points(q, p, *self._coefficients(q, p, "p")[0])
 
     def electronic_pauli(self, q):
         """Pauli coefficients of the electronic matrix V_C(q)*1 + H_I(q)."""
-        q = np.asarray(q, dtype=float)
-        i0, i1, i2, i3 = self.interaction(q)
-        return on_points(q, 0.0, self.classical(q, 0.0) + i0, i1, i2, i3)
+        return on_points(q, 0.0, *self._coefficients(q, 0.0, "h")[0])
 
     def matrix(self, q: float, p: float) -> np.ndarray:
         """Dense 2x2 Hermitian matrix at a phase-space point."""

@@ -10,12 +10,12 @@ is what makes the particle methods converge quickly in N.
 The inverse normal CDF is a port of Cephes ``ndtri`` (S. L. Moshier), the
 algorithm ``scipy.special.ndtri`` runs: a central rational approximation for
 |u - 1/2| <= 1/2 - exp(-2) and two tail approximations in 1/x, with
-x = sqrt(-2 ln y), split at x = 8.  It is evaluated one element at a time in
-Python floats with ``math.log`` and ``math.sqrt`` and the Cephes Horner
-order, so it is bitwise equal to scipy's ``ndtri`` and the package needs
-numpy alone.  It is scalar code on purpose: ``math.log`` is the C library's
-log, as in Cephes, while numpy's vectorized ``np.log`` differs from it in the
-last bit on some inputs.
+x = sqrt(-2 ln y), split at x = 8.  The arithmetic runs in numpy, whose
++, -, *, / and sqrt round exactly as the C code does, in the Cephes Horner
+order; only the two logs of each tail element are taken one at a time with
+``math.log``, the C library's log, as in Cephes, because numpy's vectorized
+``np.log`` differs from it in the last bit on some inputs.  So the result is
+bitwise equal to scipy's ``ndtri`` and the package needs numpy alone.
 """
 
 from __future__ import annotations
@@ -160,42 +160,24 @@ _EXP_M2 = 0.13533528323661269189  # exp(-2), the central/tail branch point
 _SQRT_2PI = 2.50662827463100050242
 
 
-def _polevl(x: float, coef: tuple) -> float:
-    """Horner's rule.  Cephes ``p1evl`` (leading coefficient 1) starts from
-    ``x + coef[1]``, which is what ``1.0 * x + coef[1]`` rounds to."""
+#: float64 bit masks: the quiet bit of a NaN, and the sign bit
+_QUIET_NAN_BIT = np.uint64(1 << 51)
+_SIGN_BIT = np.uint64(1 << 63)
+
+
+def _polevl(x, coef: tuple):
+    """Horner's rule, elementwise.  Cephes ``p1evl`` (leading coefficient 1)
+    starts from ``x + coef[1]``, which is what ``1.0 * x + coef[1]`` rounds
+    to."""
     ans = coef[0]
     for c in coef[1:]:
         ans = ans * x + c
     return ans
 
 
-def _ndtri(y0: float) -> float:
-    if y0 == 0.0:
-        return -math.inf
-    if y0 == 1.0:
-        return math.inf
-    if y0 < 0.0 or y0 > 1.0:
-        return math.nan
-    negate = True
-    y = y0
-    if y > 1.0 - _EXP_M2:
-        y = 1.0 - y
-        negate = False
-    if y > _EXP_M2:
-        y = y - 0.5
-        y2 = y * y
-        x = y + y * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0))
-        return x * _SQRT_2PI
-    # nan falls through to here, and math.log(nan) is nan
-    x = math.sqrt(-2.0 * math.log(y))
-    x0 = x - math.log(x) / x
-    z = 1.0 / x
-    if x < 8.0:
-        x1 = z * _polevl(z, _P1) / _polevl(z, _Q1)
-    else:
-        x1 = z * _polevl(z, _P2) / _polevl(z, _Q2)
-    x = x0 - x1
-    return -x if negate else x
+def _log(a: np.ndarray) -> np.ndarray:
+    """``math.log`` of each element."""
+    return np.fromiter(map(math.log, a.tolist()), dtype=float, count=a.size)
 
 
 def inverse_normal_cdf(u):
@@ -204,17 +186,47 @@ def inverse_normal_cdf(u):
     Cephes ``ndtri``: the central rational approximation for
     |u - 1/2| <= 1/2 - exp(-2), and for the tails the approximations in
     z = 1/x, x = sqrt(-2 ln y) with y = min(u, 1 - u), split at x = 8
-    (y = exp(-32)).  0 maps to -inf, 1 to +inf, and u outside [0, 1] or nan
-    to nan.  The result is bitwise equal to ``scipy.special.ndtri``: each
-    element goes through the same operations in the same order in Python
-    floats, with ``math.log``, which is the C library's log.  ``np.log`` is
-    not: its SIMD log differs from the C library's in the last bit on some
-    inputs, and so would the result.  Returns a float array of the shape of
-    ``u``, or a numpy scalar for a 0-d input.
+    (y = exp(-32)).  0 maps to -inf, 1 to +inf, and u outside [0, 1] to
+    nan.  A nan input comes out as Cephes leaves it, quieted and with its
+    sign flipped, its payload kept.  The result is bitwise equal to
+    ``scipy.special.ndtri``: each element goes through the same operations
+    in the same order, with ``math.log``, which is the C library's log.
+    Returns a float array of the shape of ``u``, or a numpy scalar for a
+    0-d input.
     """
     u = np.asarray(u, dtype=float)
-    x = np.fromiter(map(_ndtri, u.ravel().tolist()), dtype=float,
-                    count=u.size)
+    y0 = u.ravel()
+    x = np.full(y0.shape, np.nan)
+    x[y0 == 0.0] = -np.inf
+    x[y0 == 1.0] = np.inf
+    nan = np.isnan(y0)
+    # in Cephes a nan falls through to the lower tail, whose arithmetic
+    # carries it to the end, where the lower tail negates its result
+    x[nan] = ((y0[nan].view(np.uint64) | _QUIET_NAN_BIT)
+              ^ _SIGN_BIT).view(float)
+
+    inside = (y0 > 0.0) & (y0 < 1.0)
+    y = y0[inside]
+    upper = y > 1.0 - _EXP_M2
+    y[upper] = 1.0 - y[upper]
+    central = y > _EXP_M2
+    tail = ~central
+    out = np.empty_like(y)
+
+    yc = y[central] - 0.5
+    y2 = yc * yc
+    out[central] = (yc + yc * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0))) \
+        * _SQRT_2PI
+
+    xt = np.sqrt(-2.0 * _log(y[tail]))
+    x0 = xt - _log(xt) / xt
+    z = 1.0 / xt
+    x1 = np.where(xt < 8.0, z * _polevl(z, _P1) / _polevl(z, _Q1),
+                  z * _polevl(z, _P2) / _polevl(z, _Q2))
+    xt = x0 - x1
+    out[tail] = np.where(upper[tail], xt, -xt)
+
+    x[inside] = out
     return x.reshape(u.shape)[()]
 
 

@@ -4,7 +4,10 @@ The two-component wavefunction lives on a uniform periodic grid; one Strang
 step is half a kinetic step in Fourier space, a full potential step applied
 as a pointwise 2x2 matrix exponential (closed form via the Pauli
 decomposition), and another half kinetic step.  Every factor is unitary, so
-the norm is conserved to round-off.
+the norm is conserved to round-off.  A step ends in Fourier space: the new
+state's psi is the inverse FFT of its psi_k, and the state keeps that psi_k,
+so a step takes three FFTs and the energy of the new state none.  `copy`
+keeps psi_k too.
 
 Requires the Hamiltonian to split as ``p^2/(2M) * 1 + V(q)``; the classical
 potential ``V_C(q) = H_C(q, 0)`` joins the potential matrix.  Hamiltonians
@@ -16,11 +19,11 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .models import HBAR, HybridHamiltonian, adiabatic_basis
-from .pauli import pauli_decompose
 
 BOUNDARY_MASS_TOL = 1e-12
 
@@ -72,9 +75,12 @@ class SpatialGrid1D:
 class WavepacketState:
     """Two-component complex wavefunction on a spatial grid.
 
-    ``psi_k`` is computed once per state, when first read, so ``psi`` must
-    not change after that; every function here returns a new state rather
-    than changing one.
+    ``psi_k`` is the FFT of ``psi`` along the grid.  `strang_step` builds a
+    state from its psi_k and hands that psi_k over, so it agrees with
+    ``np.fft.fft(psi)`` to round-off, not bit for bit; any other state
+    computes it once, when first read.  Either way ``psi`` must not change
+    once psi_k is set; every function here returns a new state rather than
+    changing one, and `copy` shares the read-only psi_k.
     """
 
     grid: SpatialGrid1D
@@ -92,10 +98,14 @@ class WavepacketState:
         return _read_only(np.fft.fft(self.psi, axis=1))
 
     def copy(self) -> "WavepacketState":
-        return WavepacketState(grid=self.grid, psi=self.psi.copy(), time=self.time)
+        """Same state with its own psi; psi_k, once set, comes along."""
+        out = WavepacketState(grid=self.grid, psi=self.psi.copy(), time=self.time)
+        if "psi_k" in self.__dict__:
+            out.psi_k = self.psi_k
+        return out
 
     def norm(self) -> float:
-        return float(np.sum(np.abs(self.psi) ** 2) * self.grid.dr)
+        return float(np.vdot(self.psi, self.psi).real * self.grid.dr)
 
     def boundary_mass(self) -> float:
         """Probability mass sitting in the two edge cells."""
@@ -147,12 +157,29 @@ def potential_matrix_fields(h: HybridHamiltonian, r: np.ndarray):
 # (hashed by identity, and held by the cache so its identity cannot be reused)
 # and dt.  One entry each is enough: a run steps one model on one grid.
 
+class _GridFields(NamedTuple):
+    """The model's fields on the grid, read-only.  The weights of the
+    expectation values are complex, so that they multiply psi without a
+    cast."""
+
+    pauli: tuple            # (v0, v1, v2, v3) of the potential matrix V
+    kinetic: np.ndarray     # k^2/(2M) in FFT layout
+    v_diag: np.ndarray      # (V_00, V_11), shape (2, n)
+    v01: np.ndarray         # V_01 = v1 - i v2
+    lower_conj: np.ndarray  # conj of the lower adiabatic vectors, (2, n)
+
+
 @functools.lru_cache(maxsize=1)
-def _grid_fields(grid: SpatialGrid1D, h: HybridHamiltonian):
-    """Potential Pauli fields and lower adiabatic vectors on the grid."""
+def _grid_fields(grid: SpatialGrid1D, h: HybridHamiltonian) -> _GridFields:
+    """Potential fields, energy weights and lower adiabatic vectors."""
     v0, v1, v2, v3 = potential_matrix_fields(h, grid.r)
     lower = adiabatic_basis(h, grid.r)[2]
-    return _frozen(v0, v1, v2, v3, lower)
+    return _GridFields(
+        pauli=_frozen(v0, v1, v2, v3),
+        kinetic=_read_only((grid.k**2 / (2.0 * h.mass)).astype(complex)),
+        v_diag=_read_only(np.array([v0 + v3, v0 - v3], dtype=complex)),
+        v01=_read_only(v1 - 1j * v2),
+        lower_conj=_read_only(np.ascontiguousarray(lower.conj().T)))
 
 
 @functools.lru_cache(maxsize=1)
@@ -160,7 +187,7 @@ def _strang_factors(grid: SpatialGrid1D, h: HybridHamiltonian, dt: float):
     """Half-step kinetic factor and the pointwise potential propagator."""
     _check_separable(h, grid)
     kin = np.exp(-0.25j * dt * HBAR * grid.k**2 / h.mass)  # half step
-    v0, v1, v2, v3, _ = _grid_fields(grid, h)
+    v0, v1, v2, v3 = _grid_fields(grid, h).pauli
     rnorm = np.sqrt(v1**2 + v2**2 + v3**2)
     cos = np.cos(dt * rnorm / HBAR)
     # sin(dt r)/r with the removable r -> 0 limit
@@ -179,56 +206,64 @@ def strang_step(state: WavepacketState, h: HybridHamiltonian,
 
     The propagator factors do not change during a run; they are built once
     per (grid, model object, dt), when the model is also checked to be
-    separable.  The first kinetic half step reads ``state.psi_k``, which the
-    energy of ``state`` reads too.
+    separable.  The first kinetic half step reads ``state.psi_k``; the
+    second ends in Fourier space, and the new state keeps that psi_k, so a
+    step takes three FFTs.
     """
     kin, u00, u01, u10, u11 = _strang_factors(state.grid, h, float(dt))
 
     psi = np.fft.ifft(kin * state.psi_k, axis=1)
-    psi0 = u00 * psi[0] + u01 * psi[1]
-    psi1 = u10 * psi[0] + u11 * psi[1]
-    psi = np.stack([psi0, psi1])
-    psi = np.fft.ifft(kin * np.fft.fft(psi, axis=1), axis=1)
-    return WavepacketState(grid=state.grid, psi=psi, time=state.time + dt)
+    mixed = np.empty_like(psi)
+    np.multiply(u00, psi[0], out=mixed[0])
+    mixed[0] += u01 * psi[1]
+    np.multiply(u10, psi[0], out=mixed[1])
+    mixed[1] += u11 * psi[1]
+    psi_k = np.fft.fft(mixed, axis=1)
+    psi_k *= kin
+    out = WavepacketState(grid=state.grid, psi=np.fft.ifft(psi_k, axis=1),
+                          time=state.time + dt)
+    out.psi_k = _read_only(psi_k)
+    return out
 
 
 def density_matrix(state: WavepacketState) -> np.ndarray:
     """Reduced 2x2 density matrix, the spatial integral of Psi Psi^dagger."""
-    rho = np.einsum("ix,jx->ij", state.psi, state.psi.conj()) * state.grid.dr
-    return rho
+    psi0, psi1 = state.psi
+    rho01 = np.vdot(psi1, psi0)
+    return np.array([[np.vdot(psi0, psi0).real, rho01],
+                     [rho01.conjugate(), np.vdot(psi1, psi1).real]]) \
+        * state.grid.dr
 
 
 def energy(state: WavepacketState, h: HybridHamiltonian) -> float:
-    """Total energy <Psi|H|Psi> via Fourier kinetic + pointwise potential."""
+    """Total energy <Psi|H|Psi>: the kinetic part from psi_k (Parseval), the
+    potential part pointwise, each a sum of BLAS inner products."""
     grid = state.grid
-    e_kin = float(np.sum(grid.k**2 / (2.0 * h.mass) * np.abs(state.psi_k) ** 2)
-                  * grid.dr / grid.n_points)
-    v0, v1, v2, v3, _ = _grid_fields(grid, h)
-    d = np.abs(state.psi[0]) ** 2
-    u = np.abs(state.psi[1]) ** 2
-    cross = state.psi[0].conj() * state.psi[1]
-    e_pot = float(np.sum(v0 * (d + u) + v3 * (d - u)
-                         + 2.0 * (v1 * cross.real + v2 * cross.imag)) * grid.dr)
-    return e_kin + e_pot
+    f = _grid_fields(grid, h)
+    psi, psi_k = state.psi, state.psi_k
+    e_kin = np.vdot(psi_k, f.kinetic * psi_k).real / grid.n_points
+    e_pot = (np.vdot(psi, f.v_diag * psi).real
+             + 2.0 * np.vdot(psi[0], f.v01 * psi[1]).real)
+    return float((e_kin + e_pot) * grid.dr)
 
 
 def observables(state: WavepacketState, h: HybridHamiltonian) -> dict:
     """Norm, energy, reduced density matrix, adiabatic populations, purity."""
     rho = density_matrix(state)
-    comp = pauli_decompose(rho)
-    purity = float(np.einsum("ij,ji->", rho, rho).real)
-    v1 = _grid_fields(state.grid, h)[4]
-    amp1 = np.conj(v1[:, 0]) * state.psi[0] + np.conj(v1[:, 1]) * state.psi[1]
-    p1 = float(np.sum(np.abs(amp1) ** 2) * state.grid.dr)
-    norm = state.norm()
+    norm = float(rho[0, 0].real + rho[1, 1].real)
+    lower_conj = _grid_fields(state.grid, h).lower_conj
+    amp1 = lower_conj[0] * state.psi[0]
+    amp1 += lower_conj[1] * state.psi[1]
+    p1 = float(np.vdot(amp1, amp1).real * state.grid.dr)
     return {
         "norm": norm,
         "energy": energy(state, h),
         "rho": rho,
         "p1": p1,
         "p2": norm - p1,
-        "purity": purity,
-        "bloch": 2.0 * comp[1:],
+        "purity": float(np.vdot(rho, rho).real),
+        "bloch": np.array([2.0 * rho[1, 0].real, 2.0 * rho[1, 0].imag,
+                           rho[0, 0].real - rho[1, 1].real]),
     }
 
 

@@ -446,3 +446,38 @@ def test_propagate_adds_the_time_of_the_failing_step():
     assert info.value.t == 5.0
     assert times[-1] == 5.0
     assert "at t=5 for particles [1]" in str(info.value)
+
+
+def broadcast_mean_field(comp, e, h):
+    # the mean field from the public, broadcast coefficients: every
+    # coefficient an array over the particles
+    gq = h.grad_q(e.q, e.p)
+    gp = h.grad_p(e.q, e.p)
+    hp = h.pauli(e.q, e.p)
+    mean = float(e.w @ dynamics._contract(comp, hp))
+    return (dynamics._contract(comp, gp), dynamics._contract(comp, gq),
+            hp[1:], mean)
+
+
+@pytest.mark.parametrize("model_name", ["tully1", "tully2", "tully3",
+                                        "rabi_us", "rabi_ds"])
+@pytest.mark.parametrize("kind,n", [("ehrenfest", 50), ("koopmon", 1)])
+def test_mean_field_on_the_model_coefficients_is_bitwise_the_broadcast_one(
+        model_name, kind, n, monkeypatch):
+    # constant coefficients (zeros, c0, gamma, the tully3 offset) stay
+    # scalars in the mean field; every output must still be bitwise the one
+    # of the broadcast arrays
+    h = make_model(model_name)
+    spec = KernelSpec(alpha=0.5)
+    q0, p0, spread = ((0.0, 1.0, 1.5) if model_name.startswith("rabi")
+                      else (0.5, 10.0, 2.0))
+    for seed in range(3):
+        e = random_ensemble(n, seed=seed, q0=q0, p0=p0, spread=spread)
+        grid = default_grid(kind, e, spec)
+        got = rhs(kind, e, h, spec, grid)
+        with monkeypatch.context() as m:
+            m.setattr(dynamics, "_mean_field", broadcast_mean_field)
+            ref = rhs(kind, e, h, spec, grid)
+        for name in ("dq", "dp", "drho"):
+            assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
+        assert got.energy == ref.energy

@@ -105,6 +105,20 @@ def test_inverse_normal_cdf_is_bitwise_scipy_ndtri(name):
     assert differ.size == 0, (differ.size, u[differ[:5]])
 
 
+def test_inverse_normal_cdf_keeps_nan_payloads_as_ndtri_does():
+    # Cephes carries a nan through its lower tail: it comes out quieted,
+    # with its payload and the sign flipped; a signalling nan included
+    from scipy.special import ndtri
+    bits = np.array([0x7FF8000000000000, 0xFFF8000000000000,
+                     0x7FF8000000000123, 0xFFF80000DEADBEEF,
+                     0x7FF0000000000001, 0xFFF7FFFFFFFFFFFF], dtype=np.uint64)
+    u = np.concatenate([bits.view(float), [0.3, 1e-20, 0.999]])
+    ours = inverse_normal_cdf(u)
+    expected = (bits | np.uint64(1 << 51)) ^ np.uint64(1 << 63)
+    assert np.array_equal(ours.view(np.uint64)[:6], expected)
+    assert np.array_equal(ours.view(np.uint64), ndtri(u).view(np.uint64))
+
+
 def test_inverse_normal_cdf_edges_and_shapes():
     x = inverse_normal_cdf([0.0, 1.0, -0.1, 1.1, np.nan])
     assert x[0] == -np.inf and x[1] == np.inf

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 
 import numpy as np
@@ -255,3 +256,42 @@ def test_propagate_soft_snapshots_and_records():
     assert len(records) == 101
     assert [t for t, _ in snapshots] == [0.0, 0.5, 1.0]
     assert all(abs(n - 1.0) < 1e-11 for _, n in records)
+
+
+def test_a_strang_step_takes_three_ffts(monkeypatch):
+    # one FFT for the first state's psi_k, then ifft, fft and ifft per
+    # step; the per-step observables read the psi_k the step left
+    h = make_model("tully1")
+    state = init_wavepacket(SpatialGrid1D(-30.0, 40.0, 1024), -8.0, 10.0,
+                            np.sqrt(2.0), E1)
+    calls = collections.Counter()
+
+    def counted(name):
+        fn = getattr(np.fft, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, counted(name))
+    for k in (1, 7):
+        calls.clear()
+        propagate_soft(state, h, dt=1.0, t_final=float(k),
+                       snapshot_times=(0.0, float(k)),
+                       diagnostics_fn=lambda t, s: observables(s, h))
+        assert calls["fft"] + calls["ifft"] == 3 * k + 1
+        assert calls["ifft"] == 2 * k
+
+
+def test_the_carried_psi_k_stays_the_fft_of_psi():
+    h = make_model("tully1")
+    state = init_wavepacket(tully_grid(), -8.0, 10.0, np.sqrt(2.0), E1)
+    for _ in range(1000):
+        state = strang_step(state, h, 1.0)
+    carried = state.psi_k
+    assert not carried.flags.writeable
+    assert state.copy().psi_k is carried
+    fresh = np.fft.fft(state.psi, axis=1)
+    assert np.max(np.abs(carried - fresh)) <= 1e-13 * np.max(np.abs(fresh))

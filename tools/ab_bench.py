@@ -15,8 +15,12 @@ does not always fall on the same side.  With several workloads, pair k of
 every workload runs before pair k + 1 of any.  The output file holds, per
 workload, for every pair both sides' end-to-end metrics, ``correct``,
 ``attempted`` and ``failed``, and per metric the medians and quartiles of
-each side and the number of pairs the working tree wins.  Metric names and
-their better direction come from ``BENCHMARK.json``.  Progress goes to
+each side, the number of pairs the working tree wins, and two verdicts:
+``regressed``, the working tree's median is worse than the parent's by more
+than the metric's bound, and ``claim_holds``, the working tree wins at least
+9 in 10 of the pairs and its median is better than the parent's by more
+than the parent's interquartile range.  Metric names, their better
+direction and their bounds come from ``BENCHMARK.json``.  Progress goes to
 standard error.
 """
 
@@ -34,6 +38,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SECONDS = 35
+#: share of the pairs the working tree must win for a claimed gain
+CLAIM_WINS = 0.9
 
 
 def log(msg: str) -> None:
@@ -66,11 +72,16 @@ def bench(tree: Path, workload: str, seed: int) -> dict:
 
 
 def summarize(pairs: list, metrics: list) -> dict:
-    """Medians, quartiles and change wins over the pairs where both sides
-    produced the metric."""
+    """Medians, quartiles, change wins and the two verdicts over the pairs
+    where both sides produced the metric.
+
+    ``metrics`` are `BENCHMARK.json` ``end_to_end`` entries: ``name``,
+    ``unit``, ``better`` ("lower" or "higher") and ``bound``, the largest
+    relative worsening of the median that is not a regression.
+    """
     out = {}
     for spec in metrics:
-        name, lower = spec["name"], spec["better"] == "lower"
+        name, sign = spec["name"], 1.0 if spec["better"] == "lower" else -1.0
         both = [(p["parent"]["metrics"][name]["value"],
                  p["change"]["metrics"][name]["value"]) for p in pairs
                 if "metrics" in p["parent"] and "metrics" in p["change"]]
@@ -82,11 +93,17 @@ def summarize(pairs: list, metrics: list) -> dict:
                 q1, _, q3 = statistics.quantiles(values, n=4)
                 entry[side] = {"median": statistics.median(values),
                                "q1": q1, "q3": q3}
-        entry["change_wins"] = sum((c < p) if lower else (c > p)
-                                   for p, c in both)
+        entry["change_wins"] = sum(sign * (c - p) < 0.0 for p, c in both)
+        entry["regressed"] = entry["claim_holds"] = False
         if "parent" in entry:
-            entry["median_change_rel"] = (entry["change"]["median"]
-                                          / entry["parent"]["median"] - 1.0)
+            parent, change = entry["parent"], entry["change"]
+            entry["median_change_rel"] = change["median"] / parent["median"] - 1.0
+            # gain > 0 when the change is better, in the metric's units
+            gain = sign * (parent["median"] - change["median"])
+            entry["regressed"] = -gain > spec["bound"] * abs(parent["median"])
+            entry["claim_holds"] = (
+                entry["change_wins"] >= CLAIM_WINS * len(both)
+                and gain > parent["q3"] - parent["q1"])
         out[name] = entry
     return out
 
@@ -147,7 +164,9 @@ def main(argv=None) -> int:
                 log(f"{workload} {name}: {metric['parent']['median']:.4g} -> "
                     f"{metric['change']['median']:.4g} "
                     f"({100 * metric['median_change_rel']:+.1f}%), change wins "
-                    f"{metric['change_wins']}/{metric['pairs']}")
+                    f"{metric['change_wins']}/{metric['pairs']}"
+                    + (", regressed" if metric["regressed"] else "")
+                    + (", claim holds" if metric["claim_holds"] else ""))
     return 0
 
 
