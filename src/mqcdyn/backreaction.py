@@ -172,7 +172,7 @@ def koopmon_pairs(e: ParticleEnsemble, h: HybridHamiltonian,
 
 def koopmon_coupling_energy(e: ParticleEnsemble, table: PairIntegralTable) -> float:
     """Backreaction energy (1/2) sum_ab w_a w_b Tr(i hbar [rho_a, rho_b] I_ab)."""
-    s = pauli_decompose(e.rho)[:, 1:]
+    s = e.components[1:].T
     cross = np.cross(s[:, None, :], s[None, :, :])
     pair = -4.0 * HBAR * np.einsum("abk,abk->ab", cross, table.values[:, :, 1:])
     return 0.5 * float(np.einsum("a,b,ab->", e.w, e.w, pair))
@@ -197,7 +197,7 @@ def bohmion_pairs(e: ParticleEnsemble, grid: Lattice,
 def bohmion_coupling_energy(e: ParticleEnsemble, table: PairIntegralTable,
                             mass: float) -> float:
     """Pair energy ``hbar^2/(8M) sum_ab w_a w_b (2 Tr(rho_a rho_b) - 1) I_ab``."""
-    comp = pauli_decompose(e.rho)
+    comp = e.components.T
     c = 4.0 * (np.outer(comp[:, 0], comp[:, 0])
                + comp[:, 1:] @ comp[:, 1:].T) - 1.0
     return HBAR**2 / (8.0 * mass) * float(
@@ -250,7 +250,7 @@ def koopmon_terms(e: ParticleEnsemble, h: HybridHamiltonian,
     # _PARTICLE_BLOCK from `starts`, each with its node window per axis
     order = np.argsort(e.q if n_q >= n_p else e.p, kind="stable")
     q, p = e.q[order], e.p[order]
-    s = pauli_decompose(e.rho[order])[:, 1:]
+    s = e.components[1:, order].T
     ws = np.concatenate([e.w[order, None], e.w[order, None] * s], axis=1)
     starts = np.arange(0, n, _PARTICLE_BLOCK)
     radius = _KERNEL_CUTOFF * spec.sigma_k
@@ -345,34 +345,37 @@ class BohmionTerms:
 
 def bohmion_terms(e: ParticleEnsemble, mass: float, grid: Lattice,
                   spec: KernelSpec) -> BohmionTerms:
-    """Pair energy, forces and effective fields via aggregated 1D fields."""
+    """Pair energy, forces and effective fields via aggregated 1D fields.
+
+    Every per-particle sum over the nodes is a GEMM of the kernel rows with
+    a few node fields: ``ddk`` with five for the pair-force numerator, ``dk``
+    with four for the denominator term and the effective field.
+    """
     grid.check_coverage(e.q)
-    comp = pauli_decompose(e.rho)
-    s0 = comp[:, 0]
-    s = comp[:, 1:]
+    comp = e.components
     w = e.w
 
     k, dk, ddk = _kernel_rows(spec, e.q, grid.nodes, 3)
     inv_d = _masked_inverse(w @ k)
+    # vg[0] = sum_b w_b c0_b K'_b, vg[1:] likewise with the half Bloch vector
+    vg = (w * comp) @ dk      # (4, n_nodes)
     u = w @ dk
-    vg0 = (w * s0) @ dk
-    vg = ((w[:, None] * s).T @ dk)  # (3, n_nodes)
-    t_field = 4.0 * vg0**2 + 4.0 * np.einsum("km,km->m", vg, vg) - u**2
+    t_field = 4.0 * np.einsum("km,km->m", vg, vg) - u**2
 
     pref = HBAR**2 / (8.0 * mass)
     energy = pref * float(quadrature(t_field * inv_d, grid))
 
-    wts = grid.weights
-    # d/dq_e of the pair sum; center derivatives are minus the grid ones
-    c_e_field = (4.0 * s0[:, None] * vg0[None, :]
-                 + 4.0 * s @ vg - u[None, :])  # (N, n_nodes)
-    num = -2.0 * np.sum(ddk * c_e_field * (inv_d * wts)[None, :], axis=1)
-    den = np.sum(dk * (t_field * inv_d * inv_d * wts)[None, :], axis=1)
-    dpdot_extra = -pref * (num + den)
-
-    # effective field: H_vec(z_e) + hbar^2/(2M) sum_b w_b I_eb s_b
-    ivec = (dk * (inv_d * wts)[None, :]) @ vg.T  # (N, 3)
-    heff = HBAR**2 / (2.0 * mass) * ivec
+    # d/dq_e of the pair sum (center derivatives are minus the grid ones):
+    # the numerator -2 sum_n K''_e (4 c_e . vg - u) iw from ddk against
+    # [vg; u] iw, and the denominator term sum_n K'_e t_field inv_d iw from
+    # dk against [t_field inv_d; vg[1:]] iw, whose other three columns are
+    # the effective field H_vec(z_e) + hbar^2/(2M) sum_b w_b I_eb s_b
+    iw = inv_d * grid.weights
+    x = ddk @ (np.vstack([vg, u]) * iw).T                    # (N, 5)
+    num = -2.0 * (4.0 * np.einsum("me,em->e", comp, x[:, :4]) - x[:, 4])
+    y = dk @ (np.vstack([t_field * inv_d, vg[1:]]) * iw).T   # (N, 4)
+    dpdot_extra = -pref * (num + y[:, 0])
+    heff = HBAR**2 / (2.0 * mass) * y[:, 1:]
 
     return BohmionTerms(energy=energy, dpdot_extra=dpdot_extra, heff_vec=heff)
 

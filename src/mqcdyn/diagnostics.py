@@ -2,8 +2,9 @@
 
 Populations are adiabatic: each particle's quantum state is projected on the
 eigenvector of the local electronic matrix with the smaller eigenvalue
-(state 1 = lower surface everywhere).  Purity and the Bloch vector are
-computed from the ensemble-aggregated density matrix.
+(state 1 = lower surface everywhere).  Purity and the Bloch vector are those
+of the ensemble-aggregated density matrix, read off the weighted mean of the
+particles' Pauli components.
 
 Density fields are visualization aids: the Wigner transform of a
 wavefunction, the kernel-smoothed particle cloud in phase space, and stacked
@@ -16,9 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensemble import ParticleEnsemble, aggregate_density
+from .ensemble import ParticleEnsemble
 from .models import HBAR, HybridHamiltonian, lower_adiabatic_vector
-from .pauli import pauli_decompose
 from .regularization import KernelSpec, kernel_1d
 from .soft import WavepacketState
 
@@ -75,14 +75,17 @@ class DensityField:
 
 def particle_diagnostics(e: ParticleEnsemble, h: HybridHamiltonian,
                          t: float = 0.0) -> DiagnosticsRecord:
-    """Populations, purity and Bloch vector of a particle ensemble."""
+    """Populations, purity and Bloch vector of a particle ensemble.
+
+    The mean rho = c0 1 + s . sigma of the weighted components has purity
+    Tr rho^2 = 2 (c0^2 + |s|^2) and Bloch vector 2 s.
+    """
     v1 = lower_adiabatic_vector(h, e.q)
     amp = np.einsum("ak,akl,al->a", v1.conj(), e.rho, v1)
     p1 = float(np.sum(e.w * amp.real))
-    rho = aggregate_density(e)
-    comp = pauli_decompose(rho)
-    purity = float(np.einsum("ij,ji->", rho, rho).real)
-    bloch = tuple(float(2.0 * c) for c in comp[1:])
+    mean = e.components @ e.w
+    purity = float(2.0 * (mean @ mean))
+    bloch = tuple(float(2.0 * c) for c in mean[1:])
     return DiagnosticsRecord(t=t, p1=p1, p2=1.0 - p1, purity=purity, bloch=bloch)
 
 

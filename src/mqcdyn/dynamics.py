@@ -18,9 +18,18 @@ finite-difference tests pin this contract with a box rebuilt for every
 perturbed state.  One `rhs` evaluation returns the energy together with the
 derivative, since both come from the same coupling integrals.
 
+On the Pauli components rho_a = c0_a 1 + s_a . sigma the quantum equation is
+the rotation ds_a/dt = (2/hbar) h_eff,a x s_a of the half Bloch vector about
+the local effective field, with c0_a = Tr rho_a / 2 fixed, so `rhs` returns
+the real rates ds, one row per component, and derives the complex drho from
+them only on request.
+
 Time stepping is plain fixed-step RK4 with the quadrature grid rebuilt from
-the stage state at every stage.  `propagate` records the energy of each state
-from the first RK4 stage at that state.
+the stage state at every stage.  The stages carry (q, p) and the real Pauli
+components, never a complex rho: a step reads the components of ``e.rho``
+once and ends by adding the traceless Hermitian increment to it, so the
+trace drifts by round-off only and nothing needs repairing.  `propagate`
+records the energy of each state from the first RK4 stage at that state.
 """
 
 from __future__ import annotations
@@ -28,13 +37,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import backreaction
-from .ensemble import ParticleEnsemble, rehermitize
+from .ensemble import ParticleEnsemble
 from .models import HBAR, HybridHamiltonian
-from .pauli import pauli_components
 from .regularization import (GridParams, KernelSpec, build_grid, build_grid_1d)
 
 
@@ -89,43 +98,78 @@ class EnergyDriftError(RuntimeError):
 
 @dataclass
 class EnsembleDerivative:
-    """Time derivative of an ensemble state, and the method's energy there."""
+    """Time derivative of an ensemble state, and the method's energy there.
+
+    ``ds`` (3, N) is the rate of the half Bloch vectors, one row per
+    component; the trace part of every rho_a is constant.
+    """
 
     dq: np.ndarray
     dp: np.ndarray
-    drho: np.ndarray
+    ds: np.ndarray
     energy: float
 
+    @property
+    def drho(self) -> np.ndarray:
+        """drho_a = ds_a . sigma, shape (N, 2, 2)."""
+        return _bloch_matrix(self.ds)
 
-def _drho_from_field(hvec, s) -> np.ndarray:
-    """drho = (2/hbar) (hvec x s) . sigma for per-particle field vectors.
 
-    ``hvec`` and ``s`` are the three Pauli components, one array over the
-    particles each; a component of ``hvec`` may also be a scalar.  Exactly
-    Hermitian and traceless by construction.  The entries are written from
-    ds = (2/hbar) hvec x s directly, its components formed as `np.cross`
-    forms them; every entry that is zero is +0.0, as in a sum of complex
-    products that starts from zero.
+class _Stage(NamedTuple):
+    """An RK4 stage state: what `rhs` reads of a `ParticleEnsemble`, with
+    the Pauli components stored in place of rho."""
+
+    q: np.ndarray
+    p: np.ndarray
+    w: np.ndarray
+    components: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.q.shape[0]
+
+
+def _is_zero(coeff) -> bool:
+    """Whether a Hamiltonian coefficient is the scalar zero (not an array)."""
+    return not isinstance(coeff, np.ndarray) and coeff == 0.0
+
+
+def _bloch_rate(hvec, s) -> np.ndarray:
+    """ds = (2/hbar) hvec x s, shape (3, N), for per-particle field vectors.
+
+    ``hvec`` is the three Pauli components of the field, one array over the
+    particles each or a scalar; ``s`` is the half Bloch vectors, (3, N).
+    Each component h_i s_j - h_j s_i is formed as `np.cross` forms it.  A
+    product with a coefficient that is the scalar zero is skipped, which
+    changes at most the sign of a zero.
     """
-    (h1, h2, h3), (s1, s2, s3) = hvec, s
-    dx = h2 * s3
-    dx -= h3 * s2
-    dy = h3 * s1
-    dy -= h1 * s3
-    dz = h1 * s2
-    dz -= h2 * s1
-    drho = np.zeros((len(dx), 2, 2), dtype=complex)
-    re, im = drho.real, drho.imag
-    scale = 2.0 / HBAR
-    for d in (dx, dy, dz):
-        d *= scale
-    np.add(dz, 0.0, out=re[:, 0, 0])
-    np.subtract(0.0, dz, out=re[:, 1, 1])
-    np.add(dx, 0.0, out=re[:, 0, 1])
+    ds = np.zeros(s.shape)
+    for m in range(3):
+        i, j = (m + 1) % 3, (m + 2) % 3
+        if not _is_zero(hvec[i]):
+            np.multiply(hvec[i], s[j], out=ds[m])
+        if not _is_zero(hvec[j]):
+            ds[m] -= hvec[j] * s[i]
+    ds *= 2.0 / HBAR
+    return ds
+
+
+def _bloch_matrix(v) -> np.ndarray:
+    """v_a . sigma for the columns v_a of ``v`` (3, N), shape (N, 2, 2).
+
+    Exactly Hermitian and traceless by construction; every entry that is
+    zero is +0.0, as in a sum of complex products that starts from zero.
+    """
+    vx, vy, vz = v
+    out = np.zeros((len(vx), 2, 2), dtype=complex)
+    re, im = out.real, out.imag
+    np.add(vz, 0.0, out=re[:, 0, 0])
+    np.subtract(0.0, vz, out=re[:, 1, 1])
+    np.add(vx, 0.0, out=re[:, 0, 1])
     re[:, 1, 0] = re[:, 0, 1]
-    np.subtract(0.0, dy, out=im[:, 0, 1])
-    np.add(dy, 0.0, out=im[:, 1, 0])
-    return drho
+    np.subtract(0.0, vy, out=im[:, 0, 1])
+    np.add(vy, 0.0, out=im[:, 1, 0])
+    return out
 
 
 def _contract(comp, coeffs) -> np.ndarray:
@@ -134,10 +178,17 @@ def _contract(comp, coeffs) -> np.ndarray:
 
     The sum runs from +0.0 in component order, the order `np.sum` takes
     over a trailing axis of length 4, so it equals that sum bit for bit.
+    Coefficients that are the scalar zero are skipped: the sum is never
+    -0.0 once 0.0 is added to its first term, so adding their zero
+    products would change nothing.
     """
-    acc = comp[0] * coeffs[0]
+    terms = [(c, g) for c, g in zip(comp, coeffs) if not _is_zero(g)]
+    if not terms:
+        return np.zeros(np.shape(comp[0]))
+    (c, g), *rest = terms
+    acc = c * g
     acc += 0.0
-    for c, g in zip(comp[1:], coeffs[1:]):
+    for c, g in rest:
         acc += c * g
     acc *= 2.0
     return acc
@@ -187,6 +238,8 @@ def rhs(kind: MethodKind, e: ParticleEnsemble, h: HybridHamiltonian,
         spec: KernelSpec | None = None, grid=None) -> EnsembleDerivative:
     """Equations of motion and energy of the given method at the current state.
 
+    ``e`` is a `ParticleEnsemble` or an RK4 stage state: anything with q, p,
+    w and the Pauli components of its rho_a as ``components``.
     ``grid`` is the quadrature grid to use for the coupling integrals
     (2D for koopmon, 1D for bohmion); when omitted it is built from the
     current state with default box parameters.  Ehrenfest ignores it.  The
@@ -194,7 +247,7 @@ def rhs(kind: MethodKind, e: ParticleEnsemble, h: HybridHamiltonian,
     the lattice, the one RK4 integrates.
     """
     kind = MethodKind.parse(kind)
-    comp = pauli_components(e.rho)
+    comp = e.components
     dq, dp_mf, hvec, total = _mean_field(comp, e, h)
     dp = -dp_mf
 
@@ -206,14 +259,16 @@ def rhs(kind: MethodKind, e: ParticleEnsemble, h: HybridHamiltonian,
         dp = dp + terms.dpdot_extra
         hvec = [hm + terms.heff_vec[:, m] for m, hm in enumerate(hvec)]
 
-    drho = _drho_from_field(hvec, comp[1:])
+    ds = _bloch_rate(hvec, comp[1:])
 
-    if not (np.all(np.isfinite(dq)) and np.all(np.isfinite(dp))
-            and np.all(np.isfinite(drho))):
+    # a NaN or Inf anywhere makes the sum non-finite; only then (or on an
+    # overflow of the sum alone) are the particles checked one by one
+    if not math.isfinite(dq.sum() + dp.sum() + ds.sum()):
         finite = (np.isfinite(dq) & np.isfinite(dp)
-                  & np.all(np.isfinite(drho), axis=(1, 2)))
-        raise NonFiniteDerivativeError(np.flatnonzero(~finite).tolist())
-    return EnsembleDerivative(dq=dq, dp=dp, drho=drho, energy=total)
+                  & np.all(np.isfinite(ds), axis=0))
+        if not finite.all():
+            raise NonFiniteDerivativeError(np.flatnonzero(~finite).tolist())
+    return EnsembleDerivative(dq=dq, dp=dp, ds=ds, energy=total)
 
 
 def energy(kind: MethodKind, e: ParticleEnsemble, h: HybridHamiltonian,
@@ -228,32 +283,37 @@ def rk4_step(kind: MethodKind, e: ParticleEnsemble, h: HybridHamiltonian,
              k1: EnsembleDerivative | None = None) -> ParticleEnsemble:
     """One classical RK4 step; the grid is rebuilt from every stage state.
 
-    ``k1`` is ``rhs`` at ``e`` on the box ``grid_params`` builds for ``e``,
-    when the caller already holds it; the step is the same either way.
+    The stages carry (q, p) and the Pauli components of each rho_a: these
+    are read from ``e.rho`` once, and each stage moves the half Bloch
+    vectors by its ``ds``.  rho itself is touched once, when the traceless
+    Hermitian increment is added to it.  ``k1`` is ``rhs`` at ``e`` on the
+    box ``grid_params`` builds for ``e``, when the caller already holds it;
+    the step is the same either way.
     """
     kind = MethodKind.parse(kind)
+    comp = e.components
 
-    def stage_grid(state: ParticleEnsemble):
-        return default_grid(kind, state, spec, grid_params)
+    def stage_rhs(state: _Stage) -> EnsembleDerivative:
+        return rhs(kind, state, h, spec,
+                   default_grid(kind, state, spec, grid_params))
 
-    def shifted(scale: float, d: EnsembleDerivative) -> ParticleEnsemble:
-        return ParticleEnsemble(q=e.q + scale * d.dq, p=e.p + scale * d.dp,
-                                rho=e.rho + scale * d.drho, w=e.w)
+    def shifted(scale: float, d: EnsembleDerivative) -> _Stage:
+        c = comp.copy()
+        c[1:] += scale * d.ds
+        return _Stage(q=e.q + scale * d.dq, p=e.p + scale * d.dp, w=e.w,
+                      components=c)
 
     if k1 is None:
-        k1 = rhs(kind, e, h, spec, stage_grid(e))
-    s2 = shifted(0.5 * dt, k1)
-    k2 = rhs(kind, s2, h, spec, stage_grid(s2))
-    s3 = shifted(0.5 * dt, k2)
-    k3 = rhs(kind, s3, h, spec, stage_grid(s3))
-    s4 = shifted(dt, k3)
-    k4 = rhs(kind, s4, h, spec, stage_grid(s4))
+        k1 = stage_rhs(_Stage(q=e.q, p=e.p, w=e.w, components=comp))
+    k2 = stage_rhs(shifted(0.5 * dt, k1))
+    k3 = stage_rhs(shifted(0.5 * dt, k2))
+    k4 = stage_rhs(shifted(dt, k3))
 
     sixth = dt / 6.0
     q = e.q + sixth * (k1.dq + 2.0 * k2.dq + 2.0 * k3.dq + k4.dq)
     p = e.p + sixth * (k1.dp + 2.0 * k2.dp + 2.0 * k3.dp + k4.dp)
-    rho = e.rho + sixth * (k1.drho + 2.0 * k2.drho + 2.0 * k3.drho + k4.drho)
-    return ParticleEnsemble(q=q, p=p, rho=rehermitize(rho), w=e.w)
+    ds = sixth * (k1.ds + 2.0 * k2.ds + 2.0 * k3.ds + k4.ds)
+    return ParticleEnsemble(q=q, p=p, rho=e.rho + _bloch_matrix(ds), w=e.w)
 
 
 @dataclass

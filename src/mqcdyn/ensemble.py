@@ -5,6 +5,12 @@ float arrays of length N, and the per-particle density matrices form one
 complex array of shape (N, 2, 2).  The kernel rows and aggregate products
 of the coupling terms read these arrays directly, so keeping each field
 contiguous matters.
+
+The equations of motion, the coupling terms and the diagnostics read each
+rho_a through its real Pauli components (`ParticleEnsemble.components`):
+c0 = Tr rho_a / 2 and the half Bloch vector s_a.  They are computed from rho
+on every access, so an in-place edit of ``rho`` is always seen; the RK4
+stage states of `dynamics` store them instead of rho.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .pauli import hermitize
+from .pauli import hermitize, pauli_components
 
 TRACE_TOL = 1e-10
 HERMITICITY_TOL = 1e-12
@@ -57,6 +63,12 @@ class ParticleEnsemble:
     @property
     def n(self) -> int:
         return self.q.shape[0]
+
+    @property
+    def components(self) -> np.ndarray:
+        """Pauli components of every rho_a as rows, shape (4, N): c0 and the
+        three components of s_a."""
+        return pauli_components(self.rho)
 
     def copy(self) -> "ParticleEnsemble":
         return ParticleEnsemble(self.q.copy(), self.p.copy(),

@@ -49,17 +49,22 @@ def pauli_matrix(h0, h1, h2, h3) -> np.ndarray:
     return out
 
 
-def pauli_components(a: np.ndarray) -> tuple:
-    """Pauli coefficients (a0, ax, ay, az) of Hermitian matrices, as four
-    real arrays of shape ``a.shape[:-2]`` for ``a`` of shape ``(..., 2, 2)``.
+def pauli_components(a: np.ndarray) -> np.ndarray:
+    """Pauli coefficients (a0, ax, ay, az) of Hermitian matrices, stacked on
+    a first axis: shape ``(4,) + a.shape[:-2]`` for ``a`` of shape
+    ``(..., 2, 2)``.
 
     Any anti-Hermitian part is discarded.
     """
-    a0 = 0.5 * (a[..., 0, 0].real + a[..., 1, 1].real)
-    az = 0.5 * (a[..., 0, 0].real - a[..., 1, 1].real)
-    ax = 0.5 * (a[..., 0, 1] + a[..., 1, 0]).real
-    ay = 0.5 * (a[..., 1, 0] - a[..., 0, 1]).imag
-    return a0, ax, ay, az
+    a = np.asarray(a)
+    re, im = a.real, a.imag
+    out = np.empty((4,) + a.shape[:-2])
+    np.add(re[..., 0, 0], re[..., 1, 1], out=out[0, ...])
+    np.add(re[..., 0, 1], re[..., 1, 0], out=out[1, ...])
+    np.subtract(im[..., 1, 0], im[..., 0, 1], out=out[2, ...])
+    np.subtract(re[..., 0, 0], re[..., 1, 1], out=out[3, ...])
+    out *= 0.5
+    return out
 
 
 def pauli_decompose(a: np.ndarray) -> np.ndarray:

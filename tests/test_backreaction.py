@@ -352,6 +352,43 @@ def test_blocked_koopmon_terms_equal_a_single_block(cloud, model, monkeypatch):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
 
 
+def bohmion_terms_by_node_products(e, mass, grid, spec):
+    """The bohmion terms from (particles x nodes) products summed over the
+    nodes, the form the GEMMs of `bohmion_terms` replace."""
+    comp = pauli_decompose(e.rho)
+    s0, s, w = comp[:, 0], comp[:, 1:], e.w
+    k, dk, ddk = _kernel_rows(spec, e.q, grid.nodes, 3)
+    inv_d = backreaction._masked_inverse(w @ k)
+    u = w @ dk
+    vg0 = (w * s0) @ dk
+    vg = (w[:, None] * s).T @ dk
+    t_field = 4.0 * vg0**2 + 4.0 * np.einsum("km,km->m", vg, vg) - u**2
+    pref = HBAR**2 / (8.0 * mass)
+    energy = pref * float(backreaction.quadrature(t_field * inv_d, grid))
+    wts = grid.weights
+    c_e_field = (4.0 * s0[:, None] * vg0[None, :]
+                 + 4.0 * s @ vg - u[None, :])
+    num = -2.0 * np.sum(ddk * c_e_field * (inv_d * wts)[None, :], axis=1)
+    den = np.sum(dk * (t_field * inv_d * inv_d * wts)[None, :], axis=1)
+    heff = HBAR**2 / (2.0 * mass) * ((dk * (inv_d * wts)[None, :]) @ vg.T)
+    return energy, -pref * (num + den), heff
+
+
+@pytest.mark.parametrize("cloud", [rabi_like_cloud, cloud_split_in_p])
+@pytest.mark.parametrize("n", [7, 200])
+def test_bohmion_terms_equal_the_node_product_formula(cloud, n):
+    e = cloud(n)
+    mass = make_model("rabi_ds").mass
+    spec = KernelSpec(alpha=0.5)
+    grid = build_grid_1d(e.q, spec)
+    energy, dpdot, heff = bohmion_terms_by_node_products(e, mass, grid, spec)
+    got = bohmion_terms(e, mass, grid, spec)
+    assert got.energy == pytest.approx(energy, rel=1e-13)
+    for have, want in ((got.dpdot_extra, dpdot), (got.heff_vec, heff)):
+        assert have.shape == want.shape
+        assert np.max(np.abs(have - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_koopmon_gradient_across_overlapping_blocks(monkeypatch):
     monkeypatch.setattr(backreaction, "_PARTICLE_BLOCK", 4)
     e = random_ensemble(12, seed=34, q0=0.0, p0=0.0, spread=1.5)

@@ -3,11 +3,12 @@ import collections
 import numpy as np
 import pytest
 
-from mqcdyn import _heap, backreaction, dynamics, soft
+from mqcdyn import _heap, backreaction, dynamics, ensemble, soft
 from mqcdyn.dynamics import (EnergyDriftError, MethodKind,
                              NonFiniteDerivativeError, default_grid, energy,
                              propagate, rhs, rk4_step, snapshot_steps)
-from mqcdyn.ensemble import ParticleEnsemble, validate
+from mqcdyn.ensemble import (TRACE_RENORM_THRESHOLD, ParticleEnsemble,
+                             rehermitize, validate)
 from mqcdyn.models import HBAR, HybridHamiltonian, make_model
 from mqcdyn.pauli import SIGMA_X, pauli_matrix, projector
 from mqcdyn.regularization import GridParams, KernelSpec
@@ -215,6 +216,97 @@ def test_rk4_preserves_spectrum_of_each_state():
     after = np.sort(np.linalg.eigvalsh(out.rho), axis=1)
     assert np.max(np.abs(before - after)) < 1e-8
     assert validate(out) == []
+
+
+def complex_rk4_step(kind, e, h, spec, dt):
+    """RK4 with complex rho in every stage state and the post-step
+    `rehermitize`, the step as it was taken before the stages carried the
+    Pauli components."""
+    def stage_rhs(state):
+        return rhs(kind, state, h, spec, default_grid(kind, state, spec))
+
+    def shifted(scale, d):
+        return ParticleEnsemble(q=e.q + scale * d.dq, p=e.p + scale * d.dp,
+                                rho=e.rho + scale * d.drho, w=e.w)
+
+    k1 = stage_rhs(e)
+    k2 = stage_rhs(shifted(0.5 * dt, k1))
+    k3 = stage_rhs(shifted(0.5 * dt, k2))
+    k4 = stage_rhs(shifted(dt, k3))
+    sixth = dt / 6.0
+    q = e.q + sixth * (k1.dq + 2.0 * k2.dq + 2.0 * k3.dq + k4.dq)
+    p = e.p + sixth * (k1.dp + 2.0 * k2.dp + 2.0 * k3.dp + k4.dp)
+    rho = e.rho + sixth * (k1.drho + 2.0 * k2.drho + 2.0 * k3.drho + k4.drho)
+    return ParticleEnsemble(q=q, p=p, rho=rehermitize(rho), w=e.w)
+
+
+@pytest.mark.parametrize("kind", ["koopmon", "bohmion", "ehrenfest"])
+@pytest.mark.parametrize("model_name,q0,p0,dt", [("tully1", -1.0, 10.0, 2.0),
+                                                 ("rabi_ds", 0.0, 1.0, 0.05)])
+def test_rk4_on_pauli_components_follows_the_complex_rho_step(
+        kind, model_name, q0, p0, dt):
+    e = random_ensemble(16, seed=41, q0=q0, p0=p0, spread=1.0)
+    h = make_model(model_name)
+    spec = KernelSpec(alpha=0.5)
+    ours = theirs = e
+    for _ in range(20):
+        ours = rk4_step(kind, ours, h, spec, dt)
+        theirs = complex_rk4_step(kind, theirs, h, spec, dt)
+    for name in ("q", "p", "rho"):
+        got, want = getattr(ours, name), getattr(theirs, name)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), name
+    want = energy(kind, theirs, h, spec)
+    assert energy(kind, ours, h, spec) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("model_name,q0,p0,dt", [("tully1", -8.0, 10.0, 2.0),
+                                                 ("rabi_ds", 0.0, 1.0, 0.05)])
+def test_the_trace_drifts_by_round_off_only(model_name, q0, p0, dt):
+    # the step adds a traceless increment to rho and never renormalizes;
+    # over 2000 steps the trace must stay within the threshold at which
+    # `rehermitize` would have repaired it
+    e = random_ensemble(50, seed=43, q0=q0, p0=p0, spread=1.0)
+    drift = []
+
+    def trace_drift(t, state, en, dr):
+        tr = (state.rho[:, 0, 0] + state.rho[:, 1, 1]).real
+        drift.append(np.max(np.abs(tr - 1.0)))
+
+    propagate("ehrenfest", e, make_model(model_name), None, dt, 2000 * dt,
+              diagnostics_fn=trace_drift)
+    assert len(drift) == 2001
+    assert max(drift) < TRACE_RENORM_THRESHOLD
+
+
+@pytest.mark.parametrize("kind", ["koopmon", "bohmion", "ehrenfest"])
+@pytest.mark.parametrize("given_k1", [False, True])
+def test_an_rk4_step_reads_rho_once_and_builds_one_ensemble(
+        kind, given_k1, monkeypatch):
+    e = random_ensemble(6, seed=45, q0=0.0, p0=4.0)
+    h = make_model("rabi_us")
+    spec = KernelSpec(alpha=0.5)
+    k1 = rhs(kind, e, h, spec, default_grid(kind, e, spec)) if given_k1 else None
+    calls = collections.Counter()
+    built = []
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            out = original(*args, **kwargs)
+            if name == "ParticleEnsemble":
+                built.append(out)
+            return out
+        monkeypatch.setattr(module, name, counting)
+
+    count(dynamics, "ParticleEnsemble")
+    count(dynamics, "rhs")
+    count(ensemble, "pauli_components")
+    out = rk4_step(kind, e, h, spec, 0.05, k1=k1)
+    assert calls == {"ParticleEnsemble": 1, "rhs": 3 if given_k1 else 4,
+                     "pauli_components": 1}
+    assert len(built) == 1 and built[0] is out
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,10 @@ from mqcdyn.ensemble import (TRACE_RENORM_THRESHOLD, Ensemble2D,
                              ParticleEnsemble, aggregate_density,
                              read_snapshot, rehermitize, snapshot_string,
                              validate, write_snapshot)
-from mqcdyn.pauli import hermitize, projector
+from mqcdyn.pauli import (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, hermitize,
+                          projector)
+
+HERM_BASIS = np.stack([IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z])
 
 
 def pure_state(theta, phi=0.0):
@@ -23,6 +26,20 @@ def small_ensemble(n=3, seed=0):
                     zip(rng.uniform(0, np.pi, n), rng.uniform(0, 2 * np.pi, n))])
     return ParticleEnsemble(q=rng.normal(size=n), p=rng.normal(size=n),
                             rho=rho, w=np.full(n, 1.0 / n))
+
+
+def test_components_are_read_from_rho_at_every_access():
+    e = small_ensemble(4, seed=2)
+    comp = e.components
+    assert comp.shape == (4, 4)
+    assert np.allclose(np.einsum("m,mij->ij", comp[:, 1], HERM_BASIS),
+                       e.rho[1])
+    # an in-place edit of rho shows in the next read
+    e.rho[1] = pure_state(2.0, 0.4)
+    assert not np.array_equal(e.components[:, 1], comp[:, 1])
+    assert np.array_equal(e.components[:, [0, 2, 3]], comp[:, [0, 2, 3]])
+    assert np.allclose(np.einsum("m,mij->ij", e.components[:, 1], HERM_BASIS),
+                       e.rho[1])
 
 
 def test_aggregate_single_particle_identity():
