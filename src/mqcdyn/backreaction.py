@@ -11,10 +11,11 @@ Three families:
   for Hamiltonians of the separable class
   ``H = H_c 1 + H_Q + h1(z1) H2(z2) + h2(z2) H1(z1)``.
 
-The explicit N x N tables are exposed for testing and debugging; the
-right-hand-side evaluation used by the integrator goes through aggregated
-kernel fields instead, which is algebraically identical but costs
-O(N * patch + grid) rather than O(N^2 * grid).
+The explicit N x N tables are exposed for testing and debugging.  Each is a
+Gram product of kernel rows over the whole box (``K_a``, ``dK_a/dq``,
+``dK_a/dp``), a GEMM or two per field: O(N * grid) memory, O(N^2 * grid) work.
+The right-hand side that the integrator uses goes through aggregated kernel
+fields instead, algebraically identical at O(N * patch + grid).
 
 Every kernel is cut off at ``_KERNEL_CUTOFF sigma_K`` (see `regularization`),
 so a particle's kernel rows are nonzero only on the nodes of its patch, a
@@ -124,17 +125,39 @@ def _masked_inverse(den: np.ndarray) -> np.ndarray:
     return out
 
 
-def _hamiltonian_fields_on(h: HybridHamiltonian, q_nodes: np.ndarray,
-                           p_nodes: np.ndarray):
-    """Pauli coefficients of dH/dq and dH/dp on a tensor grid of nodes."""
-    qq = q_nodes[:, None]
-    pp = p_nodes[None, :]
-    return np.stack(h.grad_q(qq, pp)), np.stack(h.grad_p(qq, pp))
-
-
 # ---------------------------------------------------------------------------
 # Explicit pair tables
 # ---------------------------------------------------------------------------
+
+def _box_rows(q: np.ndarray, p: np.ndarray, w: np.ndarray, spec: KernelSpec,
+              grid: QuadratureGrid):
+    """Kernel rows of the particles at (q, p) on the whole 2D box, flattened
+    over its nodes: ``[K, dK/dq, dK/dp]``, each (N, n_q n_p) with
+    ``K_a = kq_a (x) kp_a``, and the node weights, the trapezoid weights over
+    the mixture denominator ``sum_c w_c K_c``."""
+    kq, dkq = _kernel_rows(spec, q, grid.q_nodes)
+    kp, dkp = _kernel_rows(spec, p, grid.p_nodes)
+    rows = [(a[:, :, None] * b[:, None, :]).reshape(q.size, -1)
+            for a, b in ((kq, kp), (dkq, kp), (kq, dkp))]
+    node_w = np.outer(grid.q.weights, grid.p.weights) \
+        * _masked_inverse((w[:, None] * kq).T @ kp)
+    return rows, node_w.ravel()
+
+
+def _bracket_tables(rows, node_w: np.ndarray, f_q, f_p) -> np.ndarray:
+    """``int K_a {K_b, f} / D`` (n_fields, N, N) for the fields f of the box
+    whose derivatives are the (n_q, n_p) arrays of ``f_q`` and ``f_p``."""
+    k, k_q, k_p = rows
+    return np.stack([(k * (node_w * fp.ravel())) @ k_q.T
+                     - (k * (node_w * fq.ravel())) @ k_p.T
+                     for fq, fp in zip(f_q, f_p)])
+
+
+def _product_tables(rows, node_w: np.ndarray, f) -> np.ndarray:
+    """``int K_a K_b f / D`` (n_fields, N, N) for the (n_q, n_p) fields f."""
+    k = rows[0]
+    return np.stack([(k * (node_w * fm.ravel())) @ k.T for fm in f])
+
 
 def koopmon_pairs(e: ParticleEnsemble, h: HybridHamiltonian,
                   grid: QuadratureGrid, spec: KernelSpec) -> PairIntegralTable:
@@ -142,32 +165,16 @@ def koopmon_pairs(e: ParticleEnsemble, h: HybridHamiltonian,
 
     ``I_ab = (1/2) int (K_a {K_b, H} - K_b {K_a, H}) / sum_c w_c K_c``
     over the box, with the canonical bracket ``{K, H} = dK/dq dH/dp -
-    dK/dp dH/dq``.  Only the upper triangle is evaluated; the lower is
-    filled by antisymmetry and the diagonal is exactly zero.
+    dK/dp dH/dq``.  It is ``(A - A^T)/2`` for the bracket table
+    ``A_ab = int K_a {K_b, H} / D``, so it is exactly antisymmetric and its
+    diagonal exactly zero.
     """
     grid.check_coverage(e.q, e.p)
-    n = e.n
-    kq, dkq = _kernel_rows(spec, e.q, grid.q_nodes)
-    kp, dkp = _kernel_rows(spec, e.p, grid.p_nodes)
-    inv_d = _masked_inverse((e.w[:, None] * kq).T @ kp)
-    gq, gp = _hamiltonian_fields_on(h, grid.q_nodes, grid.p_nodes)
-
-    values = np.zeros((n, n, 4))
-    for a in range(n):
-        k_a = np.outer(kq[a], kp[a])
-        gq_a = np.outer(dkq[a], kp[a])
-        gp_a = np.outer(kq[a], dkp[a])
-        for b in range(a + 1, n):
-            k_b = np.outer(kq[b], kp[b])
-            gq_b = np.outer(dkq[b], kp[b])
-            gp_b = np.outer(kq[b], dkp[b])
-            fq = k_a * gq_b - k_b * gq_a
-            fp = k_a * gp_b - k_b * gp_a
-            integrand = 0.5 * (fq[None] * gp - fp[None] * gq) * inv_d[None]
-            vals = quadrature(np.moveaxis(integrand, 0, -1), grid)
-            values[a, b] = vals
-            values[b, a] = -vals
-    return PairIntegralTable(values=values, kind="koopmon")
+    rows, node_w = _box_rows(e.q, e.p, e.w, spec, grid)
+    qq, pp = grid.q_nodes[:, None], grid.p_nodes[None, :]
+    a = _bracket_tables(rows, node_w, h.grad_q(qq, pp), h.grad_p(qq, pp))
+    values = 0.5 * (a - np.swapaxes(a, 1, 2))
+    return PairIntegralTable(values=np.moveaxis(values, 0, -1), kind="koopmon")
 
 
 def koopmon_coupling_energy(e: ParticleEnsemble, table: PairIntegralTable) -> float:
@@ -176,6 +183,13 @@ def koopmon_coupling_energy(e: ParticleEnsemble, table: PairIntegralTable) -> fl
     cross = np.cross(s[:, None, :], s[None, :, :])
     pair = -4.0 * HBAR * np.einsum("abk,abk->ab", cross, table.values[:, :, 1:])
     return 0.5 * float(np.einsum("a,b,ab->", e.w, e.w, pair))
+
+
+def _line_rows(q: np.ndarray, w: np.ndarray, spec: KernelSpec, grid: Lattice):
+    """Kernel rows ``K`` and ``K'`` of the particles at q on a 1D box, and
+    the node weights, the trapezoid weights over ``sum_c w_c K_c``."""
+    k, dk = _kernel_rows(spec, q, grid.nodes)
+    return k, dk, grid.weights * _masked_inverse(w @ k)
 
 
 def bohmion_pairs(e: ParticleEnsemble, grid: Lattice,
@@ -187,10 +201,8 @@ def bohmion_pairs(e: ParticleEnsemble, grid: Lattice,
     is exactly symmetric and its diagonal nonnegative.
     """
     grid.check_coverage(e.q)
-    k, dk = _kernel_rows(spec, e.q, grid.nodes)
-    den = e.w @ k
-    weight = grid.weights * _masked_inverse(den)
-    rows = dk * np.sqrt(weight)[None, :]
+    _, dk, node_w = _line_rows(e.q, e.w, spec, grid)
+    rows = dk * np.sqrt(node_w)[None, :]
     return PairIntegralTable(values=rows @ rows.T, kind="bohmion")
 
 
@@ -466,39 +478,18 @@ def _axis_tables(q: np.ndarray, p: np.ndarray, w: np.ndarray,
                  spec: KernelSpec, params: GridParams,
                  scalar: ScalarFactor, matrix: MatrixFactor) -> AxisTables:
     grid = build_grid(q, p, spec, params)
-    n = q.shape[0]
-    kq, dkq = _kernel_rows(spec, q, grid.q_nodes)
-    kp, dkp = _kernel_rows(spec, p, grid.p_nodes)
-    inv_d = _masked_inverse((w[:, None] * kq).T @ kp)
+    rows, node_w = _box_rows(q, p, w, spec, grid)
+    qq, pp = grid.q_nodes[:, None], grid.p_nodes[None, :]
 
-    qq = grid.q_nodes[:, None]
-    pp = grid.p_nodes[None, :]
-    f, fq, fp = on_points(qq, pp, scalar.f(qq, pp), scalar.df_dq(qq, pp),
-                          scalar.df_dp(qq, pp))
-    m = np.stack(on_points(qq, pp, *matrix.f(qq, pp)))
-    mq = np.stack(on_points(qq, pp, *matrix.df_dq(qq, pp)))
-    mp = np.stack(on_points(qq, pp, *matrix.df_dp(qq, pp)))
+    def fields(fs, fm):   # [scalar; the four matrix components] on the box
+        return on_points(qq, pp, fs(qq, pp), *fm(qq, pp))
 
-    i_scalar = np.zeros((n, n))
-    j_scalar = np.zeros((n, n))
-    i_matrix = np.zeros((n, n, 4))
-    j_matrix = np.zeros((n, n, 4))
-    fields_k = [np.outer(kq[a], kp[a]) for a in range(n)]
-    fields_gq = [np.outer(dkq[a], kp[a]) for a in range(n)]
-    fields_gp = [np.outer(kq[a], dkp[a]) for a in range(n)]
-    for a in range(n):
-        for b in range(n):
-            base = fields_k[a] * inv_d
-            bracket = fields_gq[b] * fp - fields_gp[b] * fq
-            i_scalar[a, b] = quadrature(base * bracket, grid)
-            j_scalar[a, b] = quadrature(base * fields_k[b] * f, grid)
-            bracket_m = fields_gq[b][None] * mp - fields_gp[b][None] * mq
-            i_matrix[a, b] = quadrature(
-                np.moveaxis(base[None] * bracket_m, 0, -1), grid)
-            j_matrix[a, b] = quadrature(
-                np.moveaxis(base[None] * fields_k[b][None] * m, 0, -1), grid)
-    return AxisTables(i_scalar=i_scalar, j_scalar=j_scalar,
-                      i_matrix=i_matrix, j_matrix=j_matrix)
+    i = _bracket_tables(rows, node_w, fields(scalar.df_dq, matrix.df_dq),
+                        fields(scalar.df_dp, matrix.df_dp))
+    j = _product_tables(rows, node_w, fields(scalar.f, matrix.f))
+    return AxisTables(i_scalar=i[0], j_scalar=j[0],
+                      i_matrix=np.moveaxis(i[1:], 0, -1),
+                      j_matrix=np.moveaxis(j[1:], 0, -1))
 
 
 @dataclass(frozen=True)
@@ -506,15 +497,17 @@ class FactorizedTables2DOF:
     axis1: AxisTables
     axis2: AxisTables
 
-    def assemble(self, a: int, b: int, ap: int, bp: int) -> np.ndarray:
+    def assemble(self, a, b, ap, bp) -> np.ndarray:
         """Traceless Pauli vector of the assembled coupling integral
-        ``I_{ab,a'b'}`` (the identity-proportional part is never formed)."""
+        ``I_{ab,a'b'}`` (the identity-proportional part is never formed).
+
+        The indices may be integers or broadcastable index arrays, such as
+        those of ``np.ix_``; the Pauli components come last."""
         t1, t2 = self.axis1, self.axis2
-        vec = (t1.i_matrix[a, ap, 1:] * t2.j_scalar[b, bp]
-               + t1.i_scalar[a, ap] * t2.j_matrix[b, bp, 1:]
-               + t2.i_scalar[b, bp] * t1.j_matrix[a, ap, 1:]
-               + t2.i_matrix[b, bp, 1:] * t1.j_scalar[a, ap])
-        return vec
+        return (t1.i_matrix[a, ap, 1:] * t2.j_scalar[b, bp][..., None]
+                + t1.i_scalar[a, ap][..., None] * t2.j_matrix[b, bp, 1:]
+                + t2.i_scalar[b, bp][..., None] * t1.j_matrix[a, ap, 1:]
+                + t2.i_matrix[b, bp, 1:] * t1.j_scalar[a, ap][..., None])
 
 
 def koopmon_pairs_factorized_2dof(e2: Ensemble2D, ham: Hamiltonian2DOF,
@@ -522,27 +515,22 @@ def koopmon_pairs_factorized_2dof(e2: Ensemble2D, ham: Hamiltonian2DOF,
                                   params: GridParams = GridParams()
                                   ) -> FactorizedTables2DOF:
     """Per-axis tables {I_l, J_l, Ihat_l, Jhat_l} over 2D grids only."""
-    axis1 = _axis_tables(e2.q1, e2.p1, e2.w1, spec1, params, ham.h1, ham.H1)
-    axis2 = _axis_tables(e2.q2, e2.p2, e2.w2, spec2, params, ham.h2, ham.H2)
-    return FactorizedTables2DOF(axis1=axis1, axis2=axis2)
+    return FactorizedTables2DOF(
+        axis1=_axis_tables(e2.q1, e2.p1, e2.w1, spec1, params, ham.h1, ham.H1),
+        axis2=_axis_tables(e2.q2, e2.p2, e2.w2, spec2, params, ham.h2, ham.H2))
 
 
 def koopmon_2dof_coupling(e2: Ensemble2D, tables: FactorizedTables2DOF) -> float:
     """Coupling energy
     ``(1/2) sum w_k w_k' Tr(i hbar [rho_k, rho_k'] I_kk')`` over multi-indices
     ``k = (a, b)``, evaluated from the factorized tables."""
-    n1, n2 = e2.shape
     s = pauli_decompose(e2.rho)[..., 1:]
     w = e2.weights()
-    total = 0.0
-    for a in range(n1):
-        for b in range(n2):
-            for ap in range(n1):
-                for bp in range(n2):
-                    cvec = -2.0 * HBAR * np.cross(s[a, b], s[ap, bp])
-                    ivec = tables.assemble(a, b, ap, bp)
-                    total += 0.5 * w[a, b] * w[ap, bp] * 2.0 * float(cvec @ ivec)
-    return total
+    ivec = tables.assemble(*np.ix_(*(range(n) for n in 2 * e2.shape)))
+    # Tr(i hbar [rho_k, rho_k'] I) = -4 hbar (s_k x s_k') . ivec
+    cross = np.cross(s[:, :, None, None], s[None, None])
+    return -2.0 * HBAR * float(np.einsum("ab,cd,abcdm,abcdm->", w, w, cross,
+                                         ivec))
 
 
 def bohmion_pairs_factorized_2dof(e2: Ensemble2D, spec1: KernelSpec,
@@ -551,13 +539,8 @@ def bohmion_pairs_factorized_2dof(e2: Ensemble2D, spec1: KernelSpec,
     """Per-axis 1D tables {I_l, J_l} for the two-DOF bohmion coupling."""
     out = []
     for q, w, spec in ((e2.q1, e2.w1, spec1), (e2.q2, e2.w2, spec2)):
-        grid = build_grid_1d(q, spec, params)
-        k, dk = _kernel_rows(spec, q, grid.nodes)
-        inv_d = _masked_inverse(w @ k)
-        wts = grid.weights * inv_d
-        i_tab = (dk * wts[None, :]) @ dk.T
-        j_tab = (k * wts[None, :]) @ k.T
-        out.append((i_tab, j_tab))
+        k, dk, node_w = _line_rows(q, w, spec, build_grid_1d(q, spec, params))
+        out.append(((dk * node_w[None, :]) @ dk.T, (k * node_w[None, :]) @ k.T))
     return out[0], out[1]
 
 
@@ -567,14 +550,7 @@ def bohmion_2dof_coupling(e2: Ensemble2D, tables1, tables2) -> float:
     i2, j2 = tables2
     comp = pauli_decompose(e2.rho)
     w = e2.weights()
-    n1, n2 = e2.shape
-    total = 0.0
-    for a in range(n1):
-        for b in range(n2):
-            for ap in range(n1):
-                for bp in range(n2):
-                    c = 4.0 * (comp[a, b, 0] * comp[ap, bp, 0]
-                               + comp[a, b, 1:] @ comp[ap, bp, 1:]) - 1.0
-                    total += w[a, b] * w[ap, bp] * c * (
-                        i1[a, ap] * j2[b, bp] + i2[b, bp] * j1[a, ap])
-    return float(total)
+    c = 4.0 * np.einsum("abm,cdm->abcd", comp, comp) - 1.0
+    pair = i1[:, None, :, None] * j2[None, :, None, :] \
+        + i2[None, :, None, :] * j1[:, None, :, None]
+    return float(np.einsum("ab,cd,abcd,abcd->", w, w, c, pair))

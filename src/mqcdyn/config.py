@@ -19,6 +19,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 from .regularization import GridParams
@@ -169,12 +170,30 @@ _SCHEMA: dict[str, tuple] = {
 }
 
 
+#: What a value that is not text must be an instance of, per kind of key
+_ACCEPTS = {int: numbers.Integral, float: numbers.Real, "floats": numbers.Real,
+            bool: bool, str: str}
+
+
 def _coerce(key: str, kind, raw):
-    if raw is None or isinstance(raw, (int, float, bool, tuple, list)):
-        if kind == "floats" and isinstance(raw, (tuple, list)):
-            return tuple(float(x) for x in raw)
-        return raw
-    text = str(raw).strip()
+    """``raw`` as a value of the key's type ``kind``.
+
+    Text, from a config file or ``--set``, is parsed.  Any other value must
+    be of the key's type and is kept as given, except that an int is taken
+    for a float and a bare number for ``floats``; None only for a key whose
+    default is None.  Anything else raises `ConfigError` naming the key.
+    """
+    if not isinstance(raw, str):
+        if raw is None and _SCHEMA.get(key, (kind, _REQUIRED))[1] is None:
+            return None
+        floats = kind == "floats"
+        items = raw if floats and isinstance(raw, (tuple, list)) else (raw,)
+        if not all(isinstance(x, _ACCEPTS[kind])
+                   and isinstance(x, bool) == (kind is bool) for x in items):
+            raise ConfigError(f"key {key!r}: expected "
+                              f"{getattr(kind, '__name__', kind)}, got {raw!r}")
+        return tuple(float(x) for x in items) if floats else kind(raw)
+    text = raw.strip()
     try:
         if kind is bool:
             low = text.lower()

@@ -342,6 +342,25 @@ def snapshot_steps(dt: float, n_steps: int, snapshot_times) -> dict[int, float]:
     return out
 
 
+def _step_plan(dt: float, t_final: float,
+               snapshot_times) -> tuple[int, dict[int, float]]:
+    """Number of steps to ``t_final`` and the `snapshot_steps` map of both
+    time loops; `ValueError` unless dt > 0, t_final >= 0 is a whole number of
+    steps, and every snapshot time lies in [0, t_final]."""
+    if not dt > 0.0:
+        raise ValueError("dt must be positive")
+    if not t_final >= 0.0:
+        raise ValueError("t_final must be nonnegative")
+    n_steps = int(round(t_final / dt))
+    if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, abs(t_final)):
+        raise ValueError(f"t_final={t_final} is not an integer number of steps "
+                         f"of dt={dt}")
+    for t in snapshot_times:
+        if t < 0.0 or t > t_final + 1e-12:
+            raise ValueError(f"snapshot time {t} outside [0, {t_final}]")
+    return n_steps, snapshot_steps(dt, n_steps, snapshot_times)
+
+
 def propagate(kind: MethodKind, e0: ParticleEnsemble, h: HybridHamiltonian,
               spec: KernelSpec | None, dt: float, t_final: float,
               snapshot_times=(), grid_params: GridParams = GridParams(),
@@ -360,19 +379,7 @@ def propagate(kind: MethodKind, e0: ParticleEnsemble, h: HybridHamiltonian,
     `NonFiniteDerivativeError` with the time of the step it was raised in.
     """
     kind = MethodKind.parse(kind)
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if t_final < 0.0:
-        raise ValueError("t_final must be nonnegative")
-    n_steps = int(round(t_final / dt))
-    if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, abs(t_final)):
-        raise ValueError(f"t_final={t_final} is not an integer number of steps "
-                         f"of dt={dt}")
-    for t in snapshot_times:
-        if t < 0.0 or t > t_final + 1e-12:
-            raise ValueError(f"snapshot time {t} outside [0, {t_final}]")
-
-    snap_at = snapshot_steps(dt, n_steps, snapshot_times)
+    n_steps, snap_at = _step_plan(dt, t_final, snapshot_times)
     times = dt * np.arange(n_steps + 1)
     traj = Trajectory(times=times)
 

@@ -23,6 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .dynamics import _step_plan
 from .models import HBAR, HybridHamiltonian, adiabatic_basis
 
 BOUNDARY_MASS_TOL = 1e-12
@@ -285,14 +286,10 @@ def propagate_soft(state0: WavepacketState, h: HybridHamiltonian, dt: float,
 
     Returns ``(records, snapshots, max_boundary_mass)`` where snapshots are
     (time, WavepacketState) pairs at the step nearest each requested time.
+    Rejects with `ValueError` the same dt, t_final and snapshot times as
+    `dynamics.propagate`.
     """
-    from .dynamics import snapshot_steps
-
-    n_steps = int(round(t_final / dt))
-    if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, abs(t_final)):
-        raise ValueError(f"t_final={t_final} is not an integer number of steps "
-                         f"of dt={dt}")
-    snap_at = snapshot_steps(dt, n_steps, snapshot_times)
+    n_steps, snap_at = _step_plan(dt, t_final, snapshot_times)
 
     records = []
     snapshots = []

@@ -10,7 +10,8 @@ from mqcdyn.ensemble import ParticleEnsemble
 from mqcdyn.models import HybridHamiltonian, make_model
 from mqcdyn.pauli import pauli_decompose, projector
 from mqcdyn.regularization import (GridCoverageError, GridParams, KernelSpec,
-                                   build_grid, build_grid_1d)
+                                   build_grid, build_grid_1d, kernel_1d,
+                                   kernel_1d_deriv, kernel_1d_deriv2)
 
 from helpers import fd_gradient_check
 
@@ -389,6 +390,51 @@ def test_bohmion_terms_equal_the_node_product_formula(cloud, n):
         assert np.max(np.abs(have - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def koopmon_pairs_by_pair_loops(e, h, grid, spec):
+    """The koopmon table from one quadrature per pair over the upper
+    triangle, the loop that the Gram products of `koopmon_pairs` replace."""
+    n = e.n
+    kq, dkq = _kernel_rows(spec, e.q, grid.q_nodes)
+    kp, dkp = _kernel_rows(spec, e.p, grid.p_nodes)
+    inv_d = backreaction._masked_inverse((e.w[:, None] * kq).T @ kp)
+    qq, pp = grid.q_nodes[:, None], grid.p_nodes[None, :]
+    gq, gp = np.stack(h.grad_q(qq, pp)), np.stack(h.grad_p(qq, pp))
+    values = np.zeros((n, n, 4))
+    for a in range(n):
+        k_a = np.outer(kq[a], kp[a])
+        gq_a = np.outer(dkq[a], kp[a])
+        gp_a = np.outer(kq[a], dkp[a])
+        for b in range(a + 1, n):
+            k_b = np.outer(kq[b], kp[b])
+            gq_b = np.outer(dkq[b], kp[b])
+            gp_b = np.outer(kq[b], dkp[b])
+            fq = k_a * gq_b - k_b * gq_a
+            fp = k_a * gp_b - k_b * gp_a
+            integrand = 0.5 * (fq[None] * gp - fp[None] * gq) * inv_d[None]
+            vals = backreaction.quadrature(np.moveaxis(integrand, 0, -1), grid)
+            values[a, b] = vals
+            values[b, a] = -vals
+    return values
+
+
+@pytest.mark.parametrize("cloud,model", [
+    (lambda: random_ensemble(5, seed=4, q0=-8.0, p0=10.0), "tully1"),
+    (lambda: random_ensemble(5, seed=4, q0=0.0, p0=4.0), "rabi_us"),
+    (lambda: random_ensemble(5, seed=4, q0=0.3, p0=-0.2), "rabi_ds"),
+    (lambda: cloud_split_in_p(9), "periodic")])
+def test_koopmon_pairs_equal_the_pair_loop(cloud, model):
+    e = cloud()
+    h = periodic_model() if model == "periodic" else make_model(model)
+    spec = KernelSpec(alpha=0.5)
+    grid = build_grid(e.q, e.p, spec)
+    want = koopmon_pairs_by_pair_loops(e, h, grid, spec)
+    got = koopmon_pairs(e, h, grid, spec).values
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.array_equal(got, -np.swapaxes(got, 0, 1))
+    assert np.all(got.diagonal() == 0.0)
+
+
 def test_koopmon_gradient_across_overlapping_blocks(monkeypatch):
     monkeypatch.setattr(backreaction, "_PARTICLE_BLOCK", 4)
     e = random_ensemble(12, seed=34, q0=0.0, p0=0.0, spread=1.5)
@@ -406,6 +452,27 @@ def test_kernel_rows_are_exact_zeros_on_the_box_edges(seed):
         for rows in _kernel_rows(spec, centers, nodes, 3):
             assert np.all(rows[:, [0, -1]] == 0.0)
             assert np.any(rows[:, [1, -2]] != 0.0)
+
+
+@pytest.mark.parametrize("alpha", [0.325, 0.5, 1.3, 8.0])
+def test_kernel_rows_equal_the_public_kernel_formulas(alpha):
+    # inside the cutoff radius R the rows are the formulas of
+    # `regularization`; from R out they are exact zeros
+    spec = KernelSpec(alpha=alpha)
+    radius = backreaction._KERNEL_CUTOFF * spec.sigma_k
+    centers = np.array([-0.7, 0.0, 0.31]) * alpha
+    nodes = np.linspace(-1.2, 1.2, 2401) * radius
+    rows = _kernel_rows(spec, centers, nodes, 3)
+    y = nodes[None, :] - centers[:, None]
+    inside = np.abs(y) <= 0.999 * radius
+    assert inside.any() and (np.abs(y) >= radius).any()
+    for got, formula in zip(rows, (kernel_1d, kernel_1d_deriv,
+                                   kernel_1d_deriv2)):
+        want = formula(spec, y)
+        peak = np.max(np.abs(want), axis=1, keepdims=True)
+        assert np.all(np.abs(got - want)[inside]
+                      <= 1e-14 * np.broadcast_to(peak, y.shape)[inside])
+        assert np.all(got[np.abs(y) >= radius] == 0.0)
 
 
 def test_single_particle_koopmon_terms_are_exact_zeros():

@@ -341,6 +341,33 @@ def test_propagate_rejects_bad_grid_of_times():
                   snapshot_times=(5.0,))
 
 
+def particle_loop(dt, t_final, snapshot_times):
+    propagate(MethodKind.EHRENFEST, random_ensemble(2, seed=3, q0=0.0, p0=4.0),
+              make_model("rabi_us"), None, dt, t_final, snapshot_times)
+
+
+def soft_loop(dt, t_final, snapshot_times):
+    grid = soft.SpatialGrid1D(r_min=-15.0, r_max=15.0, n_points=256)
+    state = soft.init_wavepacket(grid, 0.0, 4.0, 1.0, np.array([1.0, 0.0]))
+    soft.propagate_soft(state, make_model("rabi_us"), dt, t_final,
+                        snapshot_times)
+
+
+@pytest.mark.parametrize("loop", [particle_loop, soft_loop])
+@pytest.mark.parametrize("dt,t_final,snapshot_times,message", [
+    (0.0, 1.0, (), "dt must be positive"),
+    (-1.0, 1.0, (), "dt must be positive"),
+    (0.05, -3.0, (), "t_final must be nonnegative"),
+    (0.05, 0.07, (), "t_final=0.07 is not an integer number of steps of "
+                     "dt=0.05"),
+    (1.0, 10.0, (0.0, 50.0), r"snapshot time 50.0 outside \[0, 10.0\]"),
+    (0.05, 0.1, (-0.05,), r"snapshot time -0.05 outside \[0, 0.1\]")])
+def test_both_time_loops_reject_the_same_inputs(loop, dt, t_final,
+                                                snapshot_times, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        loop(dt, t_final, snapshot_times)
+
+
 def test_propagate_energy_conservation_short_runs():
     spec = KernelSpec(alpha=0.5)
     cases = [("koopmon", "tully1", -8.0, 10.0, 2.0, 100.0),

@@ -11,6 +11,7 @@ import functools
 import numpy as np
 import pytest
 
+from mqcdyn import backreaction
 from mqcdyn.backreaction import (HBAR, Hamiltonian2DOF, MatrixFactor,
                                  ScalarFactor, bohmion_2dof_coupling,
                                  bohmion_pairs_factorized_2dof,
@@ -19,9 +20,10 @@ from mqcdyn.backreaction import (HBAR, Hamiltonian2DOF, MatrixFactor,
                                  koopmon_pairs_factorized_2dof,
                                  zero_scalar_factor)
 from mqcdyn.ensemble import Ensemble2D
+from mqcdyn.models import on_points
 from mqcdyn.pauli import PauliVector, pauli_decompose, projector
-from mqcdyn.regularization import GridParams, KernelSpec, kernel_1d, \
-    kernel_1d_deriv
+from mqcdyn.regularization import GridParams, KernelSpec, build_grid, \
+    kernel_1d, kernel_1d_deriv, quadrature
 
 ALPHA = 0.75
 SPEC = KernelSpec(alpha=ALPHA)
@@ -305,3 +307,140 @@ def test_single_pair_reduces_to_product_of_axis_integrals():
     c = 2.0 * 1.0 - 1.0   # pure state
     expected = c * (i1[0, 0] * j2[0, 0] + i2[0, 0] * j1[0, 0])
     assert coupling == pytest.approx(expected, abs=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# The tables and couplings against their per-pair loops
+# ---------------------------------------------------------------------------
+
+def uneven_ensemble2d(seed=7):
+    """Three particles on axis 1 and two on axis 2, so that a mixed-up axis
+    or index shows as a wrong shape."""
+    rng = np.random.default_rng(seed)
+    n1, n2 = 3, 2
+    rho = np.empty((n1, n2, 2, 2), dtype=complex)
+    for a in range(n1):
+        for b in range(n2):
+            t, f = rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)
+            rho[a, b] = projector(np.array([np.cos(t / 2),
+                                            np.exp(1j * f) * np.sin(t / 2)]))
+    w1, w2 = rng.uniform(0.5, 1.0, n1), rng.uniform(0.5, 1.0, n2)
+    return Ensemble2D(q1=rng.uniform(-0.6, 0.6, n1), p1=rng.uniform(-0.6, 0.6, n1),
+                      w1=w1 / w1.sum(), q2=rng.uniform(-0.6, 0.6, n2),
+                      p2=rng.uniform(-0.6, 0.6, n2), w2=w2 / w2.sum(), rho=rho)
+
+
+def axis_tables_by_pair_loops(q, p, w, spec, params, scalar, matrix):
+    """Per-axis tables from one quadrature per (a, b) pair, the loop that the
+    Gram products of `backreaction._axis_tables` replace."""
+    grid = build_grid(q, p, spec, params)
+    n = q.shape[0]
+    kq, dkq = backreaction._kernel_rows(spec, q, grid.q_nodes)
+    kp, dkp = backreaction._kernel_rows(spec, p, grid.p_nodes)
+    inv_d = backreaction._masked_inverse((w[:, None] * kq).T @ kp)
+    qq = grid.q_nodes[:, None]
+    pp = grid.p_nodes[None, :]
+    f, fq, fp = on_points(qq, pp, scalar.f(qq, pp), scalar.df_dq(qq, pp),
+                          scalar.df_dp(qq, pp))
+    m = np.stack(on_points(qq, pp, *matrix.f(qq, pp)))
+    mq = np.stack(on_points(qq, pp, *matrix.df_dq(qq, pp)))
+    mp = np.stack(on_points(qq, pp, *matrix.df_dp(qq, pp)))
+    i_scalar = np.zeros((n, n))
+    j_scalar = np.zeros((n, n))
+    i_matrix = np.zeros((n, n, 4))
+    j_matrix = np.zeros((n, n, 4))
+    fields_k = [np.outer(kq[a], kp[a]) for a in range(n)]
+    fields_gq = [np.outer(dkq[a], kp[a]) for a in range(n)]
+    fields_gp = [np.outer(kq[a], dkp[a]) for a in range(n)]
+    for a in range(n):
+        for b in range(n):
+            base = fields_k[a] * inv_d
+            bracket = fields_gq[b] * fp - fields_gp[b] * fq
+            i_scalar[a, b] = quadrature(base * bracket, grid)
+            j_scalar[a, b] = quadrature(base * fields_k[b] * f, grid)
+            bracket_m = fields_gq[b][None] * mp - fields_gp[b][None] * mq
+            i_matrix[a, b] = quadrature(
+                np.moveaxis(base[None] * bracket_m, 0, -1), grid)
+            j_matrix[a, b] = quadrature(
+                np.moveaxis(base[None] * fields_k[b][None] * m, 0, -1), grid)
+    return {"i_scalar": i_scalar, "j_scalar": j_scalar,
+            "i_matrix": i_matrix, "j_matrix": j_matrix}
+
+
+def koopmon_2dof_by_loops(e2, tables):
+    n1, n2 = e2.shape
+    s = pauli_decompose(e2.rho)[..., 1:]
+    w = e2.weights()
+    t1, t2 = tables.axis1, tables.axis2
+    total = 0.0
+    for a in range(n1):
+        for b in range(n2):
+            for ap in range(n1):
+                for bp in range(n2):
+                    cvec = -2.0 * HBAR * np.cross(s[a, b], s[ap, bp])
+                    ivec = (t1.i_matrix[a, ap, 1:] * t2.j_scalar[b, bp]
+                            + t1.i_scalar[a, ap] * t2.j_matrix[b, bp, 1:]
+                            + t2.i_scalar[b, bp] * t1.j_matrix[a, ap, 1:]
+                            + t2.i_matrix[b, bp, 1:] * t1.j_scalar[a, ap])
+                    total += 0.5 * w[a, b] * w[ap, bp] * 2.0 * float(cvec @ ivec)
+    return total
+
+
+def bohmion_2dof_by_loops(e2, tables1, tables2):
+    i1, j1 = tables1
+    i2, j2 = tables2
+    comp = pauli_decompose(e2.rho)
+    w = e2.weights()
+    n1, n2 = e2.shape
+    total = 0.0
+    for a in range(n1):
+        for b in range(n2):
+            for ap in range(n1):
+                for bp in range(n2):
+                    c = 4.0 * (comp[a, b, 0] * comp[ap, bp, 0]
+                               + comp[a, b, 1:] @ comp[ap, bp, 1:]) - 1.0
+                    total += w[a, b] * w[ap, bp] * c * (
+                        i1[a, ap] * j2[b, bp] + i2[b, bp] * j1[a, ap])
+    return float(total)
+
+
+@pytest.mark.parametrize("make", [make_ensemble2d, uneven_ensemble2d])
+def test_axis_tables_equal_the_pair_loops(make):
+    e2 = make()
+    ham = separable_hamiltonian()
+    params = GridParams(n_q=5, n_p=5, j_q=3, j_p=3)
+    tables = koopmon_pairs_factorized_2dof(e2, ham, SPEC, SPEC, params)
+    for axis, (q, p, w, scalar, matrix) in (
+            (tables.axis1, (e2.q1, e2.p1, e2.w1, ham.h1, ham.H1)),
+            (tables.axis2, (e2.q2, e2.p2, e2.w2, ham.h2, ham.H2))):
+        want = axis_tables_by_pair_loops(q, p, w, SPEC, params, scalar, matrix)
+        for name, table in want.items():
+            got = getattr(axis, name)
+            assert got.shape == table.shape, name
+            assert np.max(np.abs(got - table)) <= 1e-13 * np.max(np.abs(table)), name
+
+
+@pytest.mark.parametrize("make", [make_ensemble2d, uneven_ensemble2d])
+def test_assemble_on_index_arrays_is_bitwise_the_per_index_call(make):
+    e2 = make()
+    tables = koopmon_pairs_factorized_2dof(e2, separable_hamiltonian(), SPEC,
+                                           SPEC)
+    n1, n2 = e2.shape
+    whole = tables.assemble(*np.ix_(range(n1), range(n2), range(n1), range(n2)))
+    assert whole.shape == (n1, n2, n1, n2, 3)
+    for a, b, ap, bp in np.ndindex(n1, n2, n1, n2):
+        assert np.array_equal(whole[a, b, ap, bp], tables.assemble(a, b, ap, bp))
+
+
+@pytest.mark.parametrize("make", [make_ensemble2d, uneven_ensemble2d])
+def test_2dof_couplings_equal_the_multi_index_loops(make):
+    e2 = make()
+    tables = koopmon_pairs_factorized_2dof(e2, separable_hamiltonian(), SPEC,
+                                           SPEC)
+    want = koopmon_2dof_by_loops(e2, tables)
+    assert abs(want) > 1e-6
+    assert koopmon_2dof_coupling(e2, tables) == pytest.approx(want, rel=1e-13)
+    t1, t2 = bohmion_pairs_factorized_2dof(e2, SPEC, SPEC)
+    want = bohmion_2dof_by_loops(e2, t1, t2)
+    assert abs(want) > 1e-6
+    assert bohmion_2dof_coupling(e2, t1, t2) == pytest.approx(want, rel=1e-13)

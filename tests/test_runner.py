@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from mqcdyn import runner
+from mqcdyn import config, runner
 from mqcdyn.cli import main as cli_main
 from mqcdyn.config import (ConfigError, PRESETS, load_config, resolve_config)
 from mqcdyn.diagnostics import DensityField
@@ -78,6 +78,35 @@ def test_sigma_q_requires_momentum_or_value():
             "run.n_particles": 4, "run.alpha": 0.5, "run.dt": 0.05,
             "run.t_final": 1.0, "init.mu_q": 0.0, "init.mu_p": 0.0,
             "init.rho0": "plus"})
+
+
+@pytest.mark.parametrize("key,value", [
+    ("run.n_particles", 10.7), ("grid.n_q", 2.5), ("run.n_particles", True),
+    ("run.dt", True), ("run.dt", None), ("run.dt", (0.05,)),
+    ("init.sigma_q_from_momentum", 1), ("init.rho0", 3),
+    ("run.snapshot_times", (0.0, "1.0")), ("run.snapshot_times", True),
+    ("model.gamma", [0.3])])
+def test_programmatic_values_of_the_wrong_type_are_rejected(key, value):
+    with pytest.raises(ConfigError, match=f"key '{key}'"):
+        resolve_config(preset="tully1",
+                       overrides={"run.method": "ehrenfest", key: value})
+
+
+def test_programmatic_values_keep_their_type():
+    cfg = resolve_config(preset="tully1", overrides={
+        "run.method": "ehrenfest", "run.dt": 1, "run.snapshot_times": 5.0,
+        "init.sigma_q": None, "model.a": 1})
+    assert type(cfg.dt) is float and cfg.dt == 1.0
+    assert cfg.snapshot_times == (5.0,)
+    assert cfg.as_dict()["snapshot_times"] == [5.0]
+    assert type(cfg.sigma_q) is float
+    assert cfg.model_params == (("a", 1.0),)
+    assert type(cfg.model_params[0][1]) is float
+    # every preset value is of its key's type and comes out as given
+    for preset in PRESETS.values():
+        for key, value in preset.items():
+            got = config._coerce(key, config._SCHEMA[key][0], value)
+            assert type(got) is type(value) and got == value, key
 
 
 def test_config_file_roundtrip(tmp_path):
