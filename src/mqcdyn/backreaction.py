@@ -73,7 +73,6 @@ class PairIntegralTable:
     """
 
     values: np.ndarray
-    kind: str
 
 
 def _kernel_rows(spec: KernelSpec, centers: np.ndarray, nodes: np.ndarray,
@@ -174,7 +173,7 @@ def koopmon_pairs(e: ParticleEnsemble, h: HybridHamiltonian,
     qq, pp = grid.q_nodes[:, None], grid.p_nodes[None, :]
     a = _bracket_tables(rows, node_w, h.grad_q(qq, pp), h.grad_p(qq, pp))
     values = 0.5 * (a - np.swapaxes(a, 1, 2))
-    return PairIntegralTable(values=np.moveaxis(values, 0, -1), kind="koopmon")
+    return PairIntegralTable(values=np.moveaxis(values, 0, -1))
 
 
 def koopmon_coupling_energy(e: ParticleEnsemble, table: PairIntegralTable) -> float:
@@ -203,7 +202,7 @@ def bohmion_pairs(e: ParticleEnsemble, grid: Lattice,
     grid.check_coverage(e.q)
     _, dk, node_w = _line_rows(e.q, e.w, spec, grid)
     rows = dk * np.sqrt(node_w)[None, :]
-    return PairIntegralTable(values=rows @ rows.T, kind="bohmion")
+    return PairIntegralTable(values=rows @ rows.T)
 
 
 def bohmion_coupling_energy(e: ParticleEnsemble, table: PairIntegralTable,

@@ -22,7 +22,9 @@ import math
 import numbers
 from dataclasses import dataclass
 
+from .dynamics import _step_plan
 from .regularization import GridParams
+from .soft import SpatialGrid1D
 
 PRESET_PROVENANCE = {
     "tully1": "single avoided crossing, low momentum; final time 3000",
@@ -295,13 +297,12 @@ def resolve_config(file_values: dict | None = None, preset: str | None = None,
         problems.append(f"init.rho0 must be one of {_RHO0_NAMES}")
     for key in ("run.n_particles", "run.alpha", "run.dt", "viz.delta",
                 "grid.n_q", "grid.n_p", "grid.j_q", "grid.j_p",
-                "soft.dt", "run.energy_tol"):
+                "soft.dt", "run.energy_tol", "init.sobol_skip",
+                "viz.wigner_nodes", "viz.waterfall_nodes"):
         if not values[key] > 0:
             problems.append(f"{key} must be positive")
     if values["run.t_final"] < 0:
         problems.append("run.t_final must be nonnegative")
-    if values["init.sobol_skip"] < 0:
-        problems.append("init.sobol_skip must be nonnegative")
 
     sigma_q = values["init.sigma_q"]
     if sigma_q is None:
@@ -317,6 +318,21 @@ def resolve_config(file_values: dict | None = None, preset: str | None = None,
         problems.append("init.sigma_q must be positive")
     if problems:
         raise ConfigError("; ".join(problems))
+
+    # the time loop's and the quantum grid's own checks, before the run starts
+    dt_key = "soft.dt" if values["run.method"] == "soft" else "run.dt"
+    dt, t_final = values[dt_key], values["run.t_final"]
+    key = dt_key
+    try:
+        _step_plan(dt, t_final, ())
+        key = "run.snapshot_times"
+        _step_plan(dt, t_final, values["run.snapshot_times"])
+        key = "soft.r_min, soft.r_max, soft.n_points"
+        if values["run.method"] == "soft":
+            SpatialGrid1D(values["soft.r_min"], values["soft.r_max"],
+                          values["soft.n_points"])
+    except ValueError as err:
+        raise ConfigError(f"{key}: {err}") from None
 
     return RunConfig(
         method=values["run.method"],

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensemble import ParticleEnsemble
+from .ensemble import ParticleEnsemble, _row_format
 from .models import HBAR, HybridHamiltonian, lower_adiabatic_vector
 from .regularization import KernelSpec, kernel_1d
 from .soft import WavepacketState
@@ -43,10 +43,14 @@ class DiagnosticsRecord:
 
     CSV_HEADER = "t,P1,P2,purity,bx,by,bz,energy,energy_drift_rel"
 
-    def csv_row(self) -> str:
-        vals = (self.t, self.p1, self.p2, self.purity, *self.bloch,
+    def _values(self) -> tuple:
+        """The columns of `CSV_HEADER`, in order."""
+        return (self.t, self.p1, self.p2, self.purity, *self.bloch,
                 self.energy, self.energy_drift_rel)
-        return ",".join(format(float(v), ".17g") for v in vals)
+
+    def csv_row(self) -> str:
+        values = self._values()
+        return _row_format(len(values)) % values
 
 
 @dataclass

@@ -28,7 +28,9 @@ HERMITICITY_TOL = 1e-12
 PSD_TOL = 1e-10
 WEIGHT_SUM_TOL = 1e-12
 
-#: trace drift beyond which the post-step repair renormalizes
+#: trace drift beyond which `rehermitize` renormalizes; the RK4 step adds a
+#: traceless increment to rho and repairs nothing, so its trace drift stays
+#: below this by round-off alone
 TRACE_RENORM_THRESHOLD = 1e-12
 
 
@@ -124,12 +126,14 @@ def validate(e: ParticleEnsemble,
 
 
 def rehermitize(rho: np.ndarray) -> np.ndarray:
-    """Post-step repair: project onto Hermitian matrices and renormalize the
-    trace when it has drifted beyond `TRACE_RENORM_THRESHOLD`.
+    """Project onto Hermitian matrices and renormalize the trace where it
+    has drifted beyond `TRACE_RENORM_THRESHOLD`.
 
-    This is the minimal-norm repair for integrator round-off; it does not
-    touch the spectrum otherwise.  Only the drifted matrices are divided, so
-    the others come back as the Hermitian projection returns them.
+    The minimal-norm repair of round-off in a complex rho; it does not touch
+    the spectrum otherwise.  Only the drifted matrices are divided, so the
+    others come back as the Hermitian projection returns them.  No time step
+    calls it: the steps of `dynamics` carry real Pauli components, whose
+    density matrices are Hermitian by construction.
     """
     out = hermitize(rho)
     tr = (out[..., 0, 0] + out[..., 1, 1]).real
@@ -177,30 +181,46 @@ class Ensemble2D:
 
 
 # ---------------------------------------------------------------------------
-# Snapshot serialization: one row per particle, comma separated
+# CSV tables: the one row format of every artifact
 # ---------------------------------------------------------------------------
 
 SNAPSHOT_HEADER = "index,q,p,w,rho11,re_rho12,im_rho12,rho22"
 
 
+def _row_format(n_columns: int) -> str:
+    """One CSV row: comma separated, each value as ``format(v, ".17g")``
+    writes it, so every float64 reads back exactly."""
+    return ",".join(["%.17g"] * n_columns)
+
+
+def _write_table(fh, header: str, rows: np.ndarray) -> None:
+    """``header`` (one or more lines), then each row of the 2-D ``rows``."""
+    fh.write(header + "\n")
+    row_format = _row_format(rows.shape[1]) + "\n"
+    for row in rows:
+        fh.write(row_format % tuple(row.tolist()))
+
+
+def _read_table(fh, header: str, what: str) -> np.ndarray:
+    """The rows `_write_table` wrote under the one-line ``header``."""
+    found = fh.readline().strip()
+    if found != header:
+        raise ValueError(f"unexpected {what}: {found!r}")
+    return np.loadtxt(fh, delimiter=",", ndmin=2)
+
+
 def write_snapshot(e: ParticleEnsemble, fh) -> None:
     """Write the ensemble as delimited text (full float precision)."""
-    fh.write(SNAPSHOT_HEADER + "\n")
-    for a in range(e.n):
-        row = (a, e.q[a], e.p[a], e.w[a],
-               e.rho[a, 0, 0].real, e.rho[a, 0, 1].real,
-               e.rho[a, 0, 1].imag, e.rho[a, 1, 1].real)
-        fh.write(",".join(_fmt(x) for x in row) + "\n")
+    rho = e.rho
+    _write_table(fh, SNAPSHOT_HEADER, np.stack(
+        [np.arange(e.n), e.q, e.p, e.w, rho[:, 0, 0].real, rho[:, 0, 1].real,
+         rho[:, 0, 1].imag, rho[:, 1, 1].real], axis=1))
 
 
 def read_snapshot(fh) -> ParticleEnsemble:
     """Inverse of `write_snapshot`."""
-    header = fh.readline().strip()
-    if header != SNAPSHOT_HEADER:
-        raise ValueError(f"unexpected snapshot header: {header!r}")
-    rows = np.loadtxt(fh, delimiter=",", ndmin=2)
-    n = rows.shape[0]
-    rho = np.empty((n, 2, 2), dtype=complex)
+    rows = _read_table(fh, SNAPSHOT_HEADER, "snapshot header")
+    rho = np.empty((rows.shape[0], 2, 2), dtype=complex)
     rho[:, 0, 0] = rows[:, 4]
     rho[:, 0, 1] = rows[:, 5] + 1j * rows[:, 6]
     rho[:, 1, 0] = rows[:, 5] - 1j * rows[:, 6]
@@ -212,9 +232,3 @@ def snapshot_string(e: ParticleEnsemble) -> str:
     buf = io.StringIO()
     write_snapshot(e, buf)
     return buf.getvalue()
-
-
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")

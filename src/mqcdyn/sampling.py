@@ -54,35 +54,20 @@ def sobol_2d(n: int, skip: int = 0) -> np.ndarray:
     """First ``n`` points of the 2D Sobol sequence after dropping ``skip``.
 
     Deterministic, unscrambled.  With ``skip >= 1`` the origin is dropped and
-    every returned coordinate lies strictly inside (0, 1).
+    every returned coordinate lies strictly inside (0, 1).  Point i is the
+    XOR of the direction integers of the set bits of its Gray code
+    i ^ (i >> 1), the closed form of the Antonov-Saleev recurrence.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if skip < 0:
         raise ValueError("skip must be >= 0")
-    state = np.zeros(2, dtype=np.uint64)
-    out = np.empty((n, 2), dtype=float)
-    scale = 0.5 ** _SOBOL_BITS
-    j = 0
-    if skip == 0:
-        out[0] = 0.0
-        j = 1
-    for i in range(1, skip + n):
-        # Gray-code update: flip the direction of the lowest zero bit of i-1
-        c = _count_trailing_ones(i - 1)
-        state ^= _DIRECTIONS[:, c]
-        if i >= skip:
-            out[j] = state * scale
-            j += 1
-    return out
-
-
-def _count_trailing_ones(x: int) -> int:
-    c = 0
-    while x & 1:
-        x >>= 1
-        c += 1
-    return c
+    gray = np.arange(skip, skip + n, dtype=np.uint64)
+    gray ^= gray >> np.uint64(1)
+    state = np.zeros((n, 2), dtype=np.uint64)
+    for k in range(int(gray.max()).bit_length()):
+        state[(gray >> np.uint64(k)) & np.uint64(1) == 1] ^= _DIRECTIONS[:, k]
+    return state * 0.5 ** _SOBOL_BITS
 
 
 # Cephes ndtri coefficient tables, highest power first.
@@ -246,8 +231,8 @@ class InitSpec:
             raise ValueError("sigma_q must be positive")
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.sobol_skip < 0:
-            raise ValueError("sobol_skip must be >= 0")
+        if self.sobol_skip < 1:
+            raise ValueError("sobol_skip must be >= 1")
         object.__setattr__(self, "rho0", np.asarray(self.rho0, dtype=complex))
         if self.rho0.shape != (2, 2):
             raise ValueError("rho0 must be a 2x2 matrix")
@@ -265,9 +250,6 @@ def init_ensemble(spec: InitSpec) -> ParticleEnsemble:
     Deterministic: the same spec always yields the same ensemble.
     """
     u = sobol_2d(spec.n, skip=spec.sobol_skip)
-    if np.any(u <= 0.0) or np.any(u >= 1.0):
-        raise ValueError("Sobol points on the unit-square boundary; "
-                         "use sobol_skip >= 1")
     q = spec.mu_q + spec.sigma_q * inverse_normal_cdf(u[:, 0])
     p = spec.mu_p + spec.sigma_p * inverse_normal_cdf(u[:, 1])
     w = np.full(spec.n, 1.0 / spec.n)

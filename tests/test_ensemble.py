@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -157,6 +158,32 @@ def test_snapshot_roundtrip():
 def test_snapshot_header_checked():
     with pytest.raises(ValueError):
         read_snapshot(io.StringIO("wrong,header\n"))
+
+
+def test_snapshot_header_error_names_the_header_found():
+    with pytest.raises(ValueError, match=re.escape(
+            "unexpected snapshot header: 'wrong,header'")):
+        read_snapshot(io.StringIO("wrong,header\n1,2\n"))
+
+
+def test_snapshot_text_is_the_index_then_format_17g_per_value():
+    # every value written as format(v, ".17g") writes it, special values
+    # included, after the particle index written as an integer
+    e = small_ensemble(12, seed=5)
+    e.q[:6] = [-0.0, np.nan, np.inf, -np.inf, 5e-324, -2.5e-310]
+    e.p[:4] = [1e16, -1.0, np.finfo(float).max, 2.2250738585072009e-308]
+    e.w[1] = 0.0
+    e.rho[2, 0, 1] = complex(-0.0, np.nan)
+    lines = ["index,q,p,w,rho11,re_rho12,im_rho12,rho22"]
+    for a in range(e.n):
+        values = (e.q[a], e.p[a], e.w[a], e.rho[a, 0, 0].real,
+                  e.rho[a, 0, 1].real, e.rho[a, 0, 1].imag,
+                  e.rho[a, 1, 1].real)
+        lines.append(",".join([str(a)] + [format(float(v), ".17g")
+                                          for v in values]))
+    assert snapshot_string(e) == "\n".join(lines) + "\n"
+    assert lines[12].startswith("11,")
+    assert lines[1].startswith("0,-0,") and lines[3].split(",")[6] == "nan"
 
 
 def test_ensemble_shape_validation():

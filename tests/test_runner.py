@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -8,7 +9,7 @@ import pytest
 from mqcdyn import config, runner
 from mqcdyn.cli import main as cli_main
 from mqcdyn.config import (ConfigError, PRESETS, load_config, resolve_config)
-from mqcdyn.diagnostics import DensityField
+from mqcdyn.diagnostics import DensityField, DiagnosticsRecord
 from mqcdyn.models import make_model
 from mqcdyn.regularization import GridParams
 from mqcdyn.runner import (IncompatibleRunsError, compare, rho0_vector, run,
@@ -53,6 +54,57 @@ def test_preset_without_grid_keys_resolves_to_default_box():
         cfg = resolve_config(preset=name, overrides={"run.method": "koopmon"})
         box = GridParams(n_q=cfg.n_q, n_p=cfg.n_p, j_q=cfg.j_q, j_p=cfg.j_p)
         assert box == GridParams()
+
+
+def test_all_presets_resolve_for_every_method():
+    for name in PRESETS:
+        for method in config._METHODS:
+            cfg = resolve_config(preset=name, overrides={"run.method": method})
+            assert (cfg.model, cfg.method) == (name, method)
+
+
+# values the run would reject only after it started
+@pytest.mark.parametrize("method,overrides,message", [
+    ("ehrenfest", {"init.sobol_skip": 0}, "init.sobol_skip must be positive"),
+    ("ehrenfest", {"run.dt": 0.3, "run.t_final": 1.0},
+     "run.dt: t_final=1.0 is not an integer number of steps of dt=0.3"),
+    ("soft", {"soft.dt": 0.3, "run.t_final": 1.0},
+     "soft.dt: t_final=1.0 is not an integer number of steps of dt=0.3"),
+    ("ehrenfest", {"run.snapshot_times": 50.0, "run.t_final": 10.0},
+     "run.snapshot_times: snapshot time 50.0 outside [0, 10.0]"),
+    ("soft", {"soft.n_points": 1000},
+     "soft.r_min, soft.r_max, soft.n_points: n_points must be a power of two"),
+    ("soft", {"soft.r_max": -40.0},
+     "soft.r_min, soft.r_max, soft.n_points: empty spatial range"),
+    ("ehrenfest", {"viz.wigner_nodes": 0}, "viz.wigner_nodes must be positive"),
+    ("soft", {"viz.waterfall_nodes": 0},
+     "viz.waterfall_nodes must be positive"),
+])
+def test_values_the_run_would_reject_are_config_errors(method, overrides,
+                                                       message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        resolve_config(preset="tully1", overrides={
+            "run.method": method, "run.n_particles": 4, **overrides})
+
+
+def test_each_method_checks_only_its_own_step_and_grid():
+    # the particle methods never build the split-operator grid or step with
+    # soft.dt, and the quantum reference never steps with run.dt
+    resolve_config(preset="tully1", overrides={
+        "run.method": "ehrenfest", "soft.dt": 0.7, "soft.n_points": 1000})
+    resolve_config(preset="tully1", overrides={"run.method": "soft",
+                                               "run.dt": 7.0})
+
+
+def test_cli_rejects_a_bad_value_before_the_run_starts(tmp_path, capsys):
+    out = tmp_path / "out"
+    args = ["run", "--preset", "tully1", "--method", "ehrenfest",
+            "--set", "n_particles=4", "--set", "init.sobol_skip=0",
+            "--out", str(out)]
+    assert cli_main(args) == 1
+    assert "config error: init.sobol_skip must be positive" in \
+        capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_method_is_reported():
@@ -246,6 +298,29 @@ def test_write_density_writes_each_value_as_format_17g(tmp_path):
     expected = [(",".join(format(v, ".17g") for v in row) + "\n").encode()
                 for row in values]
     assert data == expected
+
+
+def test_timeseries_lines_are_the_csv_rows_and_json_is_indented_sorted(
+        tmp_path):
+    out = tmp_path / "ehr"
+    result = run(small_cfg(), out)
+    lines = (out / "timeseries.csv").read_text().splitlines()
+    assert lines == [DiagnosticsRecord.CSV_HEADER] + \
+        [rec.csv_row() for rec in result.records]
+    assert lines[5] == ",".join(format(float(v), ".17g")
+                                for v in lines[5].split(","))
+    for name in ("summary.json", "manifest.json"):
+        text = (out / name).read_text()
+        assert text == json.dumps(json.loads(text), indent=2,
+                                  sort_keys=True) + "\n"
+
+
+def test_time_series_header_checked(tmp_path):
+    path = tmp_path / "timeseries.csv"
+    path.write_text("t,P1\n0,1\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"unexpected time-series header in {path}")):
+        runner._load_timeseries(tmp_path)
 
 
 def test_compare_identical_runs(tmp_path):

@@ -32,6 +32,38 @@ def test_sobol_skip_is_a_shift():
     assert np.array_equal(sobol_2d(30, skip=10), full[10:])
 
 
+def antonov_saleev(n: int, skip: int) -> np.ndarray:
+    """The Gray-code recurrence written out: point i is point i - 1 with the
+    direction integers of the lowest zero bit of i - 1 XORed in."""
+    from mqcdyn.sampling import _DIRECTIONS, _SOBOL_BITS
+    state = np.zeros(2, dtype=np.uint64)
+    out = []
+    for i in range(skip + n):
+        if i > 0:
+            c = 0
+            while (i - 1) >> c & 1:
+                c += 1
+            state = state ^ _DIRECTIONS[:, c]
+        if i >= skip:
+            out.append(state.copy())
+    return np.array(out) * 0.5 ** _SOBOL_BITS
+
+
+@pytest.mark.parametrize("n,skip", [(8, 0), (1000, 1), (1000, 1024),
+                                    (500, 777), (1, 0), (1, 5), (4096, 3),
+                                    (3, 1023)])
+def test_sobol_is_bitwise_the_antonov_saleev_recurrence(n, skip):
+    got = sobol_2d(n, skip=skip)
+    want = antonov_saleev(n, skip)
+    assert got.dtype == want.dtype and got.shape == (n, 2)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_init_spec_rejects_a_skip_that_keeps_the_origin():
+    with pytest.raises(ValueError, match="sobol_skip must be >= 1"):
+        make_spec(sobol_skip=0)
+
+
 def test_sobol_points_in_open_square_after_skip():
     pts = sobol_2d(4096, skip=1)
     assert np.all(pts > 0.0) and np.all(pts < 1.0)
