@@ -26,17 +26,26 @@ is the range of nodes within the cutoff radius of its particles, per axis and
 clipped to the box; outside it all of the block's rows are exact zeros.  For
 a block of B particles on a wq x wp window, the q rows are stacked as
 [kq; dkq] (2B, wq) and the p rows laid side by side as [kp | dkp | ddkp]
-(B, 3 wp), so that [kp | dkp] and [dkp | ddkp] are column slices.  Two passes
-over the blocks make 21 B wq wp multiply-adds per block in all:
+(B, 3 wp), so that [kp | dkp] and [dkp | ddkp] are column slices.
 
-* pass 1 adds [w kq | w s_1 kq | w s_2 kq | w s_3 kq]^T kp (the mixture
-  denominator and the aggregates sum_b w_b s_b K_b, 4 B wq wp) and
-  [w s_m kq]^T dkp (the momentum-derivative aggregates, 3 B wq wp) into
+The Bloch vectors meet dH/dq only in the cross product g x s of its traceless
+part g with them, so only the *active* components m, those with a nonzero
+g_j for some j != m, take part.  A component counts as zero when the model
+returns it as the scalar zero (see `HybridHamiltonian._coefficients`).  With
+a active components, two passes over the blocks make (6a + 3) B wq wp
+multiply-adds per block in all.  dH/dq of tully3 is a multiple of sigma_x and
+that of rabi_us and rabi_ds a multiple of sigma_z, so a = 2 (15); tully1 and
+tully2 have a = 3 (21); a model without a traceless dH/dq has a = 0 and no
+coupling at all:
+
+* pass 1 adds [w kq | w s_m kq]^T kp (the mixture denominator and the
+  aggregates sum_b w_b s_bm K_b of the active m, (1 + a) B wq wp) and
+  [w s_m kq]^T dkp (the momentum-derivative aggregates, a B wq wp) into
   (nq, np) arrays on the box;
 * the weighted fields are then formed once on the box, O(nq np);
 * pass 2 multiplies [kp | dkp] and [dkp | ddkp] by the block's window of the
-  (2 np, 3 nq) block of the six weighted fields, for every p-stage of the
-  forces and the quantum field (2 x 6 B wq wp), each finished by a row-wise
+  (2 np, a nq) block of the 2a weighted fields, for every p-stage of the
+  forces and the quantum field (2 x 2a B wq wp), each finished by a row-wise
   contraction with kq or dkq, and [kq; dkq] by the window of the
   denominator-derivative field (2 B wq wp).
 
@@ -54,7 +63,7 @@ from typing import Callable
 import numpy as np
 
 from .ensemble import Ensemble2D, ParticleEnsemble
-from .models import HBAR, HybridHamiltonian, on_points
+from .models import HBAR, HybridHamiltonian, _is_zero, on_points
 from .pauli import PauliVector, pauli_decompose
 from .regularization import (_KERNEL_CUTOFF, DENOMINATOR_FLOOR, GridParams,
                              KernelSpec, Lattice, QuadratureGrid, build_grid,
@@ -110,10 +119,22 @@ def _windows(nodes: np.ndarray, centers: np.ndarray, starts: np.ndarray,
 
 
 def _cross3(a, b):
-    """Cross product of two 3-component field lists (broadcast per entry)."""
-    return [a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0]]
+    """Cross product of two 3-component lists of fields or scalars.
+
+    A product with a factor that is the scalar zero is skipped, which
+    changes at most the sign of a zero; a component left with no product is
+    the scalar 0.0.
+    """
+    out = []
+    for m in range(3):
+        i, j = (m + 1) % 3, (m + 2) % 3
+        c = 0.0
+        if not (_is_zero(a[i]) or _is_zero(b[j])):
+            c = a[i] * b[j]
+        if not (_is_zero(a[j]) or _is_zero(b[i])):
+            c = c - a[j] * b[i]
+        out.append(c)
+    return out
 
 
 def _masked_inverse(den: np.ndarray) -> np.ndarray:
@@ -243,38 +264,50 @@ def koopmon_terms(e: ParticleEnsemble, h: HybridHamiltonian,
     the integral sign (closed-form Gaussian derivatives, including the kernel
     inside the mixture denominator), but organized through aggregated fields
     over blocks of particles (see the module docstring), so the cost is
-    O(N * patch + grid) instead of O(N^2 * grid).  The energy comes
-    out of the same pass as the forces; ``dynamics.rhs`` returns both.
+    O(N * patch + grid) instead of O(N^2 * grid): (6a + 3) B wq wp
+    multiply-adds per block for a active Bloch components, a = 2 on tully3,
+    rabi_us and rabi_ds and a = 3 on tully1 and tully2.  ``heff_vec`` is
+    exactly zero on the other components.  The energy comes out of the same
+    pass as the forces; ``dynamics.rhs`` returns both.
 
     The interaction of a `HybridHamiltonian` does not depend on p, so dH/dp
     has no traceless part and only dH/dq enters the brackets.
     """
     grid.check_coverage(e.q, e.p)
-    if e.n == 1:
-        # the self-integral vanishes identically (antisymmetric integrand),
-        # so a single koopmon follows the bare mean-field flow bit for bit
-        return KoopmonTerms(energy=0.0, dqdot_extra=np.zeros(1),
-                            dpdot_extra=np.zeros(1), heff_vec=np.zeros((1, 3)))
     n = e.n
+    # traceless dH/dq on the box as the model returns it: a component that
+    # is the scalar zero stays one, and `active` lists the Bloch components
+    # m that g x s reaches through a nonzero g_j, j != m
+    g = h._coefficients(grid.q_nodes[:, None], grid.p_nodes[None, :],
+                        "q")[0][1:]
+    active = [m for m in range(3)
+              if any(not _is_zero(g[j]) for j in range(3) if j != m)]
+    if n == 1 or not active:
+        # a single koopmon's self-integral vanishes identically (antisymmetric
+        # integrand), so it follows the bare mean-field flow bit for bit; a
+        # model without a traceless dH/dq has no bracket to integrate
+        return KoopmonTerms(energy=0.0, dqdot_extra=np.zeros(n),
+                            dpdot_extra=np.zeros(n), heff_vec=np.zeros((n, 3)))
+    a = len(active)
     n_q, n_p = grid.shape
     # particles sorted along the longer box axis, in blocks of
     # _PARTICLE_BLOCK from `starts`, each with its node window per axis
     order = np.argsort(e.q if n_q >= n_p else e.p, kind="stable")
     q, p = e.q[order], e.p[order]
-    s = e.components[1:, order].T
+    s = e.components[1:][active][:, order].T
     ws = np.concatenate([e.w[order, None], e.w[order, None] * s], axis=1)
     starts = np.arange(0, n, _PARTICLE_BLOCK)
     radius = _KERNEL_CUTOFF * spec.sigma_k
-    blocks = [(slice(a, a + _PARTICLE_BLOCK), qw, pw) for a, qw, pw in zip(
+    blocks = [(slice(i, i + _PARTICLE_BLOCK), qw, pw) for i, qw, pw in zip(
         starts.tolist(), _windows(grid.q_nodes, q, starts, radius),
         _windows(grid.p_nodes, p, starts, radius))]
 
     # pass 1: mixture denominator sum_b w_b K_b, the aggregates
-    # sk_m = sum_b w_b s_bm K_b and sgp_m = sum_b w_b s_bm Kq_b dKp_b/dp,
-    # each block adding its two products on its window.  Kernel rows are
-    # kept for pass 2: q rows stacked, [kq; dkq], p rows side by side,
-    # [kp|dkp|ddkp]
-    agg = np.zeros((7, n_q, n_p))
+    # sk_m = sum_b w_b s_bm K_b and sgp_m = sum_b w_b s_bm Kq_b dKp_b/dp of
+    # the active m, each block adding its two products on its window.
+    # Kernel rows are kept for pass 2: q rows stacked, [kq; dkq], p rows
+    # side by side, [kp|dkp|ddkp]
+    agg = np.zeros((1 + 2 * a, n_q, n_p))
     rows = []
     for blk, qw, pw in blocks:
         q_rows = _kernel_rows(spec, q[blk], grid.q_nodes[qw])
@@ -282,35 +315,36 @@ def koopmon_terms(e: ParticleEnsemble, h: HybridHamiltonian,
             _kernel_rows(spec, p[blk], grid.p_nodes[pw], 3), axis=1)
         _, b, wq = q_rows.shape
         wp = pw.stop - pw.start
-        wkq = (ws[blk, :, None] * q_rows[0, :, None, :]).reshape(b, 4 * wq)
-        agg[:4, qw, pw] += (wkq.T @ p_rows[:, :wp]).reshape(4, wq, wp)
-        agg[4:, qw, pw] += (wkq[:, wq:].T @ p_rows[:, wp:2 * wp]).reshape(
-            3, wq, wp)
+        wkq = (ws[blk, :, None] * q_rows[0, :, None, :]).reshape(
+            b, (1 + a) * wq)
+        agg[:1 + a, qw, pw] += (wkq.T @ p_rows[:, :wp]).reshape(
+            1 + a, wq, wp)
+        agg[1 + a:, qw, pw] += (wkq[:, wq:].T @ p_rows[:, wp:2 * wp]).reshape(
+            a, wq, wp)
         rows.append((q_rows, p_rows))
-    sk, sgp = agg[1:4], agg[4:]
+    # the aggregates of the inactive components are the scalar zero
+    sk, sgp = [0.0] * 3, [0.0] * 3
+    for k, m in enumerate(active):
+        sk[m], sgp[m] = agg[1 + k], agg[1 + a + k]
 
     inv_d = _masked_inverse(agg[0])
     inv_dw = inv_d * grid.q.weights[:, None]
     inv_dw *= grid.p.weights[None, :]
 
-    # Hamiltonian gradient components are zero-stride views wherever they
-    # are constants or functions of one coordinate only
-    gq_vec = list(h.grad_q(grid.q_nodes[:, None], grid.p_nodes[None, :]))[1:]
-    b1 = _cross3(gq_vec, sgp)     # = -(sgp x gq_vec)
-
-    s_field = -2.0 * HBAR * sum(sk[m] * b1[m] for m in range(3))
+    b1 = _cross3(g, sgp)     # = -(sgp x g)
+    s_field = -2.0 * HBAR * sum(sk[m] * b1[m] for m in active)
     energy = float(np.sum(s_field * inv_dw))
 
     # per-particle integrals sum_{q,p} rows_q[e,q] field[q,p] rows_p[e,p],
-    # split into a p-stage (rows_p @ field.T) and a q-stage.  Row block m of
-    # `fields` is [f1_m | f2q_m] with f1 = b1 / D and f2q = (sk x gq) / D,
-    # both times the quadrature weights, so [kp|dkp] and [dkp|ddkp] times
-    # it give kp f1_m + dkp f2q_m and dkp f1_m + ddkp f2q_m for all m
-    fields = np.empty((3, n_q, 2, n_p))
-    f2q = _cross3(sk, gq_vec)
-    for m in range(3):
-        np.multiply(b1[m], inv_dw, out=fields[m, :, 0])
-        np.multiply(f2q[m], inv_dw, out=fields[m, :, 1])
+    # split into a p-stage (rows_p @ field.T) and a q-stage.  Row block k of
+    # `fields` is [f1_m | f2q_m] for the k-th active m, with f1 = b1 / D and
+    # f2q = (sk x g) / D, both times the quadrature weights, so [kp|dkp] and
+    # [dkp|ddkp] times it give kp f1_m + dkp f2q_m and dkp f1_m + ddkp f2q_m
+    fields = np.empty((a, n_q, 2, n_p))
+    f2q = _cross3(sk, g)
+    for k, m in enumerate(active):
+        np.multiply(b1[m], inv_dw, out=fields[k, :, 0])
+        np.multiply(f2q[m], inv_dw, out=fields[k, :, 1])
     # the denominator term: [kq; dkq] @ fs2 gives kq fs2 and dkq fs2
     fs2 = s_field * inv_d * inv_dw
 
@@ -320,15 +354,15 @@ def koopmon_terms(e: ParticleEnsemble, h: HybridHamiltonian,
     # effective quantum field is H_vec(z_e) - 2 hbar sum_b w_b (s_b x I_eb)
     db_dq = np.empty(n)
     db_dp = np.empty(n)
-    heff = np.empty((n, 3))
+    heff = np.zeros((n, 3))
     for (blk, qw, pw), (q_rows, p_rows) in zip(blocks, rows):
         _, b, wq = q_rows.shape
         wp = pw.stop - pw.start
         kq, dkq = q_rows
         kp, dkp = p_rows[:, :wp], p_rows[:, wp:2 * wp]
-        f = fields[:, qw, :, pw].reshape(3 * wq, 2 * wp).T
-        stage_k = (p_rows[:, :2 * wp] @ f).reshape(b, 3, wq)
-        stage_dk = (p_rows[:, wp:] @ f).reshape(b, 3, wq)
+        f = fields[:, qw, :, pw].reshape(a * wq, 2 * wp).T
+        stage_k = (p_rows[:, :2 * wp] @ f).reshape(b, a, wq)
+        stage_dk = (p_rows[:, wp:] @ f).reshape(b, a, wq)
         stage_fs2 = q_rows.reshape(2 * b, wq) @ fs2[qw, pw]
         # kq and dkq against stage_k in one contraction
         k_stage_k = np.einsum("req,emq->rem", q_rows, stage_k)
@@ -337,7 +371,7 @@ def koopmon_terms(e: ParticleEnsemble, h: HybridHamiltonian,
             + np.einsum("eq,eq->e", stage_fs2[b:], kp)
         db_dp[blk] = 2.0 * HBAR * np.einsum("em,em->e", s[blk], k_stage_dk) \
             + np.einsum("eq,eq->e", stage_fs2[:b], dkp)
-        heff[blk] = -HBAR * k_stage_k[0]
+        heff[blk, active] = -HBAR * k_stage_k[0]
 
     # back to the particles' own order
     inverse = np.argsort(order)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensemble import ParticleEnsemble, _row_format
+from .ensemble import ParticleEnsemble
 from .models import HBAR, HybridHamiltonian, lower_adiabatic_vector
 from .regularization import KernelSpec, kernel_1d
 from .soft import WavepacketState
@@ -47,10 +47,6 @@ class DiagnosticsRecord:
         """The columns of `CSV_HEADER`, in order."""
         return (self.t, self.p1, self.p2, self.purity, *self.bloch,
                 self.energy, self.energy_drift_rel)
-
-    def csv_row(self) -> str:
-        values = self._values()
-        return _row_format(len(values)) % values
 
 
 @dataclass

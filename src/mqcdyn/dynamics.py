@@ -43,7 +43,7 @@ import numpy as np
 
 from . import backreaction
 from .ensemble import ParticleEnsemble
-from .models import HBAR, HybridHamiltonian
+from .models import HBAR, HybridHamiltonian, _is_zero
 from .regularization import (GridParams, KernelSpec, build_grid, build_grid_1d)
 
 
@@ -127,11 +127,6 @@ class _Stage(NamedTuple):
     @property
     def n(self) -> int:
         return self.q.shape[0]
-
-
-def _is_zero(coeff) -> bool:
-    """Whether a Hamiltonian coefficient is the scalar zero (not an array)."""
-    return not isinstance(coeff, np.ndarray) and coeff == 0.0
 
 
 def _bloch_rate(hvec, s) -> np.ndarray:

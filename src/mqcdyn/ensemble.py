@@ -15,23 +15,17 @@ stage states of `dynamics` store them instead of rho.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .pauli import hermitize, pauli_components
+from .pauli import pauli_components
 
 TRACE_TOL = 1e-10
 HERMITICITY_TOL = 1e-12
 PSD_TOL = 1e-10
 WEIGHT_SUM_TOL = 1e-12
-
-#: trace drift beyond which `rehermitize` renormalizes; the RK4 step adds a
-#: traceless increment to rho and repairs nothing, so its trace drift stays
-#: below this by round-off alone
-TRACE_RENORM_THRESHOLD = 1e-12
 
 
 class Violation(NamedTuple):
@@ -125,24 +119,6 @@ def validate(e: ParticleEnsemble,
     return out
 
 
-def rehermitize(rho: np.ndarray) -> np.ndarray:
-    """Project onto Hermitian matrices and renormalize the trace where it
-    has drifted beyond `TRACE_RENORM_THRESHOLD`.
-
-    The minimal-norm repair of round-off in a complex rho; it does not touch
-    the spectrum otherwise.  Only the drifted matrices are divided, so the
-    others come back as the Hermitian projection returns them.  No time step
-    calls it: the steps of `dynamics` carry real Pauli components, whose
-    density matrices are Hermitian by construction.
-    """
-    out = hermitize(rho)
-    tr = (out[..., 0, 0] + out[..., 1, 1]).real
-    drifted = np.abs(tr - 1.0) > TRACE_RENORM_THRESHOLD
-    if np.any(drifted):
-        out[drifted] /= tr[drifted][:, None, None]
-    return out
-
-
 @dataclass
 class Ensemble2D:
     """Multi-index ensemble for two classical degrees of freedom.
@@ -227,8 +203,3 @@ def read_snapshot(fh) -> ParticleEnsemble:
     rho[:, 1, 1] = rows[:, 7]
     return ParticleEnsemble(q=rows[:, 1], p=rows[:, 2], rho=rho, w=rows[:, 3])
 
-
-def snapshot_string(e: ParticleEnsemble) -> str:
-    buf = io.StringIO()
-    write_snapshot(e, buf)
-    return buf.getvalue()

@@ -48,6 +48,11 @@ def on_points(q, p, *coeffs):
     return tuple(out)
 
 
+def _is_zero(coeff) -> bool:
+    """Whether a Hamiltonian coefficient is the scalar zero (not an array)."""
+    return not isinstance(coeff, np.ndarray) and coeff == 0.0
+
+
 @dataclass(frozen=True, eq=False)
 class HybridHamiltonian:
     """Operator-valued phase-space function in Pauli form.
@@ -78,6 +83,10 @@ class HybridHamiltonian:
         They are the callables' values as returned, neither cast nor
         broadcast: a constant coefficient stays a scalar.  This is the one
         evaluation of the callables; the public methods below broadcast it.
+        A coefficient that is the scalar zero (`_is_zero`) states that its
+        component vanishes everywhere: `dynamics` and `backreaction` skip
+        every product with it, so it costs nothing, while an array of zeros
+        is computed with like any other field.
         """
         q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
         out = []

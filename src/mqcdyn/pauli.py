@@ -72,11 +72,6 @@ def pauli_decompose(a: np.ndarray) -> np.ndarray:
     return np.stack(pauli_components(a), axis=-1)
 
 
-def hermitize(rho: np.ndarray) -> np.ndarray:
-    """Hermitian part (A + A^dagger)/2, preserving shape ``(..., 2, 2)``."""
-    return 0.5 * (rho + np.conj(np.swapaxes(rho, -1, -2)))
-
-
 def projector(v: np.ndarray) -> np.ndarray:
     """Rank-one density matrix v v^dagger for a normalized 2-vector."""
     v = np.asarray(v, dtype=complex).reshape(2)

@@ -1,13 +1,56 @@
 """Shared construction and verification helpers for the test suite."""
 
+import io
+
 import numpy as np
 
 from mqcdyn.dynamics import MethodKind, energy, rhs
-from mqcdyn.ensemble import ParticleEnsemble
+from mqcdyn.ensemble import ParticleEnsemble, _row_format, write_snapshot
 from mqcdyn.models import HybridHamiltonian
 from mqcdyn.pauli import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, projector
 
 HERM_BASIS = [IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z]
+
+#: trace drift beyond which `rehermitize` renormalizes; the RK4 step adds a
+#: traceless increment to rho and repairs nothing, so its trace drift stays
+#: below this by round-off alone
+TRACE_RENORM_THRESHOLD = 1e-12
+
+
+def hermitize(rho):
+    """Hermitian part (A + A^dagger)/2, preserving shape ``(..., 2, 2)``."""
+    return 0.5 * (rho + np.conj(np.swapaxes(rho, -1, -2)))
+
+
+def rehermitize(rho):
+    """Project onto Hermitian matrices and renormalize the trace where it
+    has drifted beyond `TRACE_RENORM_THRESHOLD`.
+
+    The minimal-norm repair of round-off in a complex rho; it does not touch
+    the spectrum otherwise.  Only the drifted matrices are divided, so the
+    others come back as the Hermitian projection returns them.  No time step
+    calls it: the steps of `mqcdyn.dynamics` carry real Pauli components,
+    whose density matrices are Hermitian by construction.
+    """
+    out = hermitize(rho)
+    tr = (out[..., 0, 0] + out[..., 1, 1]).real
+    drifted = np.abs(tr - 1.0) > TRACE_RENORM_THRESHOLD
+    if np.any(drifted):
+        out[drifted] /= tr[drifted][:, None, None]
+    return out
+
+
+def snapshot_string(e):
+    """The text `write_snapshot` writes for the ensemble."""
+    buf = io.StringIO()
+    write_snapshot(e, buf)
+    return buf.getvalue()
+
+
+def csv_row(rec):
+    """The line of a `DiagnosticsRecord` in the time series table."""
+    values = rec._values()
+    return _row_format(len(values)) % values
 
 
 def bloch_state(theta, phi=0.0):

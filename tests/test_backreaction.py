@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from mqcdyn.backreaction import (HBAR, _kernel_rows, bohmion_coupling_energy,
                                  koopmon_coupling_energy, koopmon_pairs,
                                  koopmon_terms)
 from mqcdyn.ensemble import ParticleEnsemble
-from mqcdyn.models import HybridHamiltonian, make_model
+from mqcdyn.models import HybridHamiltonian, make_model, on_points
 from mqcdyn.pauli import pauli_decompose, projector
 from mqcdyn.regularization import (GridCoverageError, GridParams, KernelSpec,
                                    build_grid, build_grid_1d, kernel_1d,
@@ -237,6 +239,8 @@ def test_bohmion_pair_integral_against_refined_grid():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("model_name,q0,p0", [("tully1", -8.0, 10.0),
+                                              ("tully2", -1.0, 10.0),
+                                              ("tully3", -2.0, 10.0),
                                               ("rabi_us", 0.0, 4.0),
                                               ("rabi_ds", 0.3, -0.2)])
 def test_koopmon_field_energy_matches_pair_energy(model_name, q0, p0):
@@ -351,6 +355,62 @@ def test_blocked_koopmon_terms_equal_a_single_block(cloud, model, monkeypatch):
     for name in ("dqdot_extra", "dpdot_extra", "heff_vec"):
         got, want = getattr(blocked, name), getattr(single, name)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
+
+
+def with_array_gradient(h):
+    """``h`` with every dH/dq coefficient an array, zeros included, so that
+    `koopmon_terms` can skip no Bloch component."""
+    return dataclasses.replace(
+        h, d_interaction=lambda q: on_points(q, 0.0, *h.d_interaction(q)))
+
+
+@pytest.mark.parametrize("model,q0,p0,inactive", [("tully1", -1.0, 10.0, []),
+                                                  ("tully2", -1.0, 10.0, []),
+                                                  ("tully3", -2.0, 10.0, [0]),
+                                                  ("rabi_us", 0.0, 4.0, [2]),
+                                                  ("rabi_ds", 0.3, -0.2, [2])])
+def test_skipped_components_equal_the_full_computation(model, q0, p0, inactive):
+    # dH/dq of tully3 is a multiple of sigma_x and that of the Rabi models
+    # of sigma_z, so one Bloch component never meets it in g x s
+    e = random_ensemble(2 * backreaction._PARTICLE_BLOCK + 7, seed=41, q0=q0,
+                        p0=p0)
+    h = make_model(model)
+    spec = KernelSpec(alpha=0.5)
+    grid = build_grid(e.q, e.p, spec)
+    skipped = koopmon_terms(e, h, grid, spec)
+    full = koopmon_terms(e, with_array_gradient(h), grid, spec)
+    assert skipped.energy == pytest.approx(full.energy, rel=1e-12)
+    for name in ("dqdot_extra", "dpdot_extra", "heff_vec"):
+        got, want = getattr(skipped, name), getattr(full, name)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
+    assert np.all(skipped.heff_vec[:, inactive] == 0.0)
+    assert np.all(full.heff_vec[:, inactive] == 0.0)
+
+
+def scalar_zero_gradient_model():
+    """A harmonic oscillator with a constant two-level coupling whose dH/dq
+    coefficients are four scalar zeros: no Bloch component is active."""
+    return HybridHamiltonian(
+        name="scalar_zero_gradient", mass=1.0,
+        classical=lambda q, p: 0.5 * (q**2 + p**2),
+        d_classical_q=lambda q, p: q + 0.0 * p,
+        d_classical_p=lambda q, p: p + 0.0 * q,
+        interaction=lambda q: (0.0, 0.35, 0.0, 0.1),
+        d_interaction=lambda q: (0.0, 0.0, 0.0, 0.0),
+    )
+
+
+def test_no_traceless_gradient_gives_exact_zero_terms():
+    e = random_ensemble(5, seed=43, q0=0.0, p0=0.0)
+    h = scalar_zero_gradient_model()
+    spec = KernelSpec(alpha=0.5)
+    terms = koopmon_terms(e, h, build_grid(e.q, e.p, spec), spec)
+    assert terms.energy == 0.0
+    for name, shape in (("dqdot_extra", (5,)), ("dpdot_extra", (5,)),
+                        ("heff_vec", (5, 3))):
+        value = getattr(terms, name)
+        assert value.shape == shape and np.all(value == 0.0), name
+    fd_gradient_check("koopmon", e, h, spec)
 
 
 def bohmion_terms_by_node_products(e, mass, grid, spec):

@@ -13,6 +13,8 @@ from mqcdyn.pauli import projector
 from mqcdyn.sampling import InitSpec, init_ensemble
 from mqcdyn.soft import SpatialGrid1D, WavepacketState, init_wavepacket
 
+from helpers import csv_row
+
 
 def test_particle_diagnostics_tully1_initial():
     h = make_model("tully1")
@@ -89,7 +91,7 @@ def test_csv_row_roundtrip():
     rec = DiagnosticsRecord(t=1.5, p1=0.25, p2=0.75, purity=0.9,
                             bloch=(0.1, -0.2, 0.3), energy=1.0,
                             energy_drift_rel=1e-8)
-    row = rec.csv_row()
+    row = csv_row(rec)
     vals = [float(x) for x in row.split(",")]
     assert vals == [1.5, 0.25, 0.75, 0.9, 0.1, -0.2, 0.3, 1.0, 1e-8]
 

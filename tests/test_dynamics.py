@@ -7,14 +7,14 @@ from mqcdyn import _heap, backreaction, dynamics, ensemble, soft
 from mqcdyn.dynamics import (EnergyDriftError, MethodKind,
                              NonFiniteDerivativeError, default_grid, energy,
                              propagate, rhs, rk4_step, snapshot_steps)
-from mqcdyn.ensemble import (TRACE_RENORM_THRESHOLD, ParticleEnsemble,
-                             rehermitize, validate)
+from mqcdyn.ensemble import ParticleEnsemble, validate
 from mqcdyn.models import HBAR, HybridHamiltonian, make_model
 from mqcdyn.pauli import SIGMA_X, pauli_matrix, projector
 from mqcdyn.regularization import GridParams, KernelSpec
 from mqcdyn.sampling import InitSpec, init_ensemble
 
-from helpers import bloch_state, fd_gradient_check, nan_past, random_ensemble
+from helpers import (TRACE_RENORM_THRESHOLD, bloch_state, fd_gradient_check,
+                     nan_past, random_ensemble, rehermitize)
 
 
 @pytest.mark.parametrize("kind", ["ehrenfest", "koopmon", "bohmion"])

@@ -16,7 +16,7 @@ from mqcdyn.runner import (IncompatibleRunsError, compare, rho0_vector, run,
                            write_density)
 from mqcdyn.soft import SpatialGrid1D
 
-from helpers import nan_past
+from helpers import csv_row, nan_past
 
 
 def test_preset_tully1_paper_values():
@@ -306,7 +306,7 @@ def test_timeseries_lines_are_the_csv_rows_and_json_is_indented_sorted(
     result = run(small_cfg(), out)
     lines = (out / "timeseries.csv").read_text().splitlines()
     assert lines == [DiagnosticsRecord.CSV_HEADER] + \
-        [rec.csv_row() for rec in result.records]
+        [csv_row(rec) for rec in result.records]
     assert lines[5] == ",".join(format(float(v), ".17g")
                                 for v in lines[5].split(","))
     for name in ("summary.json", "manifest.json"):
