@@ -11,11 +11,13 @@ Three families:
   for Hamiltonians of the separable class
   ``H = H_c 1 + H_Q + h1(z1) H2(z2) + h2(z2) H1(z1)``.
 
-The explicit N x N tables are exposed for testing and debugging.  Each is a
-Gram product of kernel rows over the whole box (``K_a``, ``dK_a/dq``,
-``dK_a/dp``), a GEMM or two per field: O(N * grid) memory, O(N^2 * grid) work.
-The right-hand side that the integrator uses goes through aggregated kernel
-fields instead, algebraically identical at O(N * patch + grid).
+Only the two-degree-of-freedom forms build explicit N x N tables, per axis.
+Each is a Gram product of kernel rows over the whole box (``K_a``,
+``dK_a/dq``, ``dK_a/dp``), a GEMM or two per field: O(N * grid) memory,
+O(N^2 * grid) work.  The right-hand side that the integrator uses goes
+through aggregated kernel fields instead, algebraically identical at
+O(N * patch + grid); the explicit one-DOF tables it is checked against are
+test oracles in ``tests/helpers.py``.
 
 Every kernel is cut off at ``_KERNEL_CUTOFF sigma_K`` (see `regularization`),
 so a particle's kernel rows are nonzero only on the nodes of its patch, a
@@ -63,7 +65,7 @@ from typing import Callable
 import numpy as np
 
 from .ensemble import Ensemble2D, ParticleEnsemble
-from .models import HBAR, HybridHamiltonian, _is_zero, on_points
+from .models import HBAR, HybridHamiltonian, _cross, _is_zero, on_points
 from .pauli import PauliVector, pauli_decompose
 from .regularization import (_KERNEL_CUTOFF, DENOMINATOR_FLOOR, GridParams,
                              KernelSpec, Lattice, QuadratureGrid, build_grid,
@@ -71,17 +73,6 @@ from .regularization import (_KERNEL_CUTOFF, DENOMINATOR_FLOOR, GridParams,
 
 #: Particles per block of `koopmon_terms`.
 _PARTICLE_BLOCK = 64
-
-
-@dataclass(frozen=True)
-class PairIntegralTable:
-    """N x N table of coupling integrals.
-
-    ``values`` has shape (N, N, 4) in Pauli form for the koopmon table and
-    (N, N) for the scalar bohmion table.
-    """
-
-    values: np.ndarray
 
 
 def _kernel_rows(spec: KernelSpec, centers: np.ndarray, nodes: np.ndarray,
@@ -116,25 +107,6 @@ def _windows(nodes: np.ndarray, centers: np.ndarray, starts: np.ndarray,
     hi = np.searchsorted(nodes, np.maximum.reduceat(centers, starts) + radius,
                          "right")
     return [slice(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
-
-
-def _cross3(a, b):
-    """Cross product of two 3-component lists of fields or scalars.
-
-    A product with a factor that is the scalar zero is skipped, which
-    changes at most the sign of a zero; a component left with no product is
-    the scalar 0.0.
-    """
-    out = []
-    for m in range(3):
-        i, j = (m + 1) % 3, (m + 2) % 3
-        c = 0.0
-        if not (_is_zero(a[i]) or _is_zero(b[j])):
-            c = a[i] * b[j]
-        if not (_is_zero(a[j]) or _is_zero(b[i])):
-            c = c - a[j] * b[i]
-        out.append(c)
-    return out
 
 
 def _masked_inverse(den: np.ndarray) -> np.ndarray:
@@ -179,61 +151,11 @@ def _product_tables(rows, node_w: np.ndarray, f) -> np.ndarray:
     return np.stack([(k * (node_w * fm.ravel())) @ k.T for fm in f])
 
 
-def koopmon_pairs(e: ParticleEnsemble, h: HybridHamiltonian,
-                  grid: QuadratureGrid, spec: KernelSpec) -> PairIntegralTable:
-    """Antisymmetric matrix-valued pair integrals in Pauli form.
-
-    ``I_ab = (1/2) int (K_a {K_b, H} - K_b {K_a, H}) / sum_c w_c K_c``
-    over the box, with the canonical bracket ``{K, H} = dK/dq dH/dp -
-    dK/dp dH/dq``.  It is ``(A - A^T)/2`` for the bracket table
-    ``A_ab = int K_a {K_b, H} / D``, so it is exactly antisymmetric and its
-    diagonal exactly zero.
-    """
-    grid.check_coverage(e.q, e.p)
-    rows, node_w = _box_rows(e.q, e.p, e.w, spec, grid)
-    qq, pp = grid.q_nodes[:, None], grid.p_nodes[None, :]
-    a = _bracket_tables(rows, node_w, h.grad_q(qq, pp), h.grad_p(qq, pp))
-    values = 0.5 * (a - np.swapaxes(a, 1, 2))
-    return PairIntegralTable(values=np.moveaxis(values, 0, -1))
-
-
-def koopmon_coupling_energy(e: ParticleEnsemble, table: PairIntegralTable) -> float:
-    """Backreaction energy (1/2) sum_ab w_a w_b Tr(i hbar [rho_a, rho_b] I_ab)."""
-    s = e.components[1:].T
-    cross = np.cross(s[:, None, :], s[None, :, :])
-    pair = -4.0 * HBAR * np.einsum("abk,abk->ab", cross, table.values[:, :, 1:])
-    return 0.5 * float(np.einsum("a,b,ab->", e.w, e.w, pair))
-
-
 def _line_rows(q: np.ndarray, w: np.ndarray, spec: KernelSpec, grid: Lattice):
     """Kernel rows ``K`` and ``K'`` of the particles at q on a 1D box, and
     the node weights, the trapezoid weights over ``sum_c w_c K_c``."""
     k, dk = _kernel_rows(spec, q, grid.nodes)
     return k, dk, grid.weights * _masked_inverse(w @ k)
-
-
-def bohmion_pairs(e: ParticleEnsemble, grid: Lattice,
-                  spec: KernelSpec) -> PairIntegralTable:
-    """Symmetric scalar pair integrals
-    ``I_ab = int K'(r - q_a) K'(r - q_b) / sum_c w_c K(r - q_c) dr``.
-
-    The Hamiltonian does not enter.  Computed as a Gram matrix, so the table
-    is exactly symmetric and its diagonal nonnegative.
-    """
-    grid.check_coverage(e.q)
-    _, dk, node_w = _line_rows(e.q, e.w, spec, grid)
-    rows = dk * np.sqrt(node_w)[None, :]
-    return PairIntegralTable(values=rows @ rows.T)
-
-
-def bohmion_coupling_energy(e: ParticleEnsemble, table: PairIntegralTable,
-                            mass: float) -> float:
-    """Pair energy ``hbar^2/(8M) sum_ab w_a w_b (2 Tr(rho_a rho_b) - 1) I_ab``."""
-    comp = e.components.T
-    c = 4.0 * (np.outer(comp[:, 0], comp[:, 0])
-               + comp[:, 1:] @ comp[:, 1:].T) - 1.0
-    return HBAR**2 / (8.0 * mass) * float(
-        np.einsum("a,b,ab,ab->", e.w, e.w, c, table.values))
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +253,7 @@ def koopmon_terms(e: ParticleEnsemble, h: HybridHamiltonian,
     inv_dw = inv_d * grid.q.weights[:, None]
     inv_dw *= grid.p.weights[None, :]
 
-    b1 = _cross3(g, sgp)     # = -(sgp x g)
+    b1 = _cross(g, sgp)     # = -(sgp x g)
     s_field = -2.0 * HBAR * sum(sk[m] * b1[m] for m in active)
     energy = float(np.sum(s_field * inv_dw))
 
@@ -341,7 +263,7 @@ def koopmon_terms(e: ParticleEnsemble, h: HybridHamiltonian,
     # f2q = (sk x g) / D, both times the quadrature weights, so [kp|dkp] and
     # [dkp|ddkp] times it give kp f1_m + dkp f2q_m and dkp f1_m + ddkp f2q_m
     fields = np.empty((a, n_q, 2, n_p))
-    f2q = _cross3(sk, g)
+    f2q = _cross(sk, g)
     for k, m in enumerate(active):
         np.multiply(b1[m], inv_dw, out=fields[k, :, 0])
         np.multiply(f2q[m], inv_dw, out=fields[k, :, 1])

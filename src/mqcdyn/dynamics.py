@@ -43,7 +43,7 @@ import numpy as np
 
 from . import backreaction
 from .ensemble import ParticleEnsemble
-from .models import HBAR, HybridHamiltonian, _is_zero
+from .models import HBAR, HybridHamiltonian, _cross, _is_zero
 from .regularization import (GridParams, KernelSpec, build_grid, build_grid_1d)
 
 
@@ -134,17 +134,11 @@ def _bloch_rate(hvec, s) -> np.ndarray:
 
     ``hvec`` is the three Pauli components of the field, one array over the
     particles each or a scalar; ``s`` is the half Bloch vectors, (3, N).
-    Each component h_i s_j - h_j s_i is formed as `np.cross` forms it.  A
-    product with a coefficient that is the scalar zero is skipped, which
-    changes at most the sign of a zero.
+    The product is `models._cross`, which skips the scalar zeros of hvec.
     """
-    ds = np.zeros(s.shape)
-    for m in range(3):
-        i, j = (m + 1) % 3, (m + 2) % 3
-        if not _is_zero(hvec[i]):
-            np.multiply(hvec[i], s[j], out=ds[m])
-        if not _is_zero(hvec[j]):
-            ds[m] -= hvec[j] * s[i]
+    ds = np.empty(s.shape)
+    for m, c in enumerate(_cross(hvec, s)):
+        ds[m] = c
     ds *= 2.0 / HBAR
     return ds
 
@@ -318,10 +312,6 @@ class Trajectory:
     times: np.ndarray
     records: list = field(default_factory=list)
     snapshots: list = field(default_factory=list)   # (time, ParticleEnsemble)
-
-    @property
-    def final_state(self) -> ParticleEnsemble:
-        return self.snapshots[-1][1] if self.snapshots else None
 
 
 def snapshot_steps(dt: float, n_steps: int, snapshot_times) -> dict[int, float]:

@@ -71,11 +71,6 @@ class ParticleEnsemble:
                                 self.rho.copy(), self.w.copy())
 
 
-def aggregate_density(e: ParticleEnsemble) -> np.ndarray:
-    """Ensemble-level density matrix, the weighted sum of the rho_a."""
-    return np.einsum("a,aij->ij", e.w, e.rho)
-
-
 def rho_eigenvalues(rho: np.ndarray) -> np.ndarray:
     """Eigenvalues of Hermitian 2x2 matrices, shape (..., 2) ascending."""
     tr = (rho[..., 0, 0] + rho[..., 1, 1]).real

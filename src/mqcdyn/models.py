@@ -23,14 +23,11 @@ from .pauli import pauli_matrix
 #: Reduced Planck constant in atomic units, shared by every module.
 HBAR = 1.0
 
-#: Position threshold below which two electronic levels are treated as
-#: exactly degenerate (eigenvectors are then fixed by convention, and the
-#: nonadiabatic coupling is undefined).
+#: Splitting below which two electronic levels are treated as exactly
+#: degenerate: `_eigvec_from_pauli` then fixes the eigenvectors by convention.
+#: The nonadiabatic coupling, undefined there, is the test oracle `nac` in
+#: ``tests/helpers.py``.
 DEGENERACY_EPS = 1e-14
-
-
-class DegeneratePotentialError(ValueError):
-    """Raised when an operation requires a nonzero electronic gap."""
 
 
 def on_points(q, p, *coeffs):
@@ -51,6 +48,26 @@ def on_points(q, p, *coeffs):
 def _is_zero(coeff) -> bool:
     """Whether a Hamiltonian coefficient is the scalar zero (not an array)."""
     return not isinstance(coeff, np.ndarray) and coeff == 0.0
+
+
+def _cross(a, b) -> list:
+    """Cross product a x b of two 3-component sequences of fields or scalars.
+
+    Component m is a_i b_j - a_j b_i, (i, j) = (m + 1, m + 2) mod 3, formed
+    as `np.cross` forms it, except that a product with a factor that is the
+    scalar zero (`_is_zero`) is skipped; that changes at most the sign of a
+    zero.  A component left with no product is the scalar 0.0.
+    """
+    out = []
+    for m in range(3):
+        i, j = (m + 1) % 3, (m + 2) % 3
+        c = 0.0
+        if not (_is_zero(a[i]) or _is_zero(b[j])):
+            c = a[i] * b[j]
+        if not (_is_zero(a[j]) or _is_zero(b[i])):
+            c = c - a[j] * b[i]
+        out.append(c)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,8 +102,9 @@ class HybridHamiltonian:
         evaluation of the callables; the public methods below broadcast it.
         A coefficient that is the scalar zero (`_is_zero`) states that its
         component vanishes everywhere: `dynamics` and `backreaction` skip
-        every product with it, so it costs nothing, while an array of zeros
-        is computed with like any other field.
+        every product with it, in the one cross product `_cross` and in
+        their sums, so it costs nothing, while an array of zeros is computed
+        with like any other field.
         """
         q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
         out = []
@@ -120,21 +138,6 @@ class HybridHamiltonian:
     def matrix(self, q: float, p: float) -> np.ndarray:
         """Dense 2x2 Hermitian matrix at a phase-space point."""
         return pauli_matrix(*self.pauli(q, p))
-
-
-@dataclass(frozen=True)
-class SpectralData:
-    """Eigen-decomposition of the electronic matrix at one position.
-
-    ``lambda1 <= lambda2``; ``v1``/``v2`` are the unit eigenvectors with the
-    phase fixed so the largest-magnitude component is real positive (first
-    component wins magnitude ties).
-    """
-
-    lambda1: float
-    lambda2: float
-    v1: np.ndarray
-    v2: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +315,7 @@ def make_model(name: str, **overrides) -> HybridHamiltonian:
 
 
 # ---------------------------------------------------------------------------
-# Spectral data and nonadiabatic coupling
+# Adiabatic basis
 # ---------------------------------------------------------------------------
 
 def _eigvec_from_pauli(h1, h2, h3, upper: bool):
@@ -366,26 +369,3 @@ def adiabatic_basis(h: HybridHamiltonian, q):
     r = np.sqrt(h1**2 + h2**2 + h3**2)
     return (h0 - r, h0 + r, _eigvec_from_pauli(h1, h2, h3, upper=False),
             _eigvec_from_pauli(h1, h2, h3, upper=True))
-
-
-def spectral(h: HybridHamiltonian, q: float) -> SpectralData:
-    """Closed-form eigendecomposition of the electronic matrix at ``q``."""
-    lam1, lam2, v1, v2 = adiabatic_basis(h, float(q))
-    return SpectralData(float(lam1), float(lam2), v1.reshape(2), v2.reshape(2))
-
-
-def nac(h: HybridHamiltonian, q: float) -> float:
-    """Nonadiabatic coupling <v1 | dH_el/dq v2> / (lambda1 - lambda2).
-
-    The sign follows the eigenvector phase convention of `spectral`.  Raises
-    `DegeneratePotentialError` when the electronic gap vanishes.
-    """
-    s = spectral(h, q)
-    gap = s.lambda1 - s.lambda2
-    if abs(gap) < DEGENERACY_EPS:
-        raise DegeneratePotentialError(
-            f"electronic levels degenerate at q={q!r}; coupling undefined")
-    g0, g1, g2, g3 = h.grad_q(q, 0.0)
-    dmat = pauli_matrix(float(g0), float(g1), float(g2), float(g3))
-    num = np.vdot(s.v1, dmat @ s.v2)
-    return float((num / gap).real)

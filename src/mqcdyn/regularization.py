@@ -117,19 +117,6 @@ def kernel_1d(spec: KernelSpec, y):
     return k[()]
 
 
-def kernel_1d_deriv(spec: KernelSpec, y):
-    """d/dy of the 1D kernel, -2y/alpha^2 * Ktilde(y)."""
-    y = np.asarray(y, dtype=float)
-    return -2.0 * y / spec.alpha**2 * kernel_1d(spec, y)
-
-
-def kernel_1d_deriv2(spec: KernelSpec, y):
-    """Second derivative of the 1D kernel."""
-    y = np.asarray(y, dtype=float)
-    a2 = spec.alpha**2
-    return (4.0 * y**2 / a2**2 - 2.0 / a2) * kernel_1d(spec, y)
-
-
 class _Box:
     """The coverage check shared by the 1-D and the 2-D box; each box lists
     its `Lattice` per coordinate in ``axes``."""

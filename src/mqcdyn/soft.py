@@ -268,17 +268,6 @@ def observables(state: WavepacketState, h: HybridHamiltonian) -> dict:
     }
 
 
-def position_expectation(state: WavepacketState) -> float:
-    dens = np.sum(np.abs(state.psi) ** 2, axis=0)
-    return float(np.sum(state.grid.r * dens) * state.grid.dr / state.norm())
-
-
-def momentum_expectation(state: WavepacketState) -> float:
-    dens_k = np.sum(np.abs(state.psi_k) ** 2, axis=0)
-    norm_k = np.sum(dens_k)
-    return float(np.sum(state.grid.k * dens_k) / norm_k)
-
-
 def propagate_soft(state0: WavepacketState, h: HybridHamiltonian, dt: float,
                    t_final: float, snapshot_times=(), diagnostics_fn=None,
                    progress=None):

@@ -4,10 +4,14 @@ import io
 
 import numpy as np
 
+from mqcdyn.backreaction import _box_rows, _bracket_tables, _line_rows
 from mqcdyn.dynamics import MethodKind, energy, rhs
 from mqcdyn.ensemble import ParticleEnsemble, _row_format, write_snapshot
-from mqcdyn.models import HybridHamiltonian
-from mqcdyn.pauli import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, projector
+from mqcdyn.models import (DEGENERACY_EPS, HBAR, HybridHamiltonian,
+                           adiabatic_basis)
+from mqcdyn.pauli import (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, pauli_matrix,
+                          projector)
+from mqcdyn.regularization import kernel_1d
 
 HERM_BASIS = [IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z]
 
@@ -122,3 +126,108 @@ def fd_gradient_check(kind, e, h, spec, rtol=1e-5):
             grad += direction * basis / 2.0
         expected_drho = -1j * (grad @ e.rho[a] - e.rho[a] @ grad) / e.w[a]
         assert np.max(np.abs(deriv.drho[a] - expected_drho)) <= rtol * scale + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations the production code is checked against
+# ---------------------------------------------------------------------------
+
+def kernel_1d_deriv(spec, y):
+    """d/dy of the 1D kernel, -2y/alpha^2 * Ktilde(y)."""
+    y = np.asarray(y, dtype=float)
+    return -2.0 * y / spec.alpha**2 * kernel_1d(spec, y)
+
+
+def kernel_1d_deriv2(spec, y):
+    """Second derivative of the 1D kernel."""
+    y = np.asarray(y, dtype=float)
+    a2 = spec.alpha**2
+    return (4.0 * y**2 / a2**2 - 2.0 / a2) * kernel_1d(spec, y)
+
+
+def koopmon_pairs(e, h, grid, spec):
+    """Antisymmetric matrix-valued pair integrals in Pauli form, (N, N, 4).
+
+    ``I_ab = (1/2) int (K_a {K_b, H} - K_b {K_a, H}) / sum_c w_c K_c``
+    over the box, with the canonical bracket ``{K, H} = dK/dq dH/dp -
+    dK/dp dH/dq``.  It is ``(A - A^T)/2`` for the bracket table
+    ``A_ab = int K_a {K_b, H} / D``, so it is exactly antisymmetric and its
+    diagonal exactly zero.
+    """
+    grid.check_coverage(e.q, e.p)
+    rows, node_w = _box_rows(e.q, e.p, e.w, spec, grid)
+    qq, pp = grid.q_nodes[:, None], grid.p_nodes[None, :]
+    a = _bracket_tables(rows, node_w, h.grad_q(qq, pp), h.grad_p(qq, pp))
+    values = 0.5 * (a - np.swapaxes(a, 1, 2))
+    return np.moveaxis(values, 0, -1)
+
+
+def koopmon_coupling_energy(e, table):
+    """Backreaction energy (1/2) sum_ab w_a w_b Tr(i hbar [rho_a, rho_b] I_ab)
+    for the `koopmon_pairs` table."""
+    s = e.components[1:].T
+    cross = np.cross(s[:, None, :], s[None, :, :])
+    pair = -4.0 * HBAR * np.einsum("abk,abk->ab", cross, table[:, :, 1:])
+    return 0.5 * float(np.einsum("a,b,ab->", e.w, e.w, pair))
+
+
+def bohmion_pairs(e, grid, spec):
+    """Symmetric scalar pair integrals (N, N)
+    ``I_ab = int K'(r - q_a) K'(r - q_b) / sum_c w_c K(r - q_c) dr``.
+
+    The Hamiltonian does not enter.  Computed as a Gram matrix, so the table
+    is exactly symmetric and its diagonal nonnegative.
+    """
+    grid.check_coverage(e.q)
+    _, dk, node_w = _line_rows(e.q, e.w, spec, grid)
+    rows = dk * np.sqrt(node_w)[None, :]
+    return rows @ rows.T
+
+
+def bohmion_coupling_energy(e, table, mass):
+    """Pair energy ``hbar^2/(8M) sum_ab w_a w_b (2 Tr(rho_a rho_b) - 1) I_ab``
+    for the `bohmion_pairs` table."""
+    comp = e.components.T
+    c = 4.0 * (np.outer(comp[:, 0], comp[:, 0])
+               + comp[:, 1:] @ comp[:, 1:].T) - 1.0
+    return HBAR**2 / (8.0 * mass) * float(
+        np.einsum("a,b,ab,ab->", e.w, e.w, c, table))
+
+
+class DegeneratePotentialError(ValueError):
+    """Raised by `nac` where the electronic gap vanishes."""
+
+
+def nac(h, q):
+    """Nonadiabatic coupling <v1 | dH_el/dq v2> / (lambda1 - lambda2) at one
+    position, in the eigenvector phase convention of `adiabatic_basis`.
+
+    Raises `DegeneratePotentialError` when the electronic gap vanishes.
+    """
+    lam1, lam2, v1, v2 = adiabatic_basis(h, float(q))
+    gap = float(lam1) - float(lam2)
+    if abs(gap) < DEGENERACY_EPS:
+        raise DegeneratePotentialError(
+            f"electronic levels degenerate at q={q!r}; coupling undefined")
+    g0, g1, g2, g3 = h.grad_q(q, 0.0)
+    dmat = pauli_matrix(float(g0), float(g1), float(g2), float(g3))
+    num = np.vdot(v1, dmat @ v2)
+    return float((num / gap).real)
+
+
+def aggregate_density(e):
+    """Ensemble-level density matrix, the weighted sum of the rho_a."""
+    return np.einsum("a,aij->ij", e.w, e.rho)
+
+
+def position_expectation(state):
+    """<q> of a split-operator wave packet."""
+    dens = np.sum(np.abs(state.psi) ** 2, axis=0)
+    return float(np.sum(state.grid.r * dens) * state.grid.dr / state.norm())
+
+
+def momentum_expectation(state):
+    """<p> of a split-operator wave packet."""
+    dens_k = np.sum(np.abs(state.psi_k) ** 2, axis=0)
+    norm_k = np.sum(dens_k)
+    return float(np.sum(state.grid.k * dens_k) / norm_k)

@@ -12,8 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from mqcdyn.backreaction import (bohmion_pairs, koopmon_coupling_energy,
-                                 koopmon_pairs, koopmon_terms)
+from mqcdyn.backreaction import koopmon_terms
 from mqcdyn.diagnostics import particle_diagnostics, wigner
 from mqcdyn.dynamics import MethodKind, propagate, rk4_step
 from mqcdyn.ensemble import ParticleEnsemble, validate
@@ -23,10 +22,12 @@ from mqcdyn.regularization import GridParams, KernelSpec, build_grid, \
     build_grid_1d
 from mqcdyn.sampling import InitSpec, init_ensemble
 from mqcdyn.soft import (SpatialGrid1D, init_wavepacket, observables,
-                         propagate_soft, strang_step, position_expectation,
-                         momentum_expectation)
+                         propagate_soft, strang_step)
 
-from helpers import bloch_state, fd_gradient_check, random_ensemble
+from helpers import (bloch_state, bohmion_pairs, fd_gradient_check,
+                     koopmon_coupling_energy, koopmon_pairs,
+                     momentum_expectation, position_expectation,
+                     random_ensemble)
 from test_backreaction import purely_classical_model, purely_quantum_model
 from test_factorized_2dof import (SPEC as SPEC_2DOF,
                                   bohmion_brute_force_coupling,
@@ -153,12 +154,12 @@ def test_criterion_2_structural_invariants():
     spec = KernelSpec(alpha=0.5)
     grid = build_grid(e.q, e.p, spec)
     table = koopmon_pairs(e, h, grid, spec)
-    assert np.array_equal(table.values, -np.swapaxes(table.values, 0, 1))
-    assert np.all(table.values.diagonal().T == 0.0)
+    assert np.array_equal(table, -np.swapaxes(table, 0, 1))
+    assert np.all(table.diagonal().T == 0.0)
 
     grid1 = build_grid_1d(e.q, spec)
     btable = bohmion_pairs(e, grid1, spec)
-    assert np.array_equal(btable.values, btable.values.T)
+    assert np.array_equal(btable, btable.T)
 
     ec = random_ensemble(3, seed=5, q0=0.0, p0=0.0)
     for model in (purely_classical_model(), purely_quantum_model()):

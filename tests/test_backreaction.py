@@ -4,23 +4,16 @@ import numpy as np
 import pytest
 
 from mqcdyn import backreaction
-from mqcdyn.backreaction import (HBAR, _kernel_rows, bohmion_coupling_energy,
-                                 bohmion_pairs, bohmion_terms,
-                                 koopmon_coupling_energy, koopmon_pairs,
-                                 koopmon_terms)
+from mqcdyn.backreaction import HBAR, _kernel_rows, bohmion_terms, koopmon_terms
 from mqcdyn.ensemble import ParticleEnsemble
 from mqcdyn.models import HybridHamiltonian, make_model, on_points
-from mqcdyn.pauli import pauli_decompose, projector
+from mqcdyn.pauli import pauli_decompose
 from mqcdyn.regularization import (GridCoverageError, GridParams, KernelSpec,
-                                   build_grid, build_grid_1d, kernel_1d,
-                                   kernel_1d_deriv, kernel_1d_deriv2)
+                                   build_grid, build_grid_1d, kernel_1d)
 
-from helpers import fd_gradient_check
-
-
-def bloch_state(theta, phi):
-    v = np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
-    return projector(v)
+from helpers import (bloch_state, bohmion_coupling_energy, bohmion_pairs,
+                     fd_gradient_check, kernel_1d_deriv, kernel_1d_deriv2,
+                     koopmon_coupling_energy, koopmon_pairs)
 
 
 def random_ensemble(n, seed=0, q0=-8.0, p0=10.0, spread=0.6):
@@ -94,8 +87,8 @@ def test_koopmon_table_antisymmetric_and_zero_diagonal():
     spec = KernelSpec(alpha=0.5)
     grid = build_grid(e.q, e.p, spec)
     table = koopmon_pairs(e, h, grid, spec)
-    assert np.array_equal(table.values.diagonal().T, np.zeros((4, 4)))
-    assert np.array_equal(table.values, -np.swapaxes(table.values, 0, 1))
+    assert np.array_equal(table.diagonal().T, np.zeros((4, 4)))
+    assert np.array_equal(table, -np.swapaxes(table, 0, 1))
 
 
 def test_bohmion_table_symmetric_nonnegative_diagonal():
@@ -103,8 +96,8 @@ def test_bohmion_table_symmetric_nonnegative_diagonal():
     spec = KernelSpec(alpha=0.5)
     grid = build_grid_1d(e.q, spec)
     table = bohmion_pairs(e, grid, spec)
-    assert np.array_equal(table.values, table.values.T)
-    assert np.all(np.diag(table.values) >= 0.0)
+    assert np.array_equal(table, table.T)
+    assert np.all(np.diag(table) >= 0.0)
 
 
 def test_bohmion_self_integral_value():
@@ -115,8 +108,8 @@ def test_bohmion_self_integral_value():
                          rho=np.asarray([bloch_state(0.4, 0.0)]), w=np.ones(1))
     grid = build_grid_1d(e.q, spec, GridParams(n_q=10))
     table = bohmion_pairs(e, grid, spec)
-    assert table.values[0, 0] == pytest.approx(2.0 / alpha**2, rel=1e-6)
-    assert table.values[0, 0] > 0
+    assert table[0, 0] == pytest.approx(2.0 / alpha**2, rel=1e-6)
+    assert table[0, 0] > 0
 
 
 def test_bohmion_distant_particles_decouple():
@@ -126,8 +119,8 @@ def test_bohmion_distant_particles_decouple():
                          w=np.full(2, 0.5))
     grid = build_grid_1d(e.q, spec)
     table = bohmion_pairs(e, grid, spec)
-    assert abs(table.values[0, 1]) < 1e-12
-    assert table.values[0, 0] > 1.0
+    assert abs(table[0, 1]) < 1e-12
+    assert table[0, 0] > 1.0
 
 
 def test_bohmion_box_that_misses_a_particle_raises():
@@ -155,7 +148,7 @@ def test_purely_classical_hamiltonian_gives_zero_coupling():
     grid = build_grid(e.q, e.p, spec)
     table = koopmon_pairs(e, h, grid, spec)
     # traceless components vanish identically: coupling is exactly zero
-    assert np.all(table.values[:, :, 1:] == 0.0)
+    assert np.all(table[:, :, 1:] == 0.0)
     assert abs(koopmon_coupling_energy(e, table)) < 1e-12
     terms = koopmon_terms(e, h, grid, spec)
     assert terms.energy == 0.0
@@ -168,7 +161,7 @@ def test_purely_quantum_hamiltonian_gives_zero_table():
     spec = KernelSpec(alpha=0.5)
     grid = build_grid(e.q, e.p, spec)
     table = koopmon_pairs(e, h, grid, spec)
-    assert np.all(table.values == 0.0)
+    assert np.all(table == 0.0)
     terms = koopmon_terms(e, h, grid, spec)
     assert terms.energy == 0.0
     assert np.all(terms.dqdot_extra == 0.0)
@@ -190,8 +183,8 @@ def test_koopmon_pair_integral_against_refined_grid():
     default = koopmon_pairs(e, h, build_grid(e.q, e.p, spec), spec)
     fine_params = GridParams(n_q=4, n_p=4, j_q=8, j_p=8)
     fine = koopmon_pairs(e, h, build_grid(e.q, e.p, spec, fine_params), spec)
-    assert np.max(np.abs(default.values[:, :, 1:] - fine.values[:, :, 1:])) < 1e-6
-    assert np.max(np.abs(default.values - fine.values)) < 2e-4
+    assert np.max(np.abs(default[:, :, 1:] - fine[:, :, 1:])) < 1e-6
+    assert np.max(np.abs(default - fine)) < 2e-4
 
 
 def test_koopmon_pair_integral_refined_grid_strong_coupling():
@@ -207,10 +200,10 @@ def test_koopmon_pair_integral_refined_grid_strong_coupling():
         e, h, build_grid(e.q, e.p, spec, GridParams(4, 4, 2, 2)), spec)
     n4_fine = koopmon_pairs(
         e, h, build_grid(e.q, e.p, spec, GridParams(4, 4, 8, 8)), spec)
-    scale = np.max(np.abs(n4_fine.values))
+    scale = np.max(np.abs(n4_fine))
     assert scale > 1e-3
-    assert np.max(np.abs(n4_coarse.values - n4_fine.values)) / scale < 1e-5
-    assert np.max(np.abs(default.values - n4_fine.values)) / scale < 1e-2
+    assert np.max(np.abs(n4_coarse - n4_fine)) / scale < 1e-5
+    assert np.max(np.abs(default - n4_fine)) / scale < 1e-2
 
 
 def test_bohmion_pair_integral_against_refined_grid():
@@ -224,14 +217,14 @@ def test_bohmion_pair_integral_against_refined_grid():
                           spec)
     conv2 = bohmion_pairs(e, build_grid_1d(e.q, spec, GridParams(n_q=10, j_q=16)),
                           spec)
-    assert np.max(np.abs(conv1.values - conv2.values)) < 1e-8
+    assert np.max(np.abs(conv1 - conv2)) < 1e-8
     # a narrower box truncates the growing kernel-ratio tails, by about 20%
     # of the integrand at a 2-sigma padding; the default box must stay
     # within these bounds
     default = bohmion_pairs(e, build_grid_1d(e.q, spec), spec)
-    assert abs(default.values[0, 1] - conv2.values[0, 1]) < 0.5
-    assert abs(default.values[0, 0] - conv2.values[0, 0]) < 2.5
-    assert np.all(default.values > 0.75 * conv2.values)
+    assert abs(default[0, 1] - conv2[0, 1]) < 0.5
+    assert abs(default[0, 0] - conv2[0, 0]) < 2.5
+    assert np.all(default > 0.75 * conv2)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +258,7 @@ def test_koopmon_quantum_term_matches_pair_assembly():
     for a in range(4):
         acc = np.zeros(3)
         for b in range(4):
-            acc += e.w[b] * np.cross(s[b], table.values[a, b, 1:])
+            acc += e.w[b] * np.cross(s[b], table[a, b, 1:])
         expected[a] = -2.0 * HBAR * acc
     terms = koopmon_terms(e, h, grid, spec)
     assert np.allclose(terms.heff_vec, expected, rtol=1e-10, atol=1e-15)
@@ -289,7 +282,7 @@ def test_bohmion_quantum_term_matches_pair_assembly():
     table = bohmion_pairs(e, grid, spec)
     s = pauli_decompose(e.rho)[:, 1:]
     expected = HBAR**2 / (2.0 * h.mass) * np.einsum("ab,b,bk->ak",
-                                                    table.values, e.w, s)
+                                                    table, e.w, s)
     terms = bohmion_terms(e, h.mass, grid, spec)
     assert np.allclose(terms.heff_vec, expected, rtol=1e-10, atol=1e-15)
 
@@ -319,7 +312,7 @@ def test_koopmon_terms_on_a_split_cloud(dq, dp):
                                          rel=1e-12, abs=1e-16)
     s = pauli_decompose(e.rho)[:, 1:]
     expected = -2.0 * HBAR * np.einsum(
-        "b,abk->ak", e.w, np.cross(s[None, :, :], table.values[:, :, 1:]))
+        "b,abk->ak", e.w, np.cross(s[None, :, :], table[:, :, 1:]))
     assert np.allclose(terms.heff_vec, expected, rtol=1e-10, atol=1e-15)
     fd_gradient_check("koopmon", e, h, spec)
 
@@ -488,7 +481,7 @@ def test_koopmon_pairs_equal_the_pair_loop(cloud, model):
     spec = KernelSpec(alpha=0.5)
     grid = build_grid(e.q, e.p, spec)
     want = koopmon_pairs_by_pair_loops(e, h, grid, spec)
-    got = koopmon_pairs(e, h, grid, spec).values
+    got = koopmon_pairs(e, h, grid, spec)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     assert np.array_equal(got, -np.swapaxes(got, 0, 1))
@@ -559,7 +552,7 @@ def test_coupling_decays_with_kernel_width():
         e, spec = desk_pair(alpha)
         grid = build_grid(e.q, e.p, spec, GridParams(n_q=2, n_p=2))
         table = koopmon_pairs(e, h, grid, spec)
-        norms.append(np.max(np.abs(table.values)))
+        norms.append(np.max(np.abs(table)))
         terms = koopmon_terms(e, h, grid, spec)
         eom_scale = max(np.max(np.abs(terms.dqdot_extra)),
                         np.max(np.abs(terms.dpdot_extra)),
@@ -580,5 +573,5 @@ def test_box_extension_converges():
                                         GridParams(n_q=4, n_p=4)), spec)
     t8 = koopmon_pairs(e, h, build_grid(e.q, e.p, spec,
                                         GridParams(n_q=8, n_p=8)), spec)
-    scale = np.max(np.abs(t8.values))
-    assert np.max(np.abs(t4.values - t8.values)) / scale < 2e-6
+    scale = np.max(np.abs(t8))
+    assert np.max(np.abs(t4 - t8)) / scale < 2e-6

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mqcdyn.ensemble import (Ensemble2D, ParticleEnsemble, aggregate_density,
-                             read_snapshot, validate)
+from mqcdyn.ensemble import (Ensemble2D, ParticleEnsemble, read_snapshot,
+                             validate)
 from mqcdyn.pauli import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, projector
 
-from helpers import (TRACE_RENORM_THRESHOLD, hermitize, rehermitize,
-                     snapshot_string)
+from helpers import (TRACE_RENORM_THRESHOLD, aggregate_density, hermitize,
+                     rehermitize, snapshot_string)
 
 HERM_BASIS = np.stack([IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z])
 

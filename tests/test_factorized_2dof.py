@@ -23,7 +23,9 @@ from mqcdyn.ensemble import Ensemble2D
 from mqcdyn.models import on_points
 from mqcdyn.pauli import PauliVector, pauli_decompose, projector
 from mqcdyn.regularization import GridParams, KernelSpec, build_grid, \
-    kernel_1d, kernel_1d_deriv, quadrature
+    kernel_1d, quadrature
+
+from helpers import kernel_1d_deriv
 
 ALPHA = 0.75
 SPEC = KernelSpec(alpha=ALPHA)
@@ -101,7 +103,12 @@ def trap_w(nodes):
 
 def koopmon_brute_force_coupling(e2, ham, pad=5.0, frac=0.25):
     """(1/2) sum w_k w_k' Tr(i hbar [rho_k, rho_k'] Ihat_kk') with the full
-    4D unfactorized integral evaluated by tensor trapezoid quadrature."""
+    4D unfactorized integral evaluated by tensor trapezoid quadrature.
+
+    ``Ihat_kk' = int K_k {K_k', H} / D`` for k = (a, b): the bracket field of
+    each k' is built once on the 4D nodes, from central differences of the
+    full Hamiltonian, and contracted with the four weighted kernels
+    ``K_k w4 / D`` in one matrix product."""
     q1 = axis_nodes(e2.q1, pad, frac)
     p1 = axis_nodes(e2.p1, pad, frac)
     q2 = axis_nodes(e2.q2, pad, frac)
@@ -109,69 +116,53 @@ def koopmon_brute_force_coupling(e2, ham, pad=5.0, frac=0.25):
     w4 = (trap_w(q1)[:, None, None, None] * trap_w(p1)[None, :, None, None]
           * trap_w(q2)[None, None, :, None] * trap_w(p2)[None, None, None, :])
 
-    def k1(a):
-        return (kernel_1d(SPEC, q1 - e2.q1[a])[:, None]
-                * kernel_1d(SPEC, p1 - e2.p1[a])[None, :])
+    # kernel rows [K, dK/dq, dK/dp] of each particle on its 2D plane
+    def rows(q, p, qc, pc):
+        kq = kernel_1d(SPEC, q - qc)[:, None]
+        kp = kernel_1d(SPEC, p - pc)[None, :]
+        return (kq * kp, kernel_1d_deriv(SPEC, q - qc)[:, None] * kp,
+                kq * kernel_1d_deriv(SPEC, p - pc)[None, :])
 
-    def k2(b):
-        return (kernel_1d(SPEC, q2 - e2.q2[b])[:, None]
-                * kernel_1d(SPEC, p2 - e2.p2[b])[None, :])
-
-    def dk1(a, wrt):
-        if wrt == "q":
-            return (kernel_1d_deriv(SPEC, q1 - e2.q1[a])[:, None]
-                    * kernel_1d(SPEC, p1 - e2.p1[a])[None, :])
-        return (kernel_1d(SPEC, q1 - e2.q1[a])[:, None]
-                * kernel_1d_deriv(SPEC, p1 - e2.p1[a])[None, :])
-
-    def dk2(b, wrt):
-        if wrt == "q":
-            return (kernel_1d_deriv(SPEC, q2 - e2.q2[b])[:, None]
-                    * kernel_1d(SPEC, p2 - e2.p2[b])[None, :])
-        return (kernel_1d(SPEC, q2 - e2.q2[b])[:, None]
-                * kernel_1d_deriv(SPEC, p2 - e2.p2[b])[None, :])
-
-    d1 = sum(e2.w1[c] * k1(c) for c in range(2))
-    d2 = sum(e2.w2[d] * k2(d) for d in range(2))
+    r1 = [rows(q1, p1, e2.q1[a], e2.p1[a]) for a in range(2)]
+    r2 = [rows(q2, p2, e2.q2[b], e2.p2[b]) for b in range(2)]
+    d1 = sum(e2.w1[c] * r1[c][0] for c in range(2))
+    d2 = sum(e2.w2[d] * r2[d][0] for d in range(2))
     inv_d = 1.0 / (d1[:, :, None, None] * d2[None, None, :, :])
+    # the weighted kernels K_ab w4 / D, one row per k = (a, b)
+    weighted = np.stack([(r1[a][0][:, :, None, None] * r2[b][0][None, None]
+                          * inv_d * w4).ravel()
+                         for a in range(2) for b in range(2)])
 
-    # Pauli gradients of the full Hamiltonian on the 4D grid
-    Q1 = q1[:, None, None, None]
-    P1 = p1[None, :, None, None]
-    Q2 = q2[None, None, :, None]
-    P2 = p2[None, None, None, :]
+    # traceless Pauli gradients of the full Hamiltonian on the 4D grid,
+    # d/dq1, d/dp1, d/dq2, d/dp2 in turn
+    nodes = (q1[:, None, None, None], p1[None, :, None, None],
+             q2[None, None, :, None], p2[None, None, None, :])
     step = 1e-6
 
-    def pauli_at(qq1, pp1, qq2, pp2):
-        return np.stack([np.broadcast_to(c, inv_d.shape)
-                         for c in ham.pauli(qq1, pp1, qq2, pp2)])
+    def gradient(axis):
+        up, down = list(nodes), list(nodes)
+        up[axis] = up[axis] + step
+        down[axis] = down[axis] - step
+        return [(hu - hd) / (2 * step) for hu, hd in
+                zip(ham.pauli(*up)[1:], ham.pauli(*down)[1:])]
 
-    gq1 = (pauli_at(Q1 + step, P1, Q2, P2)
-           - pauli_at(Q1 - step, P1, Q2, P2)) / (2 * step)
-    gp1 = (pauli_at(Q1, P1 + step, Q2, P2)
-           - pauli_at(Q1, P1 - step, Q2, P2)) / (2 * step)
-    gq2 = (pauli_at(Q1, P1, Q2 + step, P2)
-           - pauli_at(Q1, P1, Q2 - step, P2)) / (2 * step)
-    gp2 = (pauli_at(Q1, P1, Q2, P2 + step)
-           - pauli_at(Q1, P1, Q2, P2 - step)) / (2 * step)
+    gq1, gp1, gq2, gp2 = (gradient(axis) for axis in range(4))
 
     s = pauli_decompose(e2.rho)[..., 1:]
     w = e2.weights()
     total = 0.0
-    for a in range(2):
-        for b in range(2):
-            k_kappa = k1(a)[:, :, None, None] * k2(b)[None, None, :, :]
-            for ap in range(2):
-                for bp in range(2):
-                    bracket = (
-                        dk1(ap, "q")[:, :, None, None] * k2(bp)[None, None] * gp1
-                        - dk1(ap, "p")[:, :, None, None] * k2(bp)[None, None] * gq1
-                        + k1(ap)[:, :, None, None] * dk2(bp, "q")[None, None] * gp2
-                        - k1(ap)[:, :, None, None] * dk2(bp, "p")[None, None] * gq2)
-                    ivec = np.sum(k_kappa[None] * bracket * inv_d[None] * w4[None],
-                                  axis=(1, 2, 3, 4))[1:]
-                    cvec = -2.0 * HBAR * np.cross(s[a, b], s[ap, bp])
-                    total += 0.5 * w[a, b] * w[ap, bp] * 2.0 * float(cvec @ ivec)
+    for ap in range(2):
+        for bp in range(2):
+            k1, dk1q, dk1p = (r[:, :, None, None] for r in r1[ap])
+            k2, dk2q, dk2p = (r[None, None] for r in r2[bp])
+            bracket = np.stack([
+                (dk1q * k2 * gp1[m] - dk1p * k2 * gq1[m]
+                 + k1 * dk2q * gp2[m] - k1 * dk2p * gq2[m]).ravel()
+                for m in range(3)])
+            ivec = (weighted @ bracket.T).reshape(2, 2, 3)
+            cvec = -2.0 * HBAR * np.cross(s, s[ap, bp])
+            total += w[ap, bp] * float(np.einsum("ab,abm,abm->", w, cvec,
+                                                 ivec))
     return total
 
 

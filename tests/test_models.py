@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mqcdyn.models import (DegeneratePotentialError, HybridHamiltonian,
-                           adiabatic_basis, make_model, make_rabi, make_tully,
-                           model_names, nac, spectral)
+from mqcdyn.models import (_cross, adiabatic_basis, make_model, make_rabi,
+                           make_tully, model_names)
 from mqcdyn.pauli import PauliVector, pauli_decompose, pauli_matrix
+
+from helpers import DegeneratePotentialError, nac
+from test_backreaction import purely_classical_model
 
 ALL_MODELS = ["tully1", "tully2", "tully3", "rabi_us", "rabi_ds"]
 
@@ -82,8 +84,8 @@ def test_tully2_values_at_origin():
 
 def test_tully3_asymptotics():
     h = make_tully("III")
-    s = spectral(h, -40.0)
-    assert s.lambda2 - s.lambda1 == pytest.approx(2 * 0.0006, rel=1e-9)
+    lam1, lam2, _, _ = adiabatic_basis(h, -40.0)
+    assert lam2 - lam1 == pytest.approx(2 * 0.0006, rel=1e-9)
     # coupling H1 is continuous and C^1 at the branch point
     h1_left = h.electronic_pauli(-1e-12)[1]
     h1_right = h.electronic_pauli(1e-12)[1]
@@ -98,54 +100,54 @@ def test_rabi_values():
     mat = us.matrix(0.0, 0.0)
     assert np.allclose(mat, 0.35 * np.array([[0, 1], [1, 0]]))
     ds = make_rabi("deep_strong")
-    s = spectral(ds, 0.0)
-    assert s.lambda2 - s.lambda1 == pytest.approx(0.2)
+    lam1, lam2, _, _ = adiabatic_basis(ds, 0.0)
+    assert lam2 - lam1 == pytest.approx(0.2)
     g0, g1, g2, g3 = ds.grad_p(1.3, 2.5)
     assert (g0, g1, g2, g3) == (2.5, 0.0, 0.0, 0.0)
 
 
-def test_spectral_matches_dense_eigensolver():
+def test_adiabatic_basis_matches_dense_eigensolver():
     rng = np.random.default_rng(3)
     for name in ALL_MODELS:
         h = make_model(name)
         for q in rng.uniform(-10, 10, 25):
-            s = spectral(h, q)
+            lam1, lam2, v1, v2 = adiabatic_basis(h, q)
             mat = pauli_matrix(*h.electronic_pauli(q))
             evals, evecs = np.linalg.eigh(mat)
-            assert abs(s.lambda1 - evals[0]) < 1e-12
-            assert abs(s.lambda2 - evals[1]) < 1e-12
+            assert abs(lam1 - evals[0]) < 1e-12
+            assert abs(lam2 - evals[1]) < 1e-12
             # same one-dimensional eigenspaces
-            assert abs(abs(np.vdot(s.v1, evecs[:, 0])) - 1.0) < 1e-10
-            assert abs(abs(np.vdot(s.v2, evecs[:, 1])) - 1.0) < 1e-10
+            assert abs(abs(np.vdot(v1, evecs[:, 0])) - 1.0) < 1e-10
+            assert abs(abs(np.vdot(v2, evecs[:, 1])) - 1.0) < 1e-10
 
 
-def test_spectral_invariants():
+def test_adiabatic_basis_invariants():
     h = make_tully("I")
     for q in np.linspace(-9.7, 9.7, 41):
-        s = spectral(h, q)
-        assert s.lambda1 <= s.lambda2
-        assert np.linalg.norm(s.v1) == pytest.approx(1.0, abs=1e-12)
-        assert np.linalg.norm(s.v2) == pytest.approx(1.0, abs=1e-12)
-        assert abs(np.vdot(s.v1, s.v2)) < 1e-12
+        lam1, lam2, v1, v2 = adiabatic_basis(h, q)
+        assert lam1 <= lam2
+        assert np.linalg.norm(v1) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(v2) == pytest.approx(1.0, abs=1e-12)
+        assert abs(np.vdot(v1, v2)) < 1e-12
         mat = pauli_matrix(*h.electronic_pauli(q))
-        assert np.linalg.norm(mat @ s.v1 - s.lambda1 * s.v1) < 1e-10
-        assert np.linalg.norm(mat @ s.v2 - s.lambda2 * s.v2) < 1e-10
+        assert np.linalg.norm(mat @ v1 - lam1 * v1) < 1e-10
+        assert np.linalg.norm(mat @ v2 - lam2 * v2) < 1e-10
         # trace identity
         h0 = h.electronic_pauli(q)[0]
-        assert s.lambda1 + s.lambda2 == pytest.approx(2 * float(h0), abs=1e-14)
+        assert lam1 + lam2 == pytest.approx(2 * float(h0), abs=1e-14)
 
 
-def test_spectral_examples_tully1():
+def test_adiabatic_basis_examples_tully1():
     h = make_tully("I")
-    s0 = spectral(h, 0.0)
-    assert s0.lambda1 == pytest.approx(-0.005)
-    assert s0.lambda2 == pytest.approx(0.005)
+    lam1, lam2, v1, v2 = adiabatic_basis(h, 0.0)
+    assert lam1 == pytest.approx(-0.005)
+    assert lam2 == pytest.approx(0.005)
     inv_sqrt2 = 1 / np.sqrt(2)
-    assert np.allclose(np.abs(s0.v1), inv_sqrt2)
-    assert np.allclose(np.abs(s0.v2), inv_sqrt2)
-    s8 = spectral(h, -8.0)
-    assert s8.lambda1 == pytest.approx(-0.01, rel=1e-4)
-    assert np.allclose(s8.v1, [1.0, 0.0], atol=1e-12)
+    assert np.allclose(np.abs(v1), inv_sqrt2)
+    assert np.allclose(np.abs(v2), inv_sqrt2)
+    lam1, _, v1, _ = adiabatic_basis(h, -8.0)
+    assert lam1 == pytest.approx(-0.01, rel=1e-4)
+    assert np.allclose(v1, [1.0, 0.0], atol=1e-12)
 
 
 def test_nac_tully1_peak():
@@ -159,16 +161,8 @@ def test_nac_tully3_decays_right():
 
 
 def test_nac_degenerate_raises():
-    h = HybridHamiltonian(
-        name="classical", mass=1.0,
-        classical=lambda q, p: 0.5 * (np.asarray(q)**2 + np.asarray(p)**2),
-        d_classical_q=lambda q, p: np.asarray(q, dtype=float) + 0.0 * np.asarray(p),
-        d_classical_p=lambda q, p: np.asarray(p, dtype=float) + 0.0 * np.asarray(q),
-        interaction=lambda q: (0.0 * np.asarray(q),) * 4,
-        d_interaction=lambda q: (0.0 * np.asarray(q),) * 4,
-    )
     with pytest.raises(DegeneratePotentialError):
-        nac(h, 1.0)
+        nac(purely_classical_model(), 1.0)
 
 
 def test_nac_matches_eigenvector_finite_difference():
@@ -183,24 +177,24 @@ def test_nac_matches_eigenvector_finite_difference():
                       ("rabi_ds", (-1.5, 0.4, 1.1, 2.2))]:
         h = make_model(name)
         for q in pts:
-            v2p = spectral(h, q + step).v2
-            v2m = spectral(h, q - step).v2
+            v2p = adiabatic_basis(h, q + step)[3]
+            v2m = adiabatic_basis(h, q - step)[3]
             dv2 = (v2p - v2m) / (2.0 * step)
-            fd = np.vdot(spectral(h, q).v1, dv2)
+            fd = np.vdot(adiabatic_basis(h, q)[2], dv2)
             d = nac(h, q)
             assert abs(abs(d) - abs(fd.real)) < 1e-5
             assert abs(d + fd.real) < 1e-5
 
 
-def test_adiabatic_basis_vectorized_matches_scalar():
+def test_adiabatic_basis_vectorized_matches_per_point_calls():
     h = make_model("rabi_ds")
     qs = np.linspace(-3, 3, 11)
     lam1, lam2, v1, v2 = adiabatic_basis(h, qs)
     for i, q in enumerate(qs):
-        s = spectral(h, float(q))
-        assert lam1[i] == pytest.approx(s.lambda1, abs=1e-15)
-        assert np.allclose(v1[i], s.v1)
-        assert np.allclose(v2[i], s.v2)
+        lam1_q, _, v1_q, v2_q = adiabatic_basis(h, float(q))
+        assert lam1[i] == pytest.approx(lam1_q, abs=1e-15)
+        assert np.allclose(v1[i], v1_q)
+        assert np.allclose(v2[i], v2_q)
 
 
 def test_model_registry():
@@ -232,3 +226,31 @@ def test_coefficients_come_back_as_float_arrays_of_the_broadcast_shape(name, q, 
     for c in coeffs:
         assert isinstance(c, np.ndarray)
         assert c.dtype == np.float64 and c.shape == el_shape
+
+
+def test_cross_of_float_arrays_is_bitwise_np_cross():
+    rng = np.random.default_rng(12)
+    a, b = rng.standard_normal((2, 3, 50))
+    got = np.stack(_cross(list(a), list(b)))
+    assert got.tobytes() == np.cross(a.T, b.T).T.tobytes()
+
+
+@pytest.mark.parametrize("zeros_a,zeros_b", [
+    ((1,), ()), ((), (0, 2)), ((0, 2), (1,)), ((0, 1), (0, 1)), ((0,), (0,))])
+def test_cross_skips_scalar_zero_factors(zeros_a, zeros_b):
+    # equal to np.cross of the broadcast zeros up to the sign of a zero;
+    # a nonzero scalar factor multiplies like its broadcast array
+    rng = np.random.default_rng(13)
+    a = [0.0 if m in zeros_a else 0.7 if m == 2 else rng.standard_normal(20)
+         for m in range(3)]
+    b = [0.0 if m in zeros_b else rng.standard_normal(20) for m in range(3)]
+    got = _cross(a, b)
+    want = np.cross(np.stack(np.broadcast_arrays(*a)).T,
+                    np.stack(np.broadcast_arrays(*b)).T).T
+    for m, c in enumerate(got):
+        assert np.array_equal(np.broadcast_to(c, (20,)), want[m])
+        i, j = (m + 1) % 3, (m + 2) % 3
+        if (i in zeros_a or j in zeros_b) and (j in zeros_a or i in zeros_b):
+            assert type(c) is float and c == 0.0    # no product was formed
+        else:
+            assert isinstance(c, np.ndarray)

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from mqcdyn.regularization import (GridCoverageError, GridParams, KernelSpec,
                                    build_grid, build_grid_1d, kernel_1d,
-                                   kernel_1d_deriv, kernel_1d_deriv2,
                                    quadrature)
+
+from helpers import kernel_1d_deriv, kernel_1d_deriv2
 
 widths = st.floats(min_value=0.05, max_value=8.0, allow_nan=False)
 offsets = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)

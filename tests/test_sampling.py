@@ -1,10 +1,14 @@
+import ast
+import importlib
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
+import mqcdyn
 from mqcdyn.pauli import projector
 from mqcdyn.sampling import InitSpec, init_ensemble, inverse_normal_cdf, sobol_2d
 
@@ -170,6 +174,77 @@ def test_importing_the_package_does_not_import_scipy():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+#: The roots of `unreached_definitions`: top-level names of `src/mqcdyn`
+#: that stay although no run calls them, each with its reason.
+KEPT_UNREACHED = {
+    "cli.main": "the `mqcdyn` console script, which calls `runner.run`",
+    "dynamics.energy": "traced by perfbench (`spans.TRACED`)",
+    "ensemble.validate": "the state check, kept to become a run-time check",
+    "backreaction.koopmon_pairs_factorized_2dof": "2-DOF API (criterion 7)",
+    "backreaction.koopmon_2dof_coupling": "2-DOF API (criterion 7)",
+    "backreaction.bohmion_pairs_factorized_2dof": "2-DOF API (criterion 7)",
+    "backreaction.bohmion_2dof_coupling": "2-DOF API (criterion 7)",
+    "backreaction.constant_matrix_factor": "2-DOF API (criterion 7)",
+    "backreaction.zero_scalar_factor": "2-DOF API (criterion 7)",
+}
+
+
+def unreached_definitions(src: Path, roots) -> list:
+    """Top-level functions and classes of the modules in ``src`` that no
+    chain of references leads to from ``roots`` or module-level code.
+
+    A reference is a load of a top-level name of the module itself or of one
+    imported from a sibling, or an attribute of a sibling module
+    (``backreaction.koopmon_terms``).  An import is no reference, so the
+    re-exports of ``__init__.py`` reach nothing.
+    """
+    edges, live = {}, set(roots)
+    for path in src.glob("*.py"):
+        mod, tree = path.stem, ast.parse(path.read_text())
+        names = {n.name: f"{mod}.{n.name}" for n in tree.body
+                 if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+        modules = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                for a in node.names:
+                    if node.module:
+                        names[a.asname or a.name] = f"{node.module}.{a.name}"
+                    else:
+                        modules[a.asname or a.name] = a.name
+
+        def refs(node):
+            out = set()
+            for n in ast.walk(node):
+                if (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                        and n.id in names):
+                    out.add(names[n.id])
+                elif (isinstance(n, ast.Attribute)
+                      and isinstance(n.value, ast.Name)
+                      and n.value.id in modules):
+                    out.add(f"{modules[n.value.id]}.{n.attr}")
+            return out
+
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                edges[f"{mod}.{node.name}"] = refs(node)
+            elif not isinstance(node, ast.ImportFrom):
+                live |= refs(node)
+    todo = list(live)
+    while todo:
+        new = edges.get(todo.pop(), set()) - live
+        live |= new
+        todo += new
+    return sorted(set(edges) - live)
+
+
+def test_every_definition_in_the_package_is_reached_from_a_kept_root():
+    assert unreached_definitions(Path(mqcdyn.__file__).parent,
+                                 KEPT_UNREACHED) == []
+    for name in KEPT_UNREACHED:      # each kept name still exists
+        module, attr = name.split(".")
+        assert hasattr(importlib.import_module(f"mqcdyn.{module}"), attr), name
 
 
 def make_spec(n=1000, **kw):

@@ -7,10 +7,10 @@ import pytest
 from mqcdyn.models import HybridHamiltonian, adiabatic_basis, make_model
 from mqcdyn.pauli import pauli_matrix
 from mqcdyn.soft import (BoundaryMassWarning, SpatialGrid1D, WavepacketState,
-                         density_matrix, energy, init_wavepacket,
-                         momentum_expectation, observables,
-                         position_expectation, potential_matrix_fields,
-                         propagate_soft, strang_step)
+                         density_matrix, energy, init_wavepacket, observables,
+                         potential_matrix_fields, propagate_soft, strang_step)
+
+from helpers import momentum_expectation, position_expectation
 
 E1 = np.array([1.0, 0.0])
 
