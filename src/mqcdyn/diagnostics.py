@@ -2,9 +2,9 @@
 
 Populations are adiabatic: each particle's quantum state is projected on the
 eigenvector of the local electronic matrix with the smaller eigenvalue
-(state 1 = lower surface everywhere).  Purity and the Bloch vector are those
-of the ensemble-aggregated density matrix, read off the weighted mean of the
-particles' Pauli components.
+(state 1 = lower surface everywhere).  The populations, the purity and the
+Bloch vector, those of the ensemble-aggregated density matrix, are all read
+off the particles' Pauli components.
 
 Density fields are visualization aids: the Wigner transform of a
 wavefunction, the kernel-smoothed particle cloud in phase space, and stacked
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ensemble import ParticleEnsemble
-from .models import HBAR, HybridHamiltonian, lower_adiabatic_vector
+from .models import DEGENERACY_EPS, HBAR, HybridHamiltonian
 from .regularization import KernelSpec, kernel_1d
 from .soft import WavepacketState
 
@@ -65,25 +65,28 @@ class DensityField:
     values: np.ndarray
     meta: dict = field(default_factory=dict)
 
-    def integral(self) -> float:
-        """Trapezoid integral over both axes (per time slice for waterfall)."""
-        if self.kind == "waterfall":
-            return float(np.trapezoid(self.values, self.axis2, axis=1).max())
-        return float(np.trapezoid(np.trapezoid(self.values, self.axis2, axis=1),
-                                  self.axis1))
-
 
 def particle_diagnostics(e: ParticleEnsemble, h: HybridHamiltonian,
                          t: float = 0.0) -> DiagnosticsRecord:
     """Populations, purity and Bloch vector of a particle ensemble.
 
-    The mean rho = c0 1 + s . sigma of the weighted components has purity
+    The lower eigenvector of the electronic matrix h0 + h . sigma at q_a has
+    the projector (1 - n_a . sigma)/2, n_a = h/|h|, so the population of the
+    lower surface is P1 = sum_a w_a (c0_a - n_a . s_a).  Where the levels
+    are degenerate (|h| <= `DEGENERACY_EPS`) the eigenvector is (1, 0), the
+    convention of `models.adiabatic_basis`, so n_a = -z there.  The mean
+    rho = c0 1 + s . sigma of the weighted components has purity
     Tr rho^2 = 2 (c0^2 + |s|^2) and Bloch vector 2 s.
     """
-    v1 = lower_adiabatic_vector(h, e.q)
-    amp = np.einsum("ak,akl,al->a", v1.conj(), e.rho, v1)
-    p1 = float(np.sum(e.w * amp.real))
-    mean = e.components @ e.w
+    comp = e.components
+    _, h1, h2, h3 = h.electronic_pauli(e.q)
+    r = np.sqrt(h1 * h1 + h2 * h2 + h3 * h3)
+    degenerate = r <= DEGENERACY_EPS
+    r[degenerate] = 1.0
+    ns = (h1 * comp[1] + h2 * comp[2] + h3 * comp[3]) / r
+    ns[degenerate] = -comp[3, degenerate]
+    p1 = float(e.w @ (comp[0] - ns))
+    mean = comp @ e.w
     purity = float(2.0 * (mean @ mean))
     bloch = tuple(float(2.0 * c) for c in mean[1:])
     return DiagnosticsRecord(t=t, p1=p1, p2=1.0 - p1, purity=purity, bloch=bloch)

@@ -4,7 +4,7 @@ All three methods share the canonical structure
 
     dq_a/dt =  (1/w_a) dh/dp_a,
     dp_a/dt = -(1/w_a) dh/dq_a,
-    i hbar drho_a/dt = (1/w_a) [dh/drho_a, rho_a],
+    i hbar d(rho_a)/dt = (1/w_a) [dh/d(rho_a), rho_a],
 
 and differ only in the total energy h: the mean-field (Ehrenfest) energy
 ``sum_a w_a <rho_a, H(zeta_a)>`` alone, plus the phase-space commutator
@@ -18,18 +18,18 @@ finite-difference tests pin this contract with a box rebuilt for every
 perturbed state.  One `rhs` evaluation returns the energy together with the
 derivative, since both come from the same coupling integrals.
 
-On the Pauli components rho_a = c0_a 1 + s_a . sigma the quantum equation is
-the rotation ds_a/dt = (2/hbar) h_eff,a x s_a of the half Bloch vector about
-the local effective field, with c0_a = Tr rho_a / 2 fixed, so `rhs` returns
-the real rates ds, one row per component, and derives the complex drho from
-them only on request.
+On the Pauli components rho_a = c0_a 1 + s_a . sigma, which is how
+`ParticleEnsemble` stores the state, the quantum equation is the rotation
+ds_a/dt = (2/hbar) h_eff,a x s_a of the half Bloch vector about the local
+effective field, with c0_a = Tr rho_a / 2 fixed, so `rhs` returns the real
+rates ds, one row per component.
 
 Time stepping is plain fixed-step RK4 with the quadrature grid rebuilt from
-the stage state at every stage.  The stages carry (q, p) and the real Pauli
-components, never a complex rho: a step reads the components of ``e.rho``
-once and ends by adding the traceless Hermitian increment to it, so the
-trace drifts by round-off only and nothing needs repairing.  `propagate`
-records the energy of each state from the first RK4 stage at that state.
+the stage state at every stage.  Every stage is a `ParticleEnsemble`; there
+is no second state type and no complex rho is formed.  Each stage and the
+step's end add their increment to the rows of s_a alone, so c0_a, and with
+it every trace, stays fixed bit for bit.  `propagate` records the energy of
+each state from the first RK4 stage at that state.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -66,7 +65,7 @@ class MethodKind(str, enum.Enum):
 class NonFiniteDerivativeError(FloatingPointError):
     """The right-hand side produced NaN or Inf.
 
-    ``particles`` lists the indices of the particles whose dq, dp or drho is
+    ``particles`` lists the indices of the particles whose dq, dp or ds is
     not finite; ``t`` is the time of the step that was being taken, which
     `propagate` sets (None when `rhs` is called directly).
     """
@@ -109,25 +108,6 @@ class EnsembleDerivative:
     ds: np.ndarray
     energy: float
 
-    @property
-    def drho(self) -> np.ndarray:
-        """drho_a = ds_a . sigma, shape (N, 2, 2)."""
-        return _bloch_matrix(self.ds)
-
-
-class _Stage(NamedTuple):
-    """An RK4 stage state: what `rhs` reads of a `ParticleEnsemble`, with
-    the Pauli components stored in place of rho."""
-
-    q: np.ndarray
-    p: np.ndarray
-    w: np.ndarray
-    components: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.q.shape[0]
-
 
 def _bloch_rate(hvec, s) -> np.ndarray:
     """ds = (2/hbar) hvec x s, shape (3, N), for per-particle field vectors.
@@ -141,24 +121,6 @@ def _bloch_rate(hvec, s) -> np.ndarray:
         ds[m] = c
     ds *= 2.0 / HBAR
     return ds
-
-
-def _bloch_matrix(v) -> np.ndarray:
-    """v_a . sigma for the columns v_a of ``v`` (3, N), shape (N, 2, 2).
-
-    Exactly Hermitian and traceless by construction; every entry that is
-    zero is +0.0, as in a sum of complex products that starts from zero.
-    """
-    vx, vy, vz = v
-    out = np.zeros((len(vx), 2, 2), dtype=complex)
-    re, im = out.real, out.imag
-    np.add(vz, 0.0, out=re[:, 0, 0])
-    np.subtract(0.0, vz, out=re[:, 1, 1])
-    np.add(vx, 0.0, out=re[:, 0, 1])
-    re[:, 1, 0] = re[:, 0, 1]
-    np.subtract(0.0, vy, out=im[:, 0, 1])
-    np.add(vy, 0.0, out=im[:, 1, 0])
-    return out
 
 
 def _contract(comp, coeffs) -> np.ndarray:
@@ -190,9 +152,8 @@ def _mean_field(comp, e: ParticleEnsemble, h: HybridHamiltonian):
 
     The coefficients are the model's own, unbroadcast: a constant one stays
     a scalar, which multiplies each particle's component just as its
-    broadcast array would, so every result is bitwise the one the public
-    `HybridHamiltonian.pauli`, `grad_q` and `grad_p` give.  A component of
-    H_vec may therefore be a scalar.
+    broadcast array would, so every result is bitwise the one broadcast
+    coefficients give.  A component of H_vec may therefore be a scalar.
     """
     hp, gq, gp = h._coefficients(e.q, e.p)
     mean = float(e.w @ _contract(comp, hp))
@@ -227,11 +188,11 @@ def rhs(kind: MethodKind, e: ParticleEnsemble, h: HybridHamiltonian,
         spec: KernelSpec | None = None, grid=None) -> EnsembleDerivative:
     """Equations of motion and energy of the given method at the current state.
 
-    ``e`` is a `ParticleEnsemble` or an RK4 stage state: anything with q, p,
-    w and the Pauli components of its rho_a as ``components``.
-    ``grid`` is the quadrature grid to use for the coupling integrals
-    (2D for koopmon, 1D for bohmion); when omitted it is built from the
-    current state with default box parameters.  Ehrenfest ignores it.  The
+    ``e`` is the state or an RK4 stage of it; the quantum sector is read
+    from its Pauli components alone, and the result's ``ds`` (3, N) is the
+    rate of the half Bloch vectors.  ``grid`` is the quadrature grid to use
+    for the coupling integrals (2D for koopmon, 1D for bohmion); when
+    omitted it is built from the current state with default box parameters.  Ehrenfest ignores it.  The
     derivative is the exact gradient of the energy on any covering box of
     the lattice, the one RK4 integrates.
     """
@@ -272,37 +233,35 @@ def rk4_step(kind: MethodKind, e: ParticleEnsemble, h: HybridHamiltonian,
              k1: EnsembleDerivative | None = None) -> ParticleEnsemble:
     """One classical RK4 step; the grid is rebuilt from every stage state.
 
-    The stages carry (q, p) and the Pauli components of each rho_a: these
-    are read from ``e.rho`` once, and each stage moves the half Bloch
-    vectors by its ``ds``.  rho itself is touched once, when the traceless
-    Hermitian increment is added to it.  ``k1`` is ``rhs`` at ``e`` on the
-    box ``grid_params`` builds for ``e``, when the caller already holds it;
-    the step is the same either way.
+    Each stage, and the state it returns, is ``e`` moved by a weighted sum
+    of stage derivatives: (q, p) by dq and dp, the half Bloch vectors by ds.
+    c0 is copied, never written.  ``k1`` is ``rhs`` at ``e`` on the box
+    ``grid_params`` builds for ``e``, when the caller already holds it; the
+    step is the same either way.
     """
     kind = MethodKind.parse(kind)
-    comp = e.components
 
-    def stage_rhs(state: _Stage) -> EnsembleDerivative:
+    def stage_rhs(state: ParticleEnsemble) -> EnsembleDerivative:
         return rhs(kind, state, h, spec,
                    default_grid(kind, state, spec, grid_params))
 
-    def shifted(scale: float, d: EnsembleDerivative) -> _Stage:
-        c = comp.copy()
-        c[1:] += scale * d.ds
-        return _Stage(q=e.q + scale * d.dq, p=e.p + scale * d.dp, w=e.w,
-                      components=c)
+    def shifted(scale: float, dq, dp, ds) -> ParticleEnsemble:
+        c = e.components.copy()
+        c[1:] += scale * ds
+        return ParticleEnsemble(q=e.q + scale * dq, p=e.p + scale * dp,
+                                components=c, w=e.w)
 
     if k1 is None:
-        k1 = stage_rhs(_Stage(q=e.q, p=e.p, w=e.w, components=comp))
-    k2 = stage_rhs(shifted(0.5 * dt, k1))
-    k3 = stage_rhs(shifted(0.5 * dt, k2))
-    k4 = stage_rhs(shifted(dt, k3))
+        k1 = stage_rhs(e)
+    k2 = stage_rhs(shifted(0.5 * dt, k1.dq, k1.dp, k1.ds))
+    k3 = stage_rhs(shifted(0.5 * dt, k2.dq, k2.dp, k2.ds))
+    k4 = stage_rhs(shifted(dt, k3.dq, k3.dp, k3.ds))
 
-    sixth = dt / 6.0
-    q = e.q + sixth * (k1.dq + 2.0 * k2.dq + 2.0 * k3.dq + k4.dq)
-    p = e.p + sixth * (k1.dp + 2.0 * k2.dp + 2.0 * k3.dp + k4.dp)
-    ds = sixth * (k1.ds + 2.0 * k2.ds + 2.0 * k3.ds + k4.ds)
-    return ParticleEnsemble(q=q, p=p, rho=e.rho + _bloch_matrix(ds), w=e.w)
+    def rk4_sum(name: str) -> np.ndarray:
+        a, b, c, d = (getattr(k, name) for k in (k1, k2, k3, k4))
+        return a + 2.0 * b + 2.0 * c + d
+
+    return shifted(dt / 6.0, rk4_sum("dq"), rk4_sum("dp"), rk4_sum("ds"))
 
 
 @dataclass

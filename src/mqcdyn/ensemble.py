@@ -1,16 +1,17 @@
 """Particle-ensemble state shared by the koopmon, Ehrenfest and bohmion methods.
 
 Storage is struct-of-arrays: positions, momenta and weights are contiguous
-float arrays of length N, and the per-particle density matrices form one
-complex array of shape (N, 2, 2).  The kernel rows and aggregate products
-of the coupling terms read these arrays directly, so keeping each field
-contiguous matters.
+float arrays of length N, and the quantum state of every particle is stored
+as its real Pauli components, one float array of shape (4, N) with rows c0,
+sx, sy, sz: rho_a = c0_a 1 + s_a . sigma, with c0_a = Tr rho_a / 2 and s_a
+the half Bloch vector.  The kernel rows and aggregate products of the
+coupling terms, the equations of motion and the diagnostics all read these
+arrays directly, so keeping each field contiguous matters.
 
-The equations of motion, the coupling terms and the diagnostics read each
-rho_a through its real Pauli components (`ParticleEnsemble.components`):
-c0 = Tr rho_a / 2 and the half Bloch vector s_a.  They are computed from rho
-on every access, so an in-place edit of ``rho`` is always seen; the RK4
-stage states of `dynamics` store them instead of rho.
+A state stored this way is Hermitian by construction.  The time step adds
+its increment to the three rows of s_a only, so each trace stays fixed bit
+for bit.  The complex (N, 2, 2) ``rho`` is a read-only view built on
+request, for the snapshot table.
 """
 
 from __future__ import annotations
@@ -20,12 +21,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .pauli import pauli_components
+from .pauli import pauli_components, pauli_matrix
 
 TRACE_TOL = 1e-10
-HERMITICITY_TOL = 1e-12
 PSD_TOL = 1e-10
 WEIGHT_SUM_TOL = 1e-12
+
+#: the per-particle checks of `validate`, in the order it reports them
+_PARTICLE_CHECKS = ("trace", "positivity", "purity_range", "weight_positive")
 
 
 class Violation(NamedTuple):
@@ -39,21 +42,25 @@ class Violation(NamedTuple):
 
 @dataclass
 class ParticleEnsemble:
-    """N particles with phase-space coordinates, weights and quantum states."""
+    """N particles with phase-space coordinates, weights and quantum states.
+
+    ``components`` (4, N) holds the Pauli components of every rho_a as rows:
+    c0 and the three components of s_a.
+    """
 
     q: np.ndarray
     p: np.ndarray
-    rho: np.ndarray
+    components: np.ndarray
     w: np.ndarray
 
     def __post_init__(self):
         self.q = np.asarray(self.q, dtype=float)
         self.p = np.asarray(self.p, dtype=float)
         self.w = np.asarray(self.w, dtype=float)
-        self.rho = np.asarray(self.rho, dtype=complex)
+        self.components = np.asarray(self.components, dtype=float)
         n = self.q.shape[0]
         if not (self.p.shape == (n,) and self.w.shape == (n,)
-                and self.rho.shape == (n, 2, 2)):
+                and self.components.shape == (4, n)):
             raise ValueError("inconsistent ensemble array shapes")
 
     @property
@@ -61,52 +68,41 @@ class ParticleEnsemble:
         return self.q.shape[0]
 
     @property
-    def components(self) -> np.ndarray:
-        """Pauli components of every rho_a as rows, shape (4, N): c0 and the
-        three components of s_a."""
-        return pauli_components(self.rho)
+    def rho(self) -> np.ndarray:
+        """rho_a = c0_a 1 + s_a . sigma, shape (N, 2, 2), built on every
+        access and read-only: the state is ``components``."""
+        out = pauli_matrix(*self.components)
+        out.flags.writeable = False
+        return out
 
     def copy(self) -> "ParticleEnsemble":
         return ParticleEnsemble(self.q.copy(), self.p.copy(),
-                                self.rho.copy(), self.w.copy())
-
-
-def rho_eigenvalues(rho: np.ndarray) -> np.ndarray:
-    """Eigenvalues of Hermitian 2x2 matrices, shape (..., 2) ascending."""
-    tr = (rho[..., 0, 0] + rho[..., 1, 1]).real
-    det = (rho[..., 0, 0] * rho[..., 1, 1] - rho[..., 0, 1] * rho[..., 1, 0]).real
-    disc = np.sqrt(np.clip(tr**2 / 4.0 - det, 0.0, None))
-    return np.stack([tr / 2.0 - disc, tr / 2.0 + disc], axis=-1)
+                                self.components.copy(), self.w.copy())
 
 
 def validate(e: ParticleEnsemble,
              trace_tol: float = TRACE_TOL,
-             herm_tol: float = HERMITICITY_TOL,
              psd_tol: float = PSD_TOL) -> list[Violation]:
     """Check every ensemble invariant; returns the list of violations.
 
-    Checks, per particle: Hermiticity, unit trace, positive semidefiniteness,
-    purity in [1/2, 1], weight positivity; plus the ensemble-level weight sum.
-    An empty list means the state is physical at the given tolerances.
+    Checks, per particle: unit trace 2 c0, positive semidefiniteness (the
+    smaller eigenvalue c0 - |s|), purity 2 (c0^2 + |s|^2) in [1/2, 1] and
+    weight positivity; plus the ensemble-level weight sum.  Violations come
+    by particle, then in that order of checks.  An empty list means the
+    state is physical at the given tolerances.
     """
-    out: list[Violation] = []
-    herm_dev = np.max(np.abs(e.rho - np.conj(np.swapaxes(e.rho, -1, -2))), axis=(1, 2))
-    trace_dev = np.abs((e.rho[:, 0, 0] + e.rho[:, 1, 1]).real - 1.0)
-    eigs = rho_eigenvalues(e.rho)
-    purity = np.einsum("aij,aji->a", e.rho, e.rho).real
-
-    for a in range(e.n):
-        if herm_dev[a] > herm_tol:
-            out.append(Violation(a, "hermiticity", float(herm_dev[a])))
-        if trace_dev[a] > trace_tol:
-            out.append(Violation(a, "trace", float(trace_dev[a])))
-        if eigs[a, 0] < -psd_tol:
-            out.append(Violation(a, "positivity", float(-eigs[a, 0])))
-        if purity[a] < 0.5 - psd_tol or purity[a] > 1.0 + psd_tol:
-            out.append(Violation(a, "purity_range",
-                                 float(max(0.5 - purity[a], purity[a] - 1.0))))
-        if e.w[a] <= 0.0:
-            out.append(Violation(a, "weight_positive", float(-e.w[a])))
+    c0, s = e.components[0], e.components[1:]
+    s2 = np.einsum("ma,ma->a", s, s)
+    purity = 2.0 * (c0 * c0 + s2)
+    lowest = c0 - np.sqrt(s2)
+    trace_dev = np.abs(2.0 * c0 - 1.0)
+    magnitude = np.stack([trace_dev, -lowest,
+                          np.maximum(0.5 - purity, purity - 1.0), -e.w], axis=1)
+    failed = np.stack([trace_dev > trace_tol, lowest < -psd_tol,
+                       (purity < 0.5 - psd_tol) | (purity > 1.0 + psd_tol),
+                       e.w <= 0.0], axis=1)
+    out = [Violation(int(a), _PARTICLE_CHECKS[k], float(magnitude[a, k]))
+           for a, k in zip(*np.nonzero(failed))]
 
     wsum_dev = abs(float(np.sum(e.w)) - 1.0)
     if wsum_dev > WEIGHT_SUM_TOL:
@@ -189,12 +185,14 @@ def write_snapshot(e: ParticleEnsemble, fh) -> None:
 
 
 def read_snapshot(fh) -> ParticleEnsemble:
-    """Inverse of `write_snapshot`."""
+    """Inverse of `write_snapshot`, up to the round-off of converting the
+    written rho back to Pauli components."""
     rows = _read_table(fh, SNAPSHOT_HEADER, "snapshot header")
     rho = np.empty((rows.shape[0], 2, 2), dtype=complex)
     rho[:, 0, 0] = rows[:, 4]
     rho[:, 0, 1] = rows[:, 5] + 1j * rows[:, 6]
     rho[:, 1, 0] = rows[:, 5] - 1j * rows[:, 6]
     rho[:, 1, 1] = rows[:, 7]
-    return ParticleEnsemble(q=rows[:, 1], p=rows[:, 2], rho=rho, w=rows[:, 3])
+    return ParticleEnsemble(q=rows[:, 1], p=rows[:, 2],
+                            components=pauli_components(rho), w=rows[:, 3])
 

@@ -18,15 +18,14 @@ from typing import Callable
 
 import numpy as np
 
-from .pauli import pauli_matrix
-
 #: Reduced Planck constant in atomic units, shared by every module.
 HBAR = 1.0
 
 #: Splitting below which two electronic levels are treated as exactly
-#: degenerate: `_eigvec_from_pauli` then fixes the eigenvectors by convention.
-#: The nonadiabatic coupling, undefined there, is the test oracle `nac` in
-#: ``tests/helpers.py``.
+#: degenerate: `_eigvec_from_pauli` then fixes the eigenvectors by convention,
+#: v1 = (1, 0), and `diagnostics.particle_diagnostics` projects the lower
+#: population on that v1.  The nonadiabatic coupling, undefined there, is the
+#: test oracle `nac` in ``tests/helpers.py``.
 DEGENERACY_EPS = 1e-14
 
 
@@ -77,11 +76,10 @@ class HybridHamiltonian:
     ``classical`` and its derivatives are scalar functions of (q, p); the
     interaction callables return the four Pauli coefficients of H_I(q).
     The callables are applied elementwise to numpy arrays and may return
-    scalars or arrays broadcastable to their inputs; the methods below cast
-    and broadcast them, returning four float arrays of the broadcast shape
-    of (q, p) (of q for `electronic_pauli`).  Models compare and hash by
-    identity, so results computed for one model object can be kept for it
-    alone.
+    scalars or arrays broadcastable to their inputs; `electronic_pauli`
+    casts and broadcasts them to four float arrays of the shape of q.
+    Models compare and hash by identity, so results computed for one model
+    object can be kept for it alone.
     """
 
     name: str
@@ -99,8 +97,8 @@ class HybridHamiltonian:
 
         They are the callables' values as returned, neither cast nor
         broadcast: a constant coefficient stays a scalar.  This is the one
-        evaluation of the callables; the public methods below broadcast it.
-        A coefficient that is the scalar zero (`_is_zero`) states that its
+        evaluation of the callables; `dynamics` and `backreaction` read it
+        as it is, and `electronic_pauli` broadcasts it.  A coefficient that is the scalar zero (`_is_zero`) states that its
         component vanishes everywhere: `dynamics` and `backreaction` skip
         every product with it, in the one cross product `_cross` and in
         their sums, so it costs nothing, while an array of zeros is computed
@@ -119,25 +117,9 @@ class HybridHamiltonian:
                 out.append((self.d_classical_p(q, p), 0.0, 0.0, 0.0))
         return out
 
-    def pauli(self, q, p):
-        """Full Hamiltonian Pauli coefficients (h0, h1, h2, h3) at (q, p)."""
-        return on_points(q, p, *self._coefficients(q, p, "h")[0])
-
-    def grad_q(self, q, p):
-        """d/dq of the four Pauli coefficients."""
-        return on_points(q, p, *self._coefficients(q, p, "q")[0])
-
-    def grad_p(self, q, p):
-        """d/dp of the four Pauli coefficients (interaction is p-free)."""
-        return on_points(q, p, *self._coefficients(q, p, "p")[0])
-
     def electronic_pauli(self, q):
         """Pauli coefficients of the electronic matrix V_C(q)*1 + H_I(q)."""
         return on_points(q, 0.0, *self._coefficients(q, 0.0, "h")[0])
-
-    def matrix(self, q: float, p: float) -> np.ndarray:
-        """Dense 2x2 Hermitian matrix at a phase-space point."""
-        return pauli_matrix(*self.pauli(q, p))
 
 
 # ---------------------------------------------------------------------------
@@ -351,12 +333,6 @@ def _eigvec_from_pauli(h1, h2, h3, upper: bool):
     phase = np.where(np.abs(dominant) > 0.0, dominant / np.abs(dominant), 1.0)
     v /= phase[..., None]
     return v
-
-
-def lower_adiabatic_vector(h: HybridHamiltonian, q):
-    """The eigenvector ``v1`` of `adiabatic_basis` alone, shape q.shape + (2,)."""
-    _, h1, h2, h3 = h.electronic_pauli(q)
-    return _eigvec_from_pauli(h1, h2, h3, upper=False)
 
 
 def adiabatic_basis(h: HybridHamiltonian, q):

@@ -28,11 +28,6 @@ class PauliVector:
     h2: float
     h3: float
 
-    def matrix(self) -> np.ndarray:
-        """Reconstruct the 2x2 Hermitian matrix."""
-        return (self.h0 * IDENTITY + self.h1 * SIGMA_X
-                + self.h2 * SIGMA_Y + self.h3 * SIGMA_Z)
-
 
 def pauli_matrix(h0, h1, h2, h3) -> np.ndarray:
     """2x2 Hermitian matrix from Pauli coefficients (scalars or arrays).

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ensemble import ParticleEnsemble
+from .pauli import pauli_components
 
 # Direction numbers for the standard two-dimensional Sobol sequence
 # (Bratley & Fox / Joe & Kuo tables).  Dimension 1 is the base-2 van der
@@ -253,5 +254,6 @@ def init_ensemble(spec: InitSpec) -> ParticleEnsemble:
     q = spec.mu_q + spec.sigma_q * inverse_normal_cdf(u[:, 0])
     p = spec.mu_p + spec.sigma_p * inverse_normal_cdf(u[:, 1])
     w = np.full(spec.n, 1.0 / spec.n)
-    rho = np.broadcast_to(spec.rho0, (spec.n, 2, 2)).copy()
-    return ParticleEnsemble(q=q, p=p, rho=rho, w=w)
+    comp = pauli_components(spec.rho0)
+    return ParticleEnsemble(q=q, p=p, w=w, components=np.repeat(
+        comp[:, None], spec.n, axis=1))

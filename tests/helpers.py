@@ -6,18 +6,19 @@ import numpy as np
 
 from mqcdyn.backreaction import _box_rows, _bracket_tables, _line_rows
 from mqcdyn.dynamics import MethodKind, energy, rhs
-from mqcdyn.ensemble import ParticleEnsemble, _row_format, write_snapshot
+from mqcdyn.ensemble import (PSD_TOL, TRACE_TOL, WEIGHT_SUM_TOL,
+                             ParticleEnsemble, Violation, _row_format,
+                             write_snapshot)
 from mqcdyn.models import (DEGENERACY_EPS, HBAR, HybridHamiltonian,
-                           adiabatic_basis)
-from mqcdyn.pauli import (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, pauli_matrix,
-                          projector)
+                           adiabatic_basis, on_points)
+from mqcdyn.pauli import (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z,
+                          pauli_components, pauli_matrix, projector)
 from mqcdyn.regularization import kernel_1d
 
 HERM_BASIS = [IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z]
 
-#: trace drift beyond which `rehermitize` renormalizes; the RK4 step adds a
-#: traceless increment to rho and repairs nothing, so its trace drift stays
-#: below this by round-off alone
+#: trace drift beyond which `rehermitize` renormalizes; the RK4 step never
+#: writes the trace component, so no trace drifts at all
 TRACE_RENORM_THRESHOLD = 1e-12
 
 
@@ -33,8 +34,8 @@ def rehermitize(rho):
     The minimal-norm repair of round-off in a complex rho; it does not touch
     the spectrum otherwise.  Only the drifted matrices are divided, so the
     others come back as the Hermitian projection returns them.  No time step
-    calls it: the steps of `mqcdyn.dynamics` carry real Pauli components,
-    whose density matrices are Hermitian by construction.
+    calls it: `ParticleEnsemble` stores real Pauli components, whose density
+    matrices are Hermitian by construction.
     """
     out = hermitize(rho)
     tr = (out[..., 0, 0] + out[..., 1, 1]).real
@@ -55,6 +56,16 @@ def csv_row(rec):
     """The line of a `DiagnosticsRecord` in the time series table."""
     values = rec._values()
     return _row_format(len(values)) % values
+
+
+def from_rho(q, p, rho, w):
+    """The `ParticleEnsemble` of the given (N, 2, 2) density matrices."""
+    return ParticleEnsemble(q=q, p=p, components=pauli_components(rho), w=w)
+
+
+def drho(d):
+    """drho_a = ds_a . sigma for the derivative ``d`` of `rhs`, (N, 2, 2)."""
+    return pauli_matrix(0.0, *d.ds)
 
 
 def bloch_state(theta, phi=0.0):
@@ -81,7 +92,8 @@ def random_ensemble(n, seed, q0, p0, spread=0.5):
                     zip(rng.uniform(0, np.pi, n), rng.uniform(0, 2 * np.pi, n))])
     return ParticleEnsemble(q=q0 + spread * rng.standard_normal(n),
                             p=p0 + spread * rng.standard_normal(n),
-                            rho=rho, w=np.full(n, 1.0 / n))
+                            components=pauli_components(rho),
+                            w=np.full(n, 1.0 / n))
 
 
 def fd_gradient_check(kind, e, h, spec, rtol=1e-5):
@@ -94,43 +106,108 @@ def fd_gradient_check(kind, e, h, spec, rtol=1e-5):
 
     Classical sector: dq/dt = dh/dp / w, dp/dt = -dh/dq / w via central
     differences of energy().  Quantum sector: reconstruct dh/drho_a from
-    directional derivatives along the Hermitian basis, then compare
-    drho_a with -(i/hbar) [dh/drho_a, rho_a] / w_a.
+    directional derivatives along the Hermitian basis (component mu of
+    rho_a moved by +-step is rho_a +- step sigma_mu), then compare
+    drho_a = ds_a . sigma with -(i/hbar) [dh/drho_a, rho_a] / w_a.
     """
     kind = MethodKind.parse(kind)
     deriv = rhs(kind, e, h, spec)
+    rate = drho(deriv)
+    rho = e.rho
 
-    def h_at(q, p, rho):
-        return energy(kind, ParticleEnsemble(q=q, p=p, rho=rho, w=e.w), h,
-                      spec)
+    def h_at(q, p, comp):
+        return energy(kind, ParticleEnsemble(q=q, p=p, components=comp, w=e.w),
+                      h, spec)
 
     step = 1e-5
     scale = max(np.max(np.abs(deriv.dq)), np.max(np.abs(deriv.dp)),
-                np.max(np.abs(deriv.drho)), 1e-8)
+                np.max(np.abs(rate)), 1e-8)
+    comp = e.components
     for a in range(e.n):
         qp = e.q.copy(); qp[a] += step
         qm = e.q.copy(); qm[a] -= step
-        dh_dq = (h_at(qp, e.p, e.rho) - h_at(qm, e.p, e.rho)) / (2 * step)
+        dh_dq = (h_at(qp, e.p, comp) - h_at(qm, e.p, comp)) / (2 * step)
         pp = e.p.copy(); pp[a] += step
         pm = e.p.copy(); pm[a] -= step
-        dh_dp = (h_at(e.q, pp, e.rho) - h_at(e.q, pm, e.rho)) / (2 * step)
+        dh_dp = (h_at(e.q, pp, comp) - h_at(e.q, pm, comp)) / (2 * step)
         assert abs(deriv.dq[a] - dh_dp / e.w[a]) <= rtol * scale + 1e-12
         assert abs(deriv.dp[a] + dh_dq / e.w[a]) <= rtol * scale + 1e-12
 
         grad = np.zeros((2, 2), dtype=complex)
-        for basis in HERM_BASIS:
-            rp = e.rho.copy(); rp[a] = rp[a] + step * basis
-            rm = e.rho.copy(); rm[a] = rm[a] - step * basis
-            direction = (h_at(e.q, e.p, rp) - h_at(e.q, e.p, rm)) / (2 * step)
+        for mu, basis in enumerate(HERM_BASIS):
+            cp = comp.copy(); cp[mu, a] += step
+            cm = comp.copy(); cm[mu, a] -= step
+            direction = (h_at(e.q, e.p, cp) - h_at(e.q, e.p, cm)) / (2 * step)
             # <G, B> = Tr(G B); the Pauli basis is orthogonal with norm^2 = 2
             grad += direction * basis / 2.0
-        expected_drho = -1j * (grad @ e.rho[a] - e.rho[a] @ grad) / e.w[a]
-        assert np.max(np.abs(deriv.drho[a] - expected_drho)) <= rtol * scale + 1e-12
+        expected_drho = -1j * (grad @ rho[a] - rho[a] @ grad) / e.w[a]
+        assert np.max(np.abs(rate[a] - expected_drho)) <= rtol * scale + 1e-12
 
 
 # ---------------------------------------------------------------------------
 # Reference implementations the production code is checked against
 # ---------------------------------------------------------------------------
+
+def pauli(h, q, p):
+    """Full Hamiltonian Pauli coefficients (h0, h1, h2, h3) of the model
+    ``h`` at (q, p), float arrays of their broadcast shape."""
+    return on_points(q, p, *h._coefficients(q, p, "h")[0])
+
+
+def grad_q(h, q, p):
+    """d/dq of the four Pauli coefficients."""
+    return on_points(q, p, *h._coefficients(q, p, "q")[0])
+
+
+def grad_p(h, q, p):
+    """d/dp of the four Pauli coefficients (interaction is p-free)."""
+    return on_points(q, p, *h._coefficients(q, p, "p")[0])
+
+
+def matrix(h, q, p):
+    """Dense 2x2 Hermitian matrix of the model at a phase-space point."""
+    return pauli_matrix(*pauli(h, q, p))
+
+
+def vector_matrix(v):
+    """The 2x2 Hermitian matrix of a `PauliVector`."""
+    return v.h0 * IDENTITY + v.h1 * SIGMA_X + v.h2 * SIGMA_Y + v.h3 * SIGMA_Z
+
+
+def integral(field):
+    """Trapezoid integral of a `DensityField` over both axes (per time slice
+    for waterfall, the largest)."""
+    if field.kind == "waterfall":
+        return float(np.trapezoid(field.values, field.axis2, axis=1).max())
+    return float(np.trapezoid(np.trapezoid(field.values, field.axis2, axis=1),
+                              field.axis1))
+
+
+def validate_loop(e, trace_tol=TRACE_TOL, psd_tol=PSD_TOL):
+    """`mqcdyn.ensemble.validate` as a loop over the particles, reading each
+    check off the 2x2 matrix rho_a."""
+    rho = e.rho
+    trace = (rho[:, 0, 0] + rho[:, 1, 1]).real
+    det = (rho[:, 0, 0] * rho[:, 1, 1] - rho[:, 0, 1] * rho[:, 1, 0]).real
+    lowest = trace / 2.0 - np.sqrt(np.clip(trace**2 / 4.0 - det, 0.0, None))
+    purity = np.einsum("aij,aji->a", rho, rho).real
+
+    out = []
+    for a in range(e.n):
+        if abs(trace[a] - 1.0) > trace_tol:
+            out.append(Violation(a, "trace", float(abs(trace[a] - 1.0))))
+        if lowest[a] < -psd_tol:
+            out.append(Violation(a, "positivity", float(-lowest[a])))
+        if purity[a] < 0.5 - psd_tol or purity[a] > 1.0 + psd_tol:
+            out.append(Violation(a, "purity_range",
+                                 float(max(0.5 - purity[a], purity[a] - 1.0))))
+        if e.w[a] <= 0.0:
+            out.append(Violation(a, "weight_positive", float(-e.w[a])))
+
+    wsum_dev = abs(float(np.sum(e.w)) - 1.0)
+    if wsum_dev > WEIGHT_SUM_TOL:
+        out.append(Violation(None, "weight_sum", wsum_dev))
+    return out
 
 def kernel_1d_deriv(spec, y):
     """d/dy of the 1D kernel, -2y/alpha^2 * Ktilde(y)."""
@@ -157,7 +234,7 @@ def koopmon_pairs(e, h, grid, spec):
     grid.check_coverage(e.q, e.p)
     rows, node_w = _box_rows(e.q, e.p, e.w, spec, grid)
     qq, pp = grid.q_nodes[:, None], grid.p_nodes[None, :]
-    a = _bracket_tables(rows, node_w, h.grad_q(qq, pp), h.grad_p(qq, pp))
+    a = _bracket_tables(rows, node_w, grad_q(h, qq, pp), grad_p(h, qq, pp))
     values = 0.5 * (a - np.swapaxes(a, 1, 2))
     return np.moveaxis(values, 0, -1)
 
@@ -209,7 +286,7 @@ def nac(h, q):
     if abs(gap) < DEGENERACY_EPS:
         raise DegeneratePotentialError(
             f"electronic levels degenerate at q={q!r}; coupling undefined")
-    g0, g1, g2, g3 = h.grad_q(q, 0.0)
+    g0, g1, g2, g3 = grad_q(h, q, 0.0)
     dmat = pauli_matrix(float(g0), float(g1), float(g2), float(g3))
     num = np.vdot(v1, dmat @ v2)
     return float((num / gap).real)

@@ -5,6 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 from ab_bench import summarize  # noqa: E402
+from same_artifacts import relative_change  # noqa: E402
 
 METRICS = [{"name": "run_s", "unit": "s", "better": "lower", "bound": 0.25},
            {"name": "steps_per_s", "unit": "1/s", "better": "higher",
@@ -72,3 +73,22 @@ def test_pairs_with_a_failed_side_are_left_out():
     lone = summarize(pairs[:1], METRICS[:1])["run_s"]
     assert lone["pairs"] == 1 and "parent" not in lone
     assert not lone["claim_holds"] and not lone["regressed"]
+
+
+def test_same_artifacts_gives_the_relative_change_of_json_numbers(tmp_path):
+    def doc(name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        return path
+
+    a = doc("a.json", '{"p1": 0.5, "n": 3, "t": [0.0, 2.0], "m": "koopmon"}')
+    b = doc("b.json", '{"p1": 0.5000001, "n": 3, "t": [0.0, 2.0], '
+                      '"m": "bohmion"}')
+    # as for CSV tables: relative to the largest |value| of either side
+    assert relative_change(a, b) == pytest.approx(1e-7 / 3.0, rel=1e-9)
+    assert relative_change(a, a) == 0.0
+    # numbers at other places, or no JSON, give no figure
+    assert relative_change(a, doc("c.json", '{"p1": 0.5, "t": [0.0]}')) is None
+    assert relative_change(a, doc("d.json", "not json")) is None
+    nan = doc("e.json", '{"x": NaN, "y": 1.0}')
+    assert relative_change(nan, nan) == 0.0

@@ -17,7 +17,7 @@ from mqcdyn.diagnostics import particle_diagnostics, wigner
 from mqcdyn.dynamics import MethodKind, propagate, rk4_step
 from mqcdyn.ensemble import ParticleEnsemble, validate
 from mqcdyn.models import adiabatic_basis, make_model
-from mqcdyn.pauli import projector
+from mqcdyn.pauli import pauli_components, projector
 from mqcdyn.regularization import GridParams, KernelSpec, build_grid, \
     build_grid_1d
 from mqcdyn.sampling import InitSpec, init_ensemble
@@ -207,7 +207,8 @@ def test_criterion_3b_wide_kernel_recovers_mean_field():
     e1 = e0.copy()
     rng = np.random.default_rng(4)
     for a in range(e1.n):
-        e1.rho[a] = bloch_state(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi))
+        e1.components[:, a] = pauli_components(
+            bloch_state(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)))
     tk1 = propagate(MethodKind.KOOPMON, e1, h, KernelSpec(alpha=8.0), 2.0,
                     200.0, snapshot_times=(200.0,))
     te1 = propagate(MethodKind.EHRENFEST, e1, h, None, 2.0, 200.0,

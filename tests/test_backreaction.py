@@ -7,13 +7,13 @@ from mqcdyn import backreaction
 from mqcdyn.backreaction import HBAR, _kernel_rows, bohmion_terms, koopmon_terms
 from mqcdyn.ensemble import ParticleEnsemble
 from mqcdyn.models import HybridHamiltonian, make_model, on_points
-from mqcdyn.pauli import pauli_decompose
+from mqcdyn.pauli import pauli_components
 from mqcdyn.regularization import (GridCoverageError, GridParams, KernelSpec,
                                    build_grid, build_grid_1d, kernel_1d)
 
 from helpers import (bloch_state, bohmion_coupling_energy, bohmion_pairs,
-                     fd_gradient_check, kernel_1d_deriv, kernel_1d_deriv2,
-                     koopmon_coupling_energy, koopmon_pairs)
+                     fd_gradient_check, grad_p, grad_q, kernel_1d_deriv,
+                     kernel_1d_deriv2, koopmon_coupling_energy, koopmon_pairs)
 
 
 def random_ensemble(n, seed=0, q0=-8.0, p0=10.0, spread=0.6):
@@ -22,14 +22,16 @@ def random_ensemble(n, seed=0, q0=-8.0, p0=10.0, spread=0.6):
                     zip(rng.uniform(0, np.pi, n), rng.uniform(0, 2 * np.pi, n))])
     return ParticleEnsemble(q=q0 + spread * rng.standard_normal(n),
                             p=p0 + spread * rng.standard_normal(n),
-                            rho=rho, w=np.full(n, 1.0 / n))
+                            components=pauli_components(rho),
+                            w=np.full(n, 1.0 / n))
 
 
 def desk_pair(alpha):
     """Two-particle scattering-model configuration used across these tests."""
     rho = np.stack([bloch_state(0.3, 0.2), bloch_state(1.9, 4.0)])
     e = ParticleEnsemble(q=np.array([-8.0, -7.5]), p=np.array([10.0, 10.2]),
-                         rho=rho, w=np.array([0.5, 0.5]))
+                         components=pauli_components(rho),
+                         w=np.array([0.5, 0.5]))
     return e, KernelSpec(alpha=alpha)
 
 
@@ -105,7 +107,9 @@ def test_bohmion_self_integral_value():
     alpha = 0.5
     spec = KernelSpec(alpha=alpha)
     e = ParticleEnsemble(q=np.zeros(1), p=np.zeros(1),
-                         rho=np.asarray([bloch_state(0.4, 0.0)]), w=np.ones(1))
+                         components=pauli_components(
+                             np.asarray([bloch_state(0.4, 0.0)])),
+                         w=np.ones(1))
     grid = build_grid_1d(e.q, spec, GridParams(n_q=10))
     table = bohmion_pairs(e, grid, spec)
     assert table[0, 0] == pytest.approx(2.0 / alpha**2, rel=1e-6)
@@ -115,7 +119,8 @@ def test_bohmion_self_integral_value():
 def test_bohmion_distant_particles_decouple():
     spec = KernelSpec(alpha=0.5)
     rho = np.stack([bloch_state(0.3, 0.0), bloch_state(2.0, 1.0)])
-    e = ParticleEnsemble(q=np.array([-8.0, 8.0]), p=np.zeros(2), rho=rho,
+    e = ParticleEnsemble(q=np.array([-8.0, 8.0]), p=np.zeros(2),
+                         components=pauli_components(rho),
                          w=np.full(2, 0.5))
     grid = build_grid_1d(e.q, spec)
     table = bohmion_pairs(e, grid, spec)
@@ -131,7 +136,7 @@ def test_bohmion_box_that_misses_a_particle_raises():
     spec = KernelSpec(alpha=0.5)
     q = e.q.copy()
     q[2] = np.max(np.delete(q, 2)) + 12.0 * spec.sigma_k
-    e = ParticleEnsemble(q=q, p=e.p, rho=e.rho, w=e.w)
+    e = ParticleEnsemble(q=q, p=e.p, components=e.components, w=e.w)
     grid = build_grid_1d(np.delete(q, 2), spec)
     for call in (lambda: bohmion_terms(e, 2000.0, grid, spec),
                  lambda: bohmion_pairs(e, grid, spec)):
@@ -192,7 +197,8 @@ def test_koopmon_pair_integral_refined_grid_strong_coupling():
     # box is converged, and the default box sits within 1% of it
     rho = np.stack([bloch_state(0.4, 0.3), bloch_state(2.2, 2.5)])
     e = ParticleEnsemble(q=np.array([0.0, 0.45]), p=np.array([0.4, -0.1]),
-                         rho=rho, w=np.array([0.5, 0.5]))
+                         components=pauli_components(rho),
+                         w=np.array([0.5, 0.5]))
     spec = KernelSpec(alpha=0.5)
     h = make_model("rabi_ds")
     default = koopmon_pairs(e, h, build_grid(e.q, e.p, spec), spec)
@@ -211,7 +217,8 @@ def test_bohmion_pair_integral_against_refined_grid():
     # resolution-converged far below 1e-8
     spec = KernelSpec(alpha=0.5)
     rho = np.stack([bloch_state(0.7, 0.1), bloch_state(2.4, 3.0)])
-    e = ParticleEnsemble(q=np.array([0.0, 0.3]), p=np.zeros(2), rho=rho,
+    e = ParticleEnsemble(q=np.array([0.0, 0.3]), p=np.zeros(2),
+                         components=pauli_components(rho),
                          w=np.full(2, 0.5))
     conv1 = bohmion_pairs(e, build_grid_1d(e.q, spec, GridParams(n_q=8, j_q=8)),
                           spec)
@@ -253,7 +260,7 @@ def test_koopmon_quantum_term_matches_pair_assembly():
     spec = KernelSpec(alpha=0.5)
     grid = build_grid(e.q, e.p, spec)
     table = koopmon_pairs(e, h, grid, spec)
-    s = pauli_decompose(e.rho)[:, 1:]
+    s = e.components[1:].T
     expected = np.zeros((4, 3))
     for a in range(4):
         acc = np.zeros(3)
@@ -280,7 +287,7 @@ def test_bohmion_quantum_term_matches_pair_assembly():
     spec = KernelSpec(alpha=0.5)
     grid = build_grid_1d(e.q, spec)
     table = bohmion_pairs(e, grid, spec)
-    s = pauli_decompose(e.rho)[:, 1:]
+    s = e.components[1:].T
     expected = HBAR**2 / (2.0 * h.mass) * np.einsum("ab,b,bk->ak",
                                                     table, e.w, s)
     terms = bohmion_terms(e, h.mass, grid, spec)
@@ -298,7 +305,9 @@ def test_koopmon_terms_on_a_split_cloud(dq, dp):
     b = random_ensemble(3, seed=22, q0=dq, p0=dp)
     e = ParticleEnsemble(q=np.concatenate([a.q, b.q]),
                          p=np.concatenate([a.p, b.p]),
-                         rho=np.concatenate([a.rho, b.rho]), w=np.full(6, 1 / 6))
+                         components=np.concatenate(
+                             [a.components, b.components], axis=1),
+                         w=np.full(6, 1 / 6))
     h = periodic_model()
     spec = KernelSpec(alpha=0.5)
     grid = build_grid(e.q, e.p, spec)
@@ -310,7 +319,7 @@ def test_koopmon_terms_on_a_split_cloud(dq, dp):
     terms = koopmon_terms(e, h, grid, spec)
     assert terms.energy == pytest.approx(koopmon_coupling_energy(e, table),
                                          rel=1e-12, abs=1e-16)
-    s = pauli_decompose(e.rho)[:, 1:]
+    s = e.components[1:].T
     expected = -2.0 * HBAR * np.einsum(
         "b,abk->ak", e.w, np.cross(s[None, :, :], table[:, :, 1:]))
     assert np.allclose(terms.heff_vec, expected, rtol=1e-10, atol=1e-15)
@@ -330,7 +339,8 @@ def cloud_split_in_p(n):
     b = random_ensemble(n - n // 2, seed=33, q0=0.5, p0=gap)
     return ParticleEnsemble(q=np.concatenate([a.q, b.q]),
                             p=np.concatenate([a.p, b.p]),
-                            rho=np.concatenate([a.rho, b.rho]),
+                            components=np.concatenate(
+                                [a.components, b.components], axis=1),
                             w=np.full(n, 1.0 / n))
 
 
@@ -409,7 +419,7 @@ def test_no_traceless_gradient_gives_exact_zero_terms():
 def bohmion_terms_by_node_products(e, mass, grid, spec):
     """The bohmion terms from (particles x nodes) products summed over the
     nodes, the form the GEMMs of `bohmion_terms` replace."""
-    comp = pauli_decompose(e.rho)
+    comp = e.components.T
     s0, s, w = comp[:, 0], comp[:, 1:], e.w
     k, dk, ddk = _kernel_rows(spec, e.q, grid.nodes, 3)
     inv_d = backreaction._masked_inverse(w @ k)
@@ -451,7 +461,7 @@ def koopmon_pairs_by_pair_loops(e, h, grid, spec):
     kp, dkp = _kernel_rows(spec, e.p, grid.p_nodes)
     inv_d = backreaction._masked_inverse((e.w[:, None] * kq).T @ kp)
     qq, pp = grid.q_nodes[:, None], grid.p_nodes[None, :]
-    gq, gp = np.stack(h.grad_q(qq, pp)), np.stack(h.grad_p(qq, pp))
+    gq, gp = np.stack(grad_q(h, qq, pp)), np.stack(grad_p(h, qq, pp))
     values = np.zeros((n, n, 4))
     for a in range(n):
         k_a = np.outer(kq[a], kp[a])
@@ -566,7 +576,8 @@ def test_box_extension_converges():
     # once past a 4-sigma padding, further widening has negligible effect
     rho = np.stack([bloch_state(0.4, 0.3), bloch_state(2.2, 2.5)])
     e = ParticleEnsemble(q=np.array([0.0, 0.45]), p=np.array([0.4, -0.1]),
-                         rho=rho, w=np.array([0.5, 0.5]))
+                         components=pauli_components(rho),
+                         w=np.array([0.5, 0.5]))
     spec = KernelSpec(alpha=0.5)
     h = make_model("rabi_ds")
     t4 = koopmon_pairs(e, h, build_grid(e.q, e.p, spec,

@@ -7,20 +7,21 @@ from mqcdyn.diagnostics import (DiagnosticsRecord, default_phase_grid,
                                 particle_diagnostics, smoothed_cloud,
                                 waterfall, wigner)
 from mqcdyn.ensemble import ParticleEnsemble
-from mqcdyn.models import (HBAR, adiabatic_basis, lower_adiabatic_vector,
-                           make_model)
-from mqcdyn.pauli import projector
+from mqcdyn.models import HBAR, adiabatic_basis, make_model
+from mqcdyn.pauli import pauli_components, projector
 from mqcdyn.sampling import InitSpec, init_ensemble
 from mqcdyn.soft import SpatialGrid1D, WavepacketState, init_wavepacket
 
-from helpers import csv_row
+from helpers import csv_row, integral
 
 
 def test_particle_diagnostics_tully1_initial():
     h = make_model("tully1")
     _, _, v1, _ = adiabatic_basis(h, np.array([-8.0]))
     e = ParticleEnsemble(q=np.array([-8.0]), p=np.array([10.0]),
-                         rho=np.asarray([projector(v1[0])]), w=np.ones(1))
+                         components=pauli_components(
+                             np.asarray([projector(v1[0])])),
+                         w=np.ones(1))
     rec = particle_diagnostics(e, h)
     assert rec.p1 == pytest.approx(1.0, abs=1e-12)
     assert rec.purity == pytest.approx(1.0, abs=1e-12)
@@ -31,7 +32,9 @@ def test_particle_diagnostics_plus_state():
     h = make_model("rabi_us")
     v0 = np.array([1.0, 1.0]) / np.sqrt(2.0)
     e = ParticleEnsemble(q=np.zeros(1), p=np.zeros(1),
-                         rho=np.asarray([projector(v0)]), w=np.ones(1))
+                         components=pauli_components(
+                             np.asarray([projector(v0)])),
+                         w=np.ones(1))
     rec = particle_diagnostics(e, h)
     assert np.allclose(rec.bloch, (1.0, 0.0, 0.0), atol=1e-12)
     assert rec.purity == pytest.approx(1.0, abs=1e-12)
@@ -42,7 +45,8 @@ def test_particle_diagnostics_mixed_pair():
     rho = np.stack([np.diag([1.0, 0.0]).astype(complex),
                     np.diag([0.0, 1.0]).astype(complex)])
     e = ParticleEnsemble(q=np.array([-8.0, -8.0]), p=np.array([10.0, 10.0]),
-                         rho=rho, w=np.array([0.5, 0.5]))
+                         components=pauli_components(rho),
+                         w=np.array([0.5, 0.5]))
     rec = particle_diagnostics(e, h)
     assert rec.purity == pytest.approx(0.5, abs=1e-12)
     assert np.allclose(rec.bloch, (0.0, 0.0, 0.0), atol=1e-12)
@@ -60,14 +64,17 @@ def test_populations_use_the_lower_vector_of_the_adiabatic_basis(name, params):
     rho = np.stack([projector(v / np.linalg.norm(v)) for v in
                     rng.standard_normal((len(q), 2))
                     + 1j * rng.standard_normal((len(q), 2))])
-    e = ParticleEnsemble(q=q, p=rng.standard_normal(len(q)), rho=rho,
+    e = ParticleEnsemble(q=q, p=rng.standard_normal(len(q)),
+                         components=pauli_components(rho),
                          w=np.full(len(q), 1.0 / len(q)))
     v1 = adiabatic_basis(h, q)[2]
-    assert lower_adiabatic_vector(h, q).tobytes() == v1.tobytes()
     if params:
         assert np.array_equal(v1[0], [1.0, 0.0])
     amp = np.einsum("ak,akl,al->a", v1.conj(), rho, v1)
-    assert particle_diagnostics(e, h).p1 == float(np.sum(e.w * amp.real))
+    # P1 is read off the projector (1 - n . sigma)/2 on the components; it
+    # equals the eigenvector form up to round-off
+    assert abs(particle_diagnostics(e, h).p1
+               - float(np.sum(e.w * amp.real))) <= 1e-14
 
 
 def test_purity_consistent_with_bloch_norm():
@@ -80,7 +87,8 @@ def test_purity_consistent_with_bloch_norm():
         v = np.array([np.cos(t / 2), np.exp(1j * f) * np.sin(t / 2)])
         rho.append(projector(v))
     e = ParticleEnsemble(q=rng.normal(size=n), p=rng.normal(size=n),
-                         rho=np.stack(rho), w=np.full(n, 1 / n))
+                         components=pauli_components(np.stack(rho)),
+                         w=np.full(n, 1 / n))
     rec = particle_diagnostics(e, h)
     assert rec.purity == pytest.approx(
         0.5 * (1.0 + float(np.dot(rec.bloch, rec.bloch))), abs=1e-12)
@@ -143,7 +151,7 @@ def test_wigner_total_integral_is_one():
     q = aligned_q_nodes(state, -6.0, 6.0)
     p = np.linspace(-3, 11, 181)
     field = wigner(state, q, p)
-    assert field.integral() == pytest.approx(1.0, abs=1e-6)
+    assert integral(field) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_wigner_two_component_sum():
@@ -154,7 +162,7 @@ def test_wigner_two_component_sum():
     q = aligned_q_nodes(state, -5.0, 5.0)
     p = np.linspace(-3, 7, 161)
     field = wigner(state, q, p)
-    assert field.integral() == pytest.approx(1.0, abs=1e-6)
+    assert integral(field) == pytest.approx(1.0, abs=1e-6)
 
 
 def evolved_interference_state():
@@ -175,7 +183,7 @@ def test_wigner_interference_negative_but_normalized():
     p = np.linspace(-4, 4, 241)
     field = wigner(state, q, p)
     assert field.values.min() < -1e-2
-    assert field.integral() == pytest.approx(1.0, abs=1e-6)
+    assert integral(field) == pytest.approx(1.0, abs=1e-6)
 
 
 def wigner_by_definition(state, q_nodes, p_nodes):
@@ -251,7 +259,9 @@ def test_wigner_memory_does_not_grow_with_the_grid():
 def test_smoothed_cloud_single_particle_gaussian():
     delta = 0.25
     e = ParticleEnsemble(q=np.array([0.5]), p=np.array([-1.0]),
-                         rho=np.asarray([projector([1.0, 0.0])]), w=np.ones(1))
+                         components=pauli_components(
+                             np.asarray([projector([1.0, 0.0])])),
+                         w=np.ones(1))
     q = np.linspace(-1.5, 2.5, 101)
     p = np.linspace(-3.0, 1.0, 101)
     field = smoothed_cloud(e, delta, q, p)
@@ -259,14 +269,14 @@ def test_smoothed_cloud_single_particle_gaussian():
                     - (p[None, :] + 1.0) ** 2 / delta**2)
              / (delta**2 * np.pi))
     assert np.allclose(field.values, exact, atol=1e-14)
-    assert field.integral() == pytest.approx(1.0, abs=1e-6)
+    assert integral(field) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_smoothed_cloud_symmetric_pair():
     delta = 0.25
     rho = np.broadcast_to(projector([1.0, 0.0]), (2, 2, 2)).copy()
     e = ParticleEnsemble(q=np.array([-1.0, 1.0]), p=np.array([0.0, 0.0]),
-                         rho=rho, w=np.full(2, 0.5))
+                         components=pauli_components(rho), w=np.full(2, 0.5))
     q = np.linspace(-3, 3, 121)
     p = np.linspace(-2, 2, 81)
     field = smoothed_cloud(e, delta, q, p)
@@ -275,8 +285,8 @@ def test_smoothed_cloud_symmetric_pair():
 
 def test_default_phase_grid_covers_cloud():
     e = ParticleEnsemble(q=np.array([-1.0, 3.0]), p=np.array([0.5, 2.0]),
-                         rho=np.broadcast_to(projector([1.0, 0.0]),
-                                             (2, 2, 2)).copy(),
+                         components=pauli_components(np.broadcast_to(
+                             projector([1.0, 0.0]), (2, 2, 2))),
                          w=np.full(2, 0.5))
     q, p = default_phase_grid(e, 0.25, n_nodes=64)
     assert q[0] == pytest.approx(-2.0) and q[-1] == pytest.approx(4.0)

@@ -3,18 +3,21 @@ import collections
 import numpy as np
 import pytest
 
-from mqcdyn import _heap, backreaction, dynamics, ensemble, soft
+from mqcdyn import (_heap, backreaction, dynamics, ensemble, pauli, sampling,
+                    soft)
 from mqcdyn.dynamics import (EnergyDriftError, MethodKind,
                              NonFiniteDerivativeError, default_grid, energy,
                              propagate, rhs, rk4_step, snapshot_steps)
-from mqcdyn.ensemble import ParticleEnsemble, validate
+from mqcdyn.ensemble import validate
 from mqcdyn.models import HBAR, HybridHamiltonian, make_model
 from mqcdyn.pauli import SIGMA_X, pauli_matrix, projector
 from mqcdyn.regularization import GridParams, KernelSpec
 from mqcdyn.sampling import InitSpec, init_ensemble
 
-from helpers import (TRACE_RENORM_THRESHOLD, bloch_state, fd_gradient_check,
-                     nan_past, random_ensemble, rehermitize)
+import helpers
+from helpers import (TRACE_RENORM_THRESHOLD, bloch_state, drho,
+                     fd_gradient_check, from_rho, matrix, nan_past,
+                     random_ensemble, rehermitize)
 
 
 @pytest.mark.parametrize("kind", ["ehrenfest", "koopmon", "bohmion"])
@@ -49,26 +52,29 @@ def test_ehrenfest_rhs_example():
     h = make_model("tully1")
     from mqcdyn.models import adiabatic_basis
     _, _, v1, _ = adiabatic_basis(h, np.array([-8.0]))
-    e = ParticleEnsemble(q=np.array([-8.0]), p=np.array([10.0]),
-                         rho=np.asarray([projector(v1[0])]), w=np.ones(1))
+    e = from_rho(np.array([-8.0]), np.array([10.0]),
+                 np.asarray([projector(v1[0])]), np.ones(1))
     d = rhs(MethodKind.EHRENFEST, e, h)
     assert d.dq[0] == pytest.approx(10.0 / 2000.0)
     # force = -<rho, dH/dq>, cross-checked by finite differences of <rho, H>
     step = 1e-6
-    tr_plus = np.trace(e.rho[0] @ h.matrix(-8.0 + step, 10.0)).real
-    tr_minus = np.trace(e.rho[0] @ h.matrix(-8.0 - step, 10.0)).real
+    tr_plus = np.trace(e.rho[0] @ matrix(h, -8.0 + step, 10.0)).real
+    tr_minus = np.trace(e.rho[0] @ matrix(h, -8.0 - step, 10.0)).real
     assert d.dp[0] == pytest.approx(-(tr_plus - tr_minus) / (2 * step),
                                     rel=1e-6, abs=1e-12)
 
 
-def test_drho_is_traceless_and_hermitian():
+def test_ds_is_real_and_orthogonal_to_s():
+    # drho is traceless and Hermitian by construction, as the rate of the
+    # half Bloch vectors alone; each s_a only rotates, so ds_a . s_a = 0
     e = random_ensemble(5, seed=1, q0=0.0, p0=4.0)
     h = make_model("rabi_us")
+    s = e.components[1:]
     for kind in MethodKind:
         d = rhs(kind, e, h, KernelSpec(alpha=0.5))
-        traces = np.abs(d.drho[:, 0, 0] + d.drho[:, 1, 1])
-        assert np.max(traces) < 1e-12
-        assert np.allclose(d.drho, np.conj(np.swapaxes(d.drho, -1, -2)))
+        assert d.ds.shape == (3, e.n) and d.ds.dtype == float
+        radial = np.abs(np.einsum("ma,ma->a", d.ds, s))
+        assert np.max(radial) <= 1e-14 * np.max(np.abs(d.ds))
 
 
 def test_single_particle_koopmon_equals_ehrenfest_bitwise():
@@ -79,7 +85,7 @@ def test_single_particle_koopmon_equals_ehrenfest_bitwise():
     de = rhs(MethodKind.EHRENFEST, e, h, spec)
     assert np.array_equal(dk.dq, de.dq)
     assert np.array_equal(dk.dp, de.dp)
-    assert np.array_equal(dk.drho, de.drho)
+    assert np.array_equal(dk.ds, de.ds)
     assert energy(MethodKind.KOOPMON, e, h, spec) == \
         energy(MethodKind.EHRENFEST, e, h, spec)
 
@@ -94,7 +100,7 @@ def test_single_particle_bohmion_offset_energy_same_motion():
     de = rhs(MethodKind.EHRENFEST, e, h, spec)
     assert db.dq[0] == pytest.approx(de.dq[0], abs=1e-13)
     assert db.dp[0] == pytest.approx(de.dp[0], abs=1e-13)
-    assert np.allclose(db.drho, de.drho, atol=1e-13)
+    assert np.allclose(drho(db), drho(de), atol=1e-13)
     eb = energy(MethodKind.BOHMION, e, h, spec)
     ee = energy(MethodKind.EHRENFEST, e, h, spec)
     purity_coeff = 2.0 * np.einsum("ij,ji->", e.rho[0], e.rho[0]).real - 1.0
@@ -108,9 +114,8 @@ def test_equal_quantum_states_make_koopmon_energy_ehrenfest():
     rho0 = bloch_state(0.8, 1.1)
     n = 4
     rng = np.random.default_rng(8)
-    e = ParticleEnsemble(q=rng.normal(size=n), p=rng.normal(size=n),
-                         rho=np.broadcast_to(rho0, (n, 2, 2)).copy(),
-                         w=np.full(n, 1 / n))
+    e = from_rho(rng.normal(size=n), rng.normal(size=n),
+                 np.broadcast_to(rho0, (n, 2, 2)), np.full(n, 1 / n))
     h = make_model("rabi_ds")
     spec = KernelSpec(alpha=0.5)
     assert energy(MethodKind.KOOPMON, e, h, spec) == pytest.approx(
@@ -123,8 +128,8 @@ def test_koopmon_energy_example_tully1():
     h = make_model("tully1")
     from mqcdyn.models import adiabatic_basis
     _, _, v1, _ = adiabatic_basis(h, np.array([-8.0]))
-    e = ParticleEnsemble(q=np.array([-8.0]), p=np.array([10.0]),
-                         rho=np.asarray([projector(v1[0])]), w=np.ones(1))
+    e = from_rho(np.array([-8.0]), np.array([10.0]),
+                 np.asarray([projector(v1[0])]), np.ones(1))
     expected = 10.0**2 / (2 * 2000.0) + float(adiabatic_basis(h, -8.0)[0])
     assert energy(MethodKind.KOOPMON, e, h, KernelSpec(alpha=0.5)) == \
         pytest.approx(expected, abs=1e-15)
@@ -149,8 +154,8 @@ def harmonic_model():
 
 def one_particle(q, p, rho=None):
     rho = bloch_state(0.3, 0.0) if rho is None else rho
-    return ParticleEnsemble(q=np.array([q]), p=np.array([p]),
-                            rho=np.asarray([rho]), w=np.ones(1))
+    return from_rho(np.array([q]), np.array([p]), np.asarray([rho]),
+                    np.ones(1))
 
 
 def test_rk4_harmonic_one_step():
@@ -226,8 +231,8 @@ def complex_rk4_step(kind, e, h, spec, dt):
         return rhs(kind, state, h, spec, default_grid(kind, state, spec))
 
     def shifted(scale, d):
-        return ParticleEnsemble(q=e.q + scale * d.dq, p=e.p + scale * d.dp,
-                                rho=e.rho + scale * d.drho, w=e.w)
+        return from_rho(e.q + scale * d.dq, e.p + scale * d.dp,
+                        e.rho + scale * drho(d), e.w)
 
     k1 = stage_rhs(e)
     k2 = stage_rhs(shifted(0.5 * dt, k1))
@@ -236,8 +241,9 @@ def complex_rk4_step(kind, e, h, spec, dt):
     sixth = dt / 6.0
     q = e.q + sixth * (k1.dq + 2.0 * k2.dq + 2.0 * k3.dq + k4.dq)
     p = e.p + sixth * (k1.dp + 2.0 * k2.dp + 2.0 * k3.dp + k4.dp)
-    rho = e.rho + sixth * (k1.drho + 2.0 * k2.drho + 2.0 * k3.drho + k4.drho)
-    return ParticleEnsemble(q=q, p=p, rho=rehermitize(rho), w=e.w)
+    rho = e.rho + sixth * (drho(k1) + 2.0 * drho(k2) + 2.0 * drho(k3)
+                           + drho(k4))
+    return from_rho(q, p, rehermitize(rho), e.w)
 
 
 @pytest.mark.parametrize("kind", ["koopmon", "bohmion", "ehrenfest"])
@@ -262,9 +268,9 @@ def test_rk4_on_pauli_components_follows_the_complex_rho_step(
 @pytest.mark.parametrize("model_name,q0,p0,dt", [("tully1", -8.0, 10.0, 2.0),
                                                  ("rabi_ds", 0.0, 1.0, 0.05)])
 def test_the_trace_drifts_by_round_off_only(model_name, q0, p0, dt):
-    # the step adds a traceless increment to rho and never renormalizes;
-    # over 2000 steps the trace must stay within the threshold at which
-    # `rehermitize` would have repaired it
+    # the step never writes the trace component and never renormalizes;
+    # over 2000 steps the trace of the rho built from the components must
+    # stay within the threshold at which `rehermitize` would repair it
     e = random_ensemble(50, seed=43, q0=q0, p0=p0, spread=1.0)
     drift = []
 
@@ -280,8 +286,7 @@ def test_the_trace_drifts_by_round_off_only(model_name, q0, p0, dt):
 
 @pytest.mark.parametrize("kind", ["koopmon", "bohmion", "ehrenfest"])
 @pytest.mark.parametrize("given_k1", [False, True])
-def test_an_rk4_step_reads_rho_once_and_builds_one_ensemble(
-        kind, given_k1, monkeypatch):
+def test_an_rk4_step_forms_no_rho(kind, given_k1, monkeypatch):
     e = random_ensemble(6, seed=45, q0=0.0, p0=4.0)
     h = make_model("rabi_us")
     spec = KernelSpec(alpha=0.5)
@@ -302,11 +307,33 @@ def test_an_rk4_step_reads_rho_once_and_builds_one_ensemble(
 
     count(dynamics, "ParticleEnsemble")
     count(dynamics, "rhs")
-    count(ensemble, "pauli_components")
+    for module in (ensemble, pauli, sampling):
+        for name in ("pauli_components", "pauli_matrix"):
+            if hasattr(module, name):
+                count(module, name)
     out = rk4_step(kind, e, h, spec, 0.05, k1=k1)
-    assert calls == {"ParticleEnsemble": 1, "rhs": 3 if given_k1 else 4,
-                     "pauli_components": 1}
-    assert len(built) == 1 and built[0] is out
+    # three stages and the result are ensembles; no complex rho is formed
+    assert calls == {"ParticleEnsemble": 4, "rhs": 3 if given_k1 else 4}
+    assert built[-1] is out
+
+
+@pytest.mark.parametrize("kind", ["koopmon", "bohmion", "ehrenfest"])
+@pytest.mark.parametrize("model_name,q0,p0,dt", [("tully1", -8.0, 10.0, 2.0),
+                                                 ("rabi_ds", 0.0, 1.0, 0.05)])
+def test_c0_is_bitwise_unchanged_over_200_steps(kind, model_name, q0, p0, dt):
+    e = random_ensemble(12, seed=47, q0=q0, p0=p0, spread=1.0)
+    e.components[0] *= np.linspace(0.9, 1.1, e.n)  # traces other than 1 too
+    c0 = e.components[0].tobytes()
+    seen = []
+    traj = propagate(kind, e, make_model(model_name), KernelSpec(alpha=0.5),
+                     dt, 200 * dt, snapshot_times=(200 * dt,),
+                     energy_tol=1.0,
+                     diagnostics_fn=lambda t, s, en, dr: seen.append(
+                         s.components[0].tobytes()))
+    assert len(seen) == 201 and set(seen) == {c0}
+    final = traj.snapshots[-1][1]
+    assert final.components[0].tobytes() == c0
+    assert not np.array_equal(final.components[1:], e.components[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +432,7 @@ def test_propagate_steps_on_the_given_box(kind):
     out = final(narrow)
     assert np.array_equal(out.q, stepped.q)
     assert np.array_equal(out.p, stepped.p)
-    assert np.array_equal(out.rho, stepped.rho)
+    assert np.array_equal(out.components, stepped.components)
     assert not np.array_equal(out.q, final(GridParams()).q)
 
 
@@ -431,7 +458,7 @@ def test_propagate_records_the_energy_of_the_k1_stage(kind):
                          k1=rhs(kind, state, h, spec, grid))
         assert np.array_equal(plain.q, given.q)
         assert np.array_equal(plain.p, given.p)
-        assert np.array_equal(plain.rho, given.rho)
+        assert np.array_equal(plain.components, given.components)
 
 
 def test_steps_and_coupling_evaluations_pass_the_module_globals(monkeypatch):
@@ -525,7 +552,7 @@ def test_drho_is_the_commutator_with_the_effective_field(kind):
     h = make_model("rabi_ds")
     spec = KernelSpec(alpha=0.5)
     d = rhs(kind, e, h, spec)
-    h0, h1, h2, h3 = h.pauli(e.q, e.p)
+    h0, h1, h2, h3 = helpers.pauli(h, e.q, e.p)
     field = np.stack([h1, h2, h3], axis=1)
     grid = default_grid(kind, e, spec)
     if kind == "koopmon":
@@ -536,9 +563,10 @@ def test_drho_is_the_commutator_with_the_effective_field(kind):
     expected = -1j / HBAR * (heff @ e.rho - e.rho @ heff)
     scale = np.max(np.abs(expected))
     assert scale > 0.0
-    assert np.max(np.abs(d.drho - expected)) <= 1e-14 * scale
-    assert np.array_equal(d.drho, np.conj(np.swapaxes(d.drho, -1, -2)))
-    assert np.all(d.drho[:, 0, 0] + d.drho[:, 1, 1] == 0.0)
+    rate = drho(d)
+    assert np.max(np.abs(rate - expected)) <= 1e-14 * scale
+    assert np.array_equal(rate, np.conj(np.swapaxes(rate, -1, -2)))
+    assert np.all(rate[:, 0, 0] + rate[:, 1, 1] == 0.0)
 
 
 def test_nonfinite_derivative_names_the_particles():
@@ -570,9 +598,9 @@ def test_propagate_adds_the_time_of_the_failing_step():
 def broadcast_mean_field(comp, e, h):
     # the mean field from the public, broadcast coefficients: every
     # coefficient an array over the particles
-    gq = h.grad_q(e.q, e.p)
-    gp = h.grad_p(e.q, e.p)
-    hp = h.pauli(e.q, e.p)
+    gq = helpers.grad_q(h, e.q, e.p)
+    gp = helpers.grad_p(h, e.q, e.p)
+    hp = helpers.pauli(h, e.q, e.p)
     mean = float(e.w @ dynamics._contract(comp, hp))
     return (dynamics._contract(comp, gp), dynamics._contract(comp, gq),
             hp[1:], mean)
@@ -597,6 +625,6 @@ def test_mean_field_on_the_model_coefficients_is_bitwise_the_broadcast_one(
         with monkeypatch.context() as m:
             m.setattr(dynamics, "_mean_field", broadcast_mean_field)
             ref = rhs(kind, e, h, spec, grid)
-        for name in ("dq", "dp", "drho"):
+        for name in ("dq", "dp", "ds"):
             assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
         assert got.energy == ref.energy

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import re
 
@@ -8,10 +9,11 @@ from hypothesis import strategies as st
 
 from mqcdyn.ensemble import (Ensemble2D, ParticleEnsemble, read_snapshot,
                              validate)
-from mqcdyn.pauli import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, projector
+from mqcdyn.pauli import (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z,
+                          pauli_components, projector)
 
-from helpers import (TRACE_RENORM_THRESHOLD, aggregate_density, hermitize,
-                     rehermitize, snapshot_string)
+from helpers import (TRACE_RENORM_THRESHOLD, aggregate_density, from_rho,
+                     hermitize, rehermitize, snapshot_string, validate_loop)
 
 HERM_BASIS = np.stack([IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z])
 
@@ -26,21 +28,27 @@ def small_ensemble(n=3, seed=0):
     rho = np.stack([pure_state(t, f) for t, f in
                     zip(rng.uniform(0, np.pi, n), rng.uniform(0, 2 * np.pi, n))])
     return ParticleEnsemble(q=rng.normal(size=n), p=rng.normal(size=n),
-                            rho=rho, w=np.full(n, 1.0 / n))
+                            components=pauli_components(rho),
+                            w=np.full(n, 1.0 / n))
 
 
-def test_components_are_read_from_rho_at_every_access():
+def test_rho_is_a_read_only_view_of_the_components():
     e = small_ensemble(4, seed=2)
     comp = e.components
-    assert comp.shape == (4, 4)
+    assert comp.shape == (4, 4) and comp.dtype == float
     assert np.allclose(np.einsum("m,mij->ij", comp[:, 1], HERM_BASIS),
                        e.rho[1])
-    # an in-place edit of rho shows in the next read
-    e.rho[1] = pure_state(2.0, 0.4)
-    assert not np.array_equal(e.components[:, 1], comp[:, 1])
-    assert np.array_equal(e.components[:, [0, 2, 3]], comp[:, [0, 2, 3]])
-    assert np.allclose(np.einsum("m,mij->ij", e.components[:, 1], HERM_BASIS),
-                       e.rho[1])
+    # an in-place edit of rho raises instead of being lost
+    with pytest.raises(ValueError, match="read-only"):
+        e.rho[1] = pure_state(2.0, 0.4)
+    with pytest.raises(ValueError, match="read-only"):
+        e.rho[0, 0, 1] += 1e-6j
+    assert np.array_equal(e.components, comp)
+    # an edit of the components shows in the next read of rho
+    e.components[:, 1] = pauli_components(pure_state(2.0, 0.4))
+    assert np.allclose(e.rho[1], pure_state(2.0, 0.4), rtol=0.0, atol=1e-16)
+    assert [f.name for f in dataclasses.fields(ParticleEnsemble)] == \
+        ["q", "p", "components", "w"]
 
 
 def test_aggregate_single_particle_identity():
@@ -50,17 +58,15 @@ def test_aggregate_single_particle_identity():
 
 def test_aggregate_equal_states_is_that_state():
     rho0 = pure_state(0.7)
-    e = ParticleEnsemble(q=np.zeros(4), p=np.zeros(4),
-                         rho=np.broadcast_to(rho0, (4, 2, 2)).copy(),
-                         w=np.full(4, 0.25))
+    e = from_rho(np.zeros(4), np.zeros(4),
+                 np.broadcast_to(rho0, (4, 2, 2)), np.full(4, 0.25))
     assert np.allclose(aggregate_density(e), rho0)
 
 
 def test_aggregate_opposite_projectors_maximally_mixed():
     rho = np.stack([np.diag([1.0, 0.0]).astype(complex),
                     np.diag([0.0, 1.0]).astype(complex)])
-    e = ParticleEnsemble(q=np.zeros(2), p=np.zeros(2), rho=rho,
-                         w=np.array([0.5, 0.5]))
+    e = from_rho(np.zeros(2), np.zeros(2), rho, np.array([0.5, 0.5]))
     agg = aggregate_density(e)
     assert np.allclose(agg, 0.5 * np.eye(2))
     assert np.einsum("ij,ji->", agg, agg).real == pytest.approx(0.5)
@@ -70,8 +76,7 @@ def test_aggregate_opposite_projectors_maximally_mixed():
        st.floats(0.01, 0.99))
 def test_aggregate_convexity_preserves_invariants(theta, phi, w1):
     rho = np.stack([pure_state(theta, phi), pure_state(theta + 1.0, phi + 0.5)])
-    e = ParticleEnsemble(q=np.zeros(2), p=np.zeros(2), rho=rho,
-                         w=np.array([w1, 1.0 - w1]))
+    e = from_rho(np.zeros(2), np.zeros(2), rho, np.array([w1, 1.0 - w1]))
     agg = aggregate_density(e)
     assert np.allclose(agg, agg.conj().T)
     assert np.trace(agg).real == pytest.approx(1.0, abs=1e-12)
@@ -87,24 +92,53 @@ def test_validate_clean_ensemble():
 
 def test_validate_flags_bad_trace():
     e = small_ensemble()
-    e.rho[1] *= 0.9
+    e.components[:, 1] *= 0.9
     report = validate(e)
     assert any(v.index == 1 and v.check == "trace" for v in report)
 
 
-def test_validate_flags_non_hermitian_and_weights():
+def test_validate_flags_weights():
     e = small_ensemble()
-    e.rho[0, 0, 1] += 1e-6j
     e.w = e.w * 2.0
     checks = {(v.index, v.check) for v in validate(e)}
-    assert (0, "hermiticity") in checks
     assert (None, "weight_sum") in checks
 
 
 def test_validate_flags_negative_eigenvalue():
     rho = np.array([[[1.2, 0.0], [0.0, -0.2]]], dtype=complex)
-    e = ParticleEnsemble(q=np.zeros(1), p=np.zeros(1), rho=rho, w=np.ones(1))
+    e = from_rho(np.zeros(1), np.zeros(1), rho, np.ones(1))
     assert any(v.check == "positivity" for v in validate(e))
+
+
+def defective_ensemble(seed, n=40):
+    """A clean ensemble with trace, positivity, purity, weight and
+    weight-sum defects injected at random particles."""
+    e = small_ensemble(n, seed=seed)
+    rng = np.random.default_rng(seed + 100)
+    picks = rng.choice(n, size=(5, 3), replace=False)
+    e.components[0, picks[0]] *= rng.uniform(0.5, 1.5, 3)     # trace
+    e.components[1:, picks[1]] *= rng.uniform(1.1, 2.0, 3)    # |s| > c0
+    e.components[1:, picks[2]] *= rng.uniform(0.0, 0.3, 3)    # purity < 1/2
+    e.w[picks[3]] = -rng.uniform(0.0, 0.1, 3)                 # weight < 0
+    e.w[picks[4]] = 0.0                                       # weight = 0
+    e.w[0] += rng.uniform(-1e-6, 1e-6)                        # weight sum
+    return e
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_validate_equals_the_loop_over_the_particles(seed):
+    e = defective_ensemble(seed)
+    assert {v.check for v in validate(e)} == {
+        "trace", "positivity", "purity_range", "weight_positive", "weight_sum"}
+    for tols in ({}, dict(trace_tol=0.3, psd_tol=1e-3)):
+        got, expected = validate(e, **tols), validate_loop(e, **tols)
+        assert [(v.index, v.check) for v in got] == \
+            [(v.index, v.check) for v in expected]
+        for v, u in zip(got, expected):
+            assert v.magnitude == pytest.approx(u.magnitude, rel=1e-12,
+                                                abs=1e-15)
+    clean = small_ensemble(40, seed=seed)
+    assert validate(clean) == validate_loop(clean) == []
 
 
 def test_rehermitize_projects_and_renormalizes():
@@ -152,7 +186,14 @@ def test_snapshot_roundtrip():
     assert np.array_equal(back.w, e.w)
     assert np.allclose(back.rho, e.rho, atol=0.0)
     # serialization is canonical: same ensemble, same bytes
-    assert snapshot_string(back) == text
+    assert snapshot_string(e) == text
+    # the state is stored as Pauli components and the table holds rho, so
+    # a second round trip moves the rho columns by round-off alone
+    again = np.loadtxt(io.StringIO(snapshot_string(back)), delimiter=",",
+                       skiprows=1)
+    first = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1)
+    assert np.array_equal(again[:, :4], first[:, :4])
+    assert np.max(np.abs(again[:, 4:] - first[:, 4:])) <= 2.0**-51
 
 
 def test_snapshot_header_checked():
@@ -173,7 +214,7 @@ def test_snapshot_text_is_the_index_then_format_17g_per_value():
     e.q[:6] = [-0.0, np.nan, np.inf, -np.inf, 5e-324, -2.5e-310]
     e.p[:4] = [1e16, -1.0, np.finfo(float).max, 2.2250738585072009e-308]
     e.w[1] = 0.0
-    e.rho[2, 0, 1] = complex(-0.0, np.nan)
+    e.components[1:3, 2] = (-0.0, np.nan)
     lines = ["index,q,p,w,rho11,re_rho12,im_rho12,rho22"]
     for a in range(e.n):
         values = (e.q[a], e.p[a], e.w[a], e.rho[a, 0, 0].real,
@@ -189,7 +230,10 @@ def test_snapshot_text_is_the_index_then_format_17g_per_value():
 def test_ensemble_shape_validation():
     with pytest.raises(ValueError):
         ParticleEnsemble(q=np.zeros(2), p=np.zeros(3),
-                         rho=np.zeros((2, 2, 2), dtype=complex), w=np.ones(2))
+                         components=np.zeros((4, 2)), w=np.ones(2))
+    with pytest.raises(ValueError):
+        ParticleEnsemble(q=np.zeros(2), p=np.zeros(2),
+                         components=np.zeros((2, 4)), w=np.ones(2))
 
 
 def test_ensemble2d_layout():

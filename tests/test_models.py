@@ -7,7 +7,8 @@ from mqcdyn.models import (_cross, adiabatic_basis, make_model, make_rabi,
                            make_tully, model_names)
 from mqcdyn.pauli import PauliVector, pauli_decompose, pauli_matrix
 
-from helpers import DegeneratePotentialError, nac
+from helpers import (DegeneratePotentialError, grad_p, grad_q, matrix, nac,
+                     pauli, vector_matrix)
 from test_backreaction import purely_classical_model
 
 ALL_MODELS = ["tully1", "tully2", "tully3", "rabi_us", "rabi_ds"]
@@ -17,7 +18,7 @@ finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 
 @given(finite, finite, finite, finite)
 def test_pauli_vector_reconstruction_is_hermitian(h0, h1, h2, h3):
-    m = PauliVector(h0, h1, h2, h3).matrix()
+    m = vector_matrix(PauliVector(h0, h1, h2, h3))
     assert np.allclose(m, m.conj().T, atol=0.0)
 
 
@@ -45,13 +46,13 @@ def test_gradients_match_finite_differences(name):
     step = 1e-5
     for compare_axis in ("q", "p"):
         if compare_axis == "q":
-            plus = h.pauli(q + step, p)
-            minus = h.pauli(q - step, p)
-            grad = h.grad_q(q, p)
+            plus = pauli(h, q + step, p)
+            minus = pauli(h, q - step, p)
+            grad = grad_q(h, q, p)
         else:
-            plus = h.pauli(q, p + step)
-            minus = h.pauli(q, p - step)
-            grad = h.grad_p(q, p)
+            plus = pauli(h, q, p + step)
+            minus = pauli(h, q, p - step)
+            grad = grad_p(h, q, p)
         for gp, gm, ga in zip(plus, minus, grad):
             fd = (np.asarray(gp) - np.asarray(gm)) / (2.0 * step)
             # atol floor covers the round-off noise of the difference
@@ -62,7 +63,7 @@ def test_gradients_match_finite_differences(name):
 def test_interaction_is_momentum_free():
     for name in ALL_MODELS:
         h = make_model(name)
-        g0, g1, g2, g3 = h.grad_p(3.0, -2.0)
+        g0, g1, g2, g3 = grad_p(h, 3.0, -2.0)
         assert g1 == 0.0 and g2 == 0.0 and g3 == 0.0
 
 
@@ -97,12 +98,12 @@ def test_tully3_asymptotics():
 
 def test_rabi_values():
     us = make_rabi("ultrastrong")
-    mat = us.matrix(0.0, 0.0)
+    mat = matrix(us, 0.0, 0.0)
     assert np.allclose(mat, 0.35 * np.array([[0, 1], [1, 0]]))
     ds = make_rabi("deep_strong")
     lam1, lam2, _, _ = adiabatic_basis(ds, 0.0)
     assert lam2 - lam1 == pytest.approx(0.2)
-    g0, g1, g2, g3 = ds.grad_p(1.3, 2.5)
+    g0, g1, g2, g3 = grad_p(ds, 1.3, 2.5)
     assert (g0, g1, g2, g3) == (2.5, 0.0, 0.0, 0.0)
 
 
@@ -215,7 +216,7 @@ def test_model_registry():
 ])
 def test_coefficients_come_back_as_float_arrays_of_the_broadcast_shape(name, q, p, shape):
     h = make_model(name)
-    for coeffs in (h.pauli(q, p), h.grad_q(q, p), h.grad_p(q, p)):
+    for coeffs in (pauli(h, q, p), grad_q(h, q, p), grad_p(h, q, p)):
         assert len(coeffs) == 4
         for c in coeffs:
             assert isinstance(c, np.ndarray)

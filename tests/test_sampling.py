@@ -9,7 +9,7 @@ import pytest
 from scipy.special import ndtr
 
 import mqcdyn
-from mqcdyn.pauli import projector
+from mqcdyn.pauli import pauli_components, projector
 from mqcdyn.sampling import InitSpec, init_ensemble, inverse_normal_cdf, sobol_2d
 
 
@@ -247,6 +247,40 @@ def test_every_definition_in_the_package_is_reached_from_a_kept_root():
         assert hasattr(importlib.import_module(f"mqcdyn.{module}"), attr), name
 
 
+#: Methods and properties of `src/mqcdyn` classes that stay although no
+#: code of the package loads them, each with its reason.
+KEPT_UNUSED_ATTRIBUTES: dict = {}
+
+
+def unused_class_attributes(src: Path, kept) -> list:
+    """``Class.name`` for every method or property defined in the body of a
+    class of the modules in ``src`` (dunders aside; dataclass fields are no
+    definitions) whose name is loaded as ``.name`` nowhere in ``src``
+    outside its own definition, unless it is in ``kept``."""
+    trees = [ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))]
+    loads = [n for tree in trees for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)]
+    out = []
+    for cls in (n for tree in trees for n in ast.walk(tree)
+                if isinstance(n, ast.ClassDef)):
+        for node in cls.body:
+            name = getattr(node, "name", "")
+            if (not isinstance(node, ast.FunctionDef) or name.startswith("__")
+                    or f"{cls.name}.{name}" in kept):
+                continue
+            inside = {id(n) for n in ast.walk(node)}
+            if not any(n.attr == name and id(n) not in inside for n in loads):
+                out.append(f"{cls.name}.{name}")
+    return sorted(out)
+
+
+def test_every_method_in_the_package_is_loaded_in_the_package():
+    src = Path(mqcdyn.__file__).parent
+    assert unused_class_attributes(src, KEPT_UNUSED_ATTRIBUTES) == []
+    # a kept name that is loaded again, or gone, leaves the list
+    assert set(KEPT_UNUSED_ATTRIBUTES) <= set(unused_class_attributes(src, {}))
+
+
 def make_spec(n=1000, **kw):
     defaults = dict(mu_q=-8.0, mu_p=10.0, sigma_q=np.sqrt(2.0),
                     rho0=projector([1.0, 0.0]), n=n, sobol_skip=1)
@@ -275,6 +309,8 @@ def test_init_ensemble_quantum_sector_uniform():
     spec = make_spec(n=17)
     e = init_ensemble(spec)
     assert np.all(e.rho == spec.rho0)
+    assert np.array_equal(e.components,
+                          np.tile(pauli_components(spec.rho0)[:, None], 17))
 
 
 def test_init_ensemble_deterministic():

@@ -14,7 +14,8 @@ for byte, except ``manifest.json``, whose keys are compared with
 count; exits 0 when nothing differs and 1 otherwise.  Where both sides of a
 differing artifact are numeric CSV tables of one shape (``#`` lines and a
 header line aside), its line also gives the largest |difference| relative to
-the largest |value| of either side.
+the largest |value| of either side; so does the line of a differing JSON
+document (``summary.json``) whose two sides hold numbers at the same places.
 """
 
 from __future__ import annotations
@@ -103,12 +104,43 @@ def csv_table(path: Path) -> np.ndarray | None:
         return None
 
 
+def json_numbers(path: Path) -> dict | None:
+    """The numbers of a JSON document by their place in it (a tuple of keys
+    and list indices; booleans are no numbers); None unless it is JSON."""
+    if path.suffix != ".json":
+        return None
+    try:
+        doc = json.loads(path.read_text())
+    except ValueError:
+        return None
+    out = {}
+
+    def walk(node, place):
+        if isinstance(node, dict):
+            for key, value in node.items():
+                walk(value, place + (key,))
+        elif isinstance(node, list):
+            for i, value in enumerate(node):
+                walk(value, place + (i,))
+        elif isinstance(node, (int, float)) and not isinstance(node, bool):
+            out[place] = float(node)
+
+    walk(doc, ())
+    return out
+
+
 def relative_change(a: Path, b: Path) -> float | None:
     """Largest |b - a| over the largest |value| of either side, for two
-    numeric CSV tables of one shape (NaN on both sides counts as equal);
-    None for other files."""
+    numeric CSV tables of one shape or two JSON documents with numbers at
+    the same places (NaN on both sides counts as equal); None for other
+    files."""
     x, y = csv_table(a), csv_table(b)
-    if x is None or y is None or x.shape != y.shape:
+    if x is None or y is None:
+        u, v = json_numbers(a), json_numbers(b)
+        if not u or not v or u.keys() != v.keys():
+            return None
+        x, y = np.array(list(u.values())), np.array([v[k] for k in u])
+    if x.shape != y.shape:
         return None
     diff = np.abs(x - y)
     diff[np.isnan(x) & np.isnan(y)] = 0.0
