@@ -24,12 +24,14 @@ ds_a/dt = (2/hbar) h_eff,a x s_a of the half Bloch vector about the local
 effective field, with c0_a = Tr rho_a / 2 fixed, so `rhs` returns the real
 rates ds, one row per component.
 
-Time stepping is plain fixed-step RK4 with the quadrature grid rebuilt from
-the stage state at every stage.  Every stage is a `ParticleEnsemble`; there
-is no second state type and no complex rho is formed.  Each stage and the
-step's end add their increment to the rows of s_a alone, so c0_a, and with
-it every trace, stays fixed bit for bit.  `propagate` records the energy of
-each state from the first RK4 stage at that state.
+Time stepping is plain fixed-step RK4.  `rhs`, the one route from a state
+to its coupling terms, builds the quadrature box from the state and the
+lattice recipe `GridParams`, so every stage has the box of its own state.
+Every stage is a `ParticleEnsemble`; there is no second state type and no
+complex rho is formed.  Each stage and the step's end add their
+increment to the rows of s_a alone, so c0_a, and with it every trace, stays
+fixed bit for bit.  `propagate` records the energy of each state from the
+first RK4 stage at that state.
 """
 
 from __future__ import annotations
@@ -160,52 +162,35 @@ def _mean_field(comp, e: ParticleEnsemble, h: HybridHamiltonian):
     return _contract(comp, gp), _contract(comp, gq), hp[1:], mean
 
 
-def default_grid(kind: MethodKind, e: ParticleEnsemble, spec: KernelSpec | None,
-                 grid_params: GridParams = GridParams()):
-    """The quadrature grid the method would build for this state."""
-    kind = MethodKind.parse(kind)
-    if kind is MethodKind.KOOPMON:
-        return build_grid(e.q, e.p, spec, grid_params)
-    if kind is MethodKind.BOHMION:
-        return build_grid_1d(e.q, spec, grid_params)
-    return None
-
-
-def _coupling_terms(kind: MethodKind, e: ParticleEnsemble, h: HybridHamiltonian,
-                    spec: KernelSpec | None, grid):
-    if kind is MethodKind.EHRENFEST:
-        return None
-    if spec is None:
-        raise ValueError(f"{kind.value} dynamics require a KernelSpec")
-    if grid is None:
-        grid = default_grid(kind, e, spec)
-    if kind is MethodKind.KOOPMON:
-        return backreaction.koopmon_terms(e, h, grid, spec)
-    return backreaction.bohmion_terms(e, h.mass, grid, spec)
-
-
 def rhs(kind: MethodKind, e: ParticleEnsemble, h: HybridHamiltonian,
-        spec: KernelSpec | None = None, grid=None) -> EnsembleDerivative:
-    """Equations of motion and energy of the given method at the current state.
+        spec: KernelSpec | None = None,
+        grid_params: GridParams = GridParams()) -> EnsembleDerivative:
+    """Equations of motion and energy of the given method at the state ``e``.
 
-    ``e`` is the state or an RK4 stage of it; the quantum sector is read
-    from its Pauli components alone, and the result's ``ds`` (3, N) is the
-    rate of the half Bloch vectors.  ``grid`` is the quadrature grid to use
-    for the coupling integrals (2D for koopmon, 1D for bohmion); when
-    omitted it is built from the current state with default box parameters.  Ehrenfest ignores it.  The
+    The quantum sector is read from the Pauli components of ``e`` alone;
+    ``ds`` (3, N) is the rate of the half Bloch vectors.  The coupling
+    integrals are the quadrature sums on the box ``grid_params`` builds for
+    ``e`` (`build_grid` for koopmon, `build_grid_1d` for bohmion), and the
     derivative is the exact gradient of the energy on any covering box of
-    the lattice, the one RK4 integrates.
+    the lattice, the one RK4 integrates.  `ValueError` when a kernel method
+    gets no ``spec``.
     """
     kind = MethodKind.parse(kind)
     comp = e.components
     dq, dp_mf, hvec, total = _mean_field(comp, e, h)
     dp = -dp_mf
 
-    terms = _coupling_terms(kind, e, h, spec, grid)
-    if terms is not None:
-        total = total + terms.energy
-        if isinstance(terms, backreaction.KoopmonTerms):
+    if kind is not MethodKind.EHRENFEST:
+        if spec is None:
+            raise ValueError(f"{kind.value} dynamics require a KernelSpec")
+        if kind is MethodKind.KOOPMON:
+            terms = backreaction.koopmon_terms(
+                e, h, build_grid(e.q, e.p, spec, grid_params), spec)
             dq = dq + terms.dqdot_extra
+        else:
+            terms = backreaction.bohmion_terms(
+                e, h.mass, build_grid_1d(e.q, spec, grid_params), spec)
+        total = total + terms.energy
         dp = dp + terms.dpdot_extra
         hvec = [hm + terms.heff_vec[:, m] for m, hm in enumerate(hvec)]
 
@@ -222,28 +207,25 @@ def rhs(kind: MethodKind, e: ParticleEnsemble, h: HybridHamiltonian,
 
 
 def energy(kind: MethodKind, e: ParticleEnsemble, h: HybridHamiltonian,
-           spec: KernelSpec | None = None, grid=None) -> float:
-    """Conserved Hamiltonian of the method at the current state."""
-    return rhs(kind, e, h, spec, grid).energy
+           spec: KernelSpec | None = None,
+           grid_params: GridParams = GridParams()) -> float:
+    """Conserved Hamiltonian of the method at ``e``, on the box of `rhs`."""
+    return rhs(kind, e, h, spec, grid_params).energy
 
 
 def rk4_step(kind: MethodKind, e: ParticleEnsemble, h: HybridHamiltonian,
              spec: KernelSpec | None, dt: float,
              grid_params: GridParams = GridParams(),
              k1: EnsembleDerivative | None = None) -> ParticleEnsemble:
-    """One classical RK4 step; the grid is rebuilt from every stage state.
+    """One classical RK4 step; `rhs` builds every stage's box anew.
 
     Each stage, and the state it returns, is ``e`` moved by a weighted sum
     of stage derivatives: (q, p) by dq and dp, the half Bloch vectors by ds.
-    c0 is copied, never written.  ``k1`` is ``rhs`` at ``e`` on the box
-    ``grid_params`` builds for ``e``, when the caller already holds it; the
-    step is the same either way.
+    c0 is copied, never written.  ``k1`` is ``rhs(kind, e, h, spec,
+    grid_params)``, when the caller already holds it; the step is the same
+    either way.
     """
     kind = MethodKind.parse(kind)
-
-    def stage_rhs(state: ParticleEnsemble) -> EnsembleDerivative:
-        return rhs(kind, state, h, spec,
-                   default_grid(kind, state, spec, grid_params))
 
     def shifted(scale: float, dq, dp, ds) -> ParticleEnsemble:
         c = e.components.copy()
@@ -252,10 +234,10 @@ def rk4_step(kind: MethodKind, e: ParticleEnsemble, h: HybridHamiltonian,
                                 components=c, w=e.w)
 
     if k1 is None:
-        k1 = stage_rhs(e)
-    k2 = stage_rhs(shifted(0.5 * dt, k1.dq, k1.dp, k1.ds))
-    k3 = stage_rhs(shifted(0.5 * dt, k2.dq, k2.dp, k2.ds))
-    k4 = stage_rhs(shifted(dt, k3.dq, k3.dp, k3.ds))
+        k1 = rhs(kind, e, h, spec, grid_params)
+    k2 = rhs(kind, shifted(0.5 * dt, k1.dq, k1.dp, k1.ds), h, spec, grid_params)
+    k3 = rhs(kind, shifted(0.5 * dt, k2.dq, k2.dp, k2.ds), h, spec, grid_params)
+    k4 = rhs(kind, shifted(dt, k3.dq, k3.dp, k3.ds), h, spec, grid_params)
 
     def rk4_sum(name: str) -> np.ndarray:
         a, b, c, d = (getattr(k, name) for k in (k1, k2, k3, k4))
@@ -268,7 +250,6 @@ def rk4_step(kind: MethodKind, e: ParticleEnsemble, h: HybridHamiltonian,
 class Trajectory:
     """Propagation output: per-step diagnostics plus requested snapshots."""
 
-    times: np.ndarray
     records: list = field(default_factory=list)
     snapshots: list = field(default_factory=list)   # (time, ParticleEnsemble)
 
@@ -308,31 +289,28 @@ def _step_plan(dt: float, t_final: float,
 def propagate(kind: MethodKind, e0: ParticleEnsemble, h: HybridHamiltonian,
               spec: KernelSpec | None, dt: float, t_final: float,
               snapshot_times=(), grid_params: GridParams = GridParams(),
-              energy_tol: float = 1e-2, diagnostics_fn=None,
-              progress=None) -> Trajectory:
+              energy_tol: float = 1e-2, diagnostics_fn=None) -> Trajectory:
     """Fixed-step march to ``t_final`` with per-step diagnostics.
 
     ``diagnostics_fn(t, ensemble, energy, drift) -> record`` is called at
     every step (including t=0); the returned records are collected in order.
     Snapshots are deep copies taken at the step nearest each requested time.
-    ``grid_params`` sets the quadrature box of every RK4 stage.  The energy
-    of each state is the one `rhs` returns for the first RK4 stage at that
-    state, so it is measured on the box that steps the trajectory.  Raises
-    `EnergyDriftError` when the relative drift exceeds ten times
-    ``energy_tol``, before the step from that state is taken, and
+    `rhs` builds the quadrature box of every RK4 stage from ``grid_params``.
+    The energy of each state is the one `rhs` returns for the first RK4
+    stage at that state, so it is measured on the box that steps the
+    trajectory.  Raises `EnergyDriftError` when the relative drift exceeds
+    ten times ``energy_tol``, before the step from that state is taken, and
     `NonFiniteDerivativeError` with the time of the step it was raised in.
     """
     kind = MethodKind.parse(kind)
     n_steps, snap_at = _step_plan(dt, t_final, snapshot_times)
-    times = dt * np.arange(n_steps + 1)
-    traj = Trajectory(times=times)
+    traj = Trajectory()
 
     state = e0.copy()
     try:
         for k in range(n_steps + 1):
-            t = times[k]
-            d = rhs(kind, state, h, spec,
-                    default_grid(kind, state, spec, grid_params))
+            t = k * dt
+            d = rhs(kind, state, h, spec, grid_params)
             e_now = d.energy
             if k == 0:
                 e_ref = e_now
@@ -343,8 +321,6 @@ def propagate(kind: MethodKind, e0: ParticleEnsemble, h: HybridHamiltonian,
                 traj.records.append(diagnostics_fn(t, state, e_now, drift))
             if k in snap_at:
                 traj.snapshots.append((t, state.copy()))
-            if progress is not None:
-                progress(k, n_steps)
             if k < n_steps:
                 state = rk4_step(kind, state, h, spec, dt, grid_params, k1=d)
     except NonFiniteDerivativeError as err:

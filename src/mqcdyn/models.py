@@ -98,11 +98,12 @@ class HybridHamiltonian:
         They are the callables' values as returned, neither cast nor
         broadcast: a constant coefficient stays a scalar.  This is the one
         evaluation of the callables; `dynamics` and `backreaction` read it
-        as it is, and `electronic_pauli` broadcasts it.  A coefficient that is the scalar zero (`_is_zero`) states that its
-        component vanishes everywhere: `dynamics` and `backreaction` skip
-        every product with it, in the one cross product `_cross` and in
-        their sums, so it costs nothing, while an array of zeros is computed
-        with like any other field.
+        as it is, and `electronic_pauli` broadcasts it.  A coefficient that
+        is the scalar zero (`_is_zero`) states that its component vanishes
+        everywhere: `dynamics` and `backreaction` skip every product with
+        it, in the one cross product `_cross` and in their sums, so it costs
+        nothing, while an array of zeros is computed with like any other
+        field.
         """
         q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
         out = []

@@ -13,12 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-IDENTITY = np.eye(2, dtype=complex)
-
-
 @dataclass(frozen=True)
 class PauliVector:
     """Coefficients of 1, sigma_x, sigma_y, sigma_z (all real, energy units)."""

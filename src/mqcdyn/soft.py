@@ -269,8 +269,7 @@ def observables(state: WavepacketState, h: HybridHamiltonian) -> dict:
 
 
 def propagate_soft(state0: WavepacketState, h: HybridHamiltonian, dt: float,
-                   t_final: float, snapshot_times=(), diagnostics_fn=None,
-                   progress=None):
+                   t_final: float, snapshot_times=(), diagnostics_fn=None):
     """Fixed-step Strang march mirroring `dynamics.propagate`.
 
     Returns ``(records, snapshots, max_boundary_mass)`` where snapshots are
@@ -291,8 +290,6 @@ def propagate_soft(state0: WavepacketState, h: HybridHamiltonian, dt: float,
             records.append(diagnostics_fn(t, state))
         if k in snap_at:
             snapshots.append((t, state.copy()))
-        if progress is not None:
-            progress(k, n_steps)
         if k < n_steps:
             state = strang_step(state, h, dt)
     if max_edge > 1e-10:

@@ -11,10 +11,13 @@ from mqcdyn.ensemble import (PSD_TOL, TRACE_TOL, WEIGHT_SUM_TOL,
                              write_snapshot)
 from mqcdyn.models import (DEGENERACY_EPS, HBAR, HybridHamiltonian,
                            adiabatic_basis, on_points)
-from mqcdyn.pauli import (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z,
-                          pauli_components, pauli_matrix, projector)
+from mqcdyn.pauli import pauli_components, pauli_matrix, projector
 from mqcdyn.regularization import kernel_1d
 
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+IDENTITY = np.eye(2, dtype=complex)
 HERM_BASIS = [IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z]
 
 #: trace drift beyond which `rehermitize` renormalizes; the RK4 step never

@@ -6,16 +6,17 @@ import pytest
 from mqcdyn import (_heap, backreaction, dynamics, ensemble, pauli, sampling,
                     soft)
 from mqcdyn.dynamics import (EnergyDriftError, MethodKind,
-                             NonFiniteDerivativeError, default_grid, energy,
-                             propagate, rhs, rk4_step, snapshot_steps)
+                             NonFiniteDerivativeError, energy, propagate, rhs,
+                             rk4_step, snapshot_steps)
 from mqcdyn.ensemble import validate
 from mqcdyn.models import HBAR, HybridHamiltonian, make_model
-from mqcdyn.pauli import SIGMA_X, pauli_matrix, projector
-from mqcdyn.regularization import GridParams, KernelSpec
+from mqcdyn.pauli import pauli_matrix, projector
+from mqcdyn.regularization import (GridParams, KernelSpec, build_grid,
+                                   build_grid_1d)
 from mqcdyn.sampling import InitSpec, init_ensemble
 
 import helpers
-from helpers import (TRACE_RENORM_THRESHOLD, bloch_state, drho,
+from helpers import (SIGMA_X, TRACE_RENORM_THRESHOLD, bloch_state, drho,
                      fd_gradient_check, from_rho, matrix, nan_past,
                      random_ensemble, rehermitize)
 
@@ -227,17 +228,14 @@ def complex_rk4_step(kind, e, h, spec, dt):
     """RK4 with complex rho in every stage state and the post-step
     `rehermitize`, the step as it was taken before the stages carried the
     Pauli components."""
-    def stage_rhs(state):
-        return rhs(kind, state, h, spec, default_grid(kind, state, spec))
-
     def shifted(scale, d):
         return from_rho(e.q + scale * d.dq, e.p + scale * d.dp,
                         e.rho + scale * drho(d), e.w)
 
-    k1 = stage_rhs(e)
-    k2 = stage_rhs(shifted(0.5 * dt, k1))
-    k3 = stage_rhs(shifted(0.5 * dt, k2))
-    k4 = stage_rhs(shifted(dt, k3))
+    k1 = rhs(kind, e, h, spec)
+    k2 = rhs(kind, shifted(0.5 * dt, k1), h, spec)
+    k3 = rhs(kind, shifted(0.5 * dt, k2), h, spec)
+    k4 = rhs(kind, shifted(dt, k3), h, spec)
     sixth = dt / 6.0
     q = e.q + sixth * (k1.dq + 2.0 * k2.dq + 2.0 * k3.dq + k4.dq)
     p = e.p + sixth * (k1.dp + 2.0 * k2.dp + 2.0 * k3.dp + k4.dp)
@@ -290,7 +288,7 @@ def test_an_rk4_step_forms_no_rho(kind, given_k1, monkeypatch):
     e = random_ensemble(6, seed=45, q0=0.0, p0=4.0)
     h = make_model("rabi_us")
     spec = KernelSpec(alpha=0.5)
-    k1 = rhs(kind, e, h, spec, default_grid(kind, e, spec)) if given_k1 else None
+    k1 = rhs(kind, e, h, spec) if given_k1 else None
     calls = collections.Counter()
     built = []
 
@@ -451,11 +449,13 @@ def test_propagate_records_the_energy_of_the_k1_stage(kind):
               diagnostics_fn=lambda t, s, en, dr: seen.append((s.copy(), en)))
     assert len(seen) == 11
     for state, recorded in seen:
-        grid = default_grid(kind, state, spec, narrow)
-        assert recorded == energy(kind, state, h, spec, grid)
+        assert recorded == energy(kind, state, h, spec, narrow)
+        # the narrow box reaches the coupling integrals; Ehrenfest has none
+        assert (recorded != energy(kind, state, h, spec)) == (
+            kind is not MethodKind.EHRENFEST)
         plain = rk4_step(kind, state, h, spec, 0.05, narrow)
         given = rk4_step(kind, state, h, spec, 0.05, narrow,
-                         k1=rhs(kind, state, h, spec, grid))
+                         k1=rhs(kind, state, h, spec, narrow))
         assert np.array_equal(plain.q, given.q)
         assert np.array_equal(plain.p, given.p)
         assert np.array_equal(plain.components, given.components)
@@ -554,10 +554,11 @@ def test_drho_is_the_commutator_with_the_effective_field(kind):
     d = rhs(kind, e, h, spec)
     h0, h1, h2, h3 = helpers.pauli(h, e.q, e.p)
     field = np.stack([h1, h2, h3], axis=1)
-    grid = default_grid(kind, e, spec)
     if kind == "koopmon":
+        grid = build_grid(e.q, e.p, spec)
         field = field + backreaction.koopmon_terms(e, h, grid, spec).heff_vec
     elif kind == "bohmion":
+        grid = build_grid_1d(e.q, spec)
         field = field + backreaction.bohmion_terms(e, h.mass, grid, spec).heff_vec
     heff = pauli_matrix(h0, *field.T)
     expected = -1j / HBAR * (heff @ e.rho - e.rho @ heff)
@@ -567,6 +568,16 @@ def test_drho_is_the_commutator_with_the_effective_field(kind):
     assert np.max(np.abs(rate - expected)) <= 1e-14 * scale
     assert np.array_equal(rate, np.conj(np.swapaxes(rate, -1, -2)))
     assert np.all(rate[:, 0, 0] + rate[:, 1, 1] == 0.0)
+
+
+@pytest.mark.parametrize("kind", ["koopmon", "bohmion"])
+def test_kernel_dynamics_without_a_kernel_name_the_method(kind):
+    e = random_ensemble(3, seed=7, q0=0.0, p0=1.0)
+    h = make_model("rabi_ds")
+    with pytest.raises(ValueError, match=f"^{kind} dynamics require"):
+        rhs(kind, e, h)
+    with pytest.raises(ValueError, match=f"^{kind} dynamics require"):
+        rk4_step(kind, e, h, None, 0.05)
 
 
 def test_nonfinite_derivative_names_the_particles():
@@ -620,11 +631,10 @@ def test_mean_field_on_the_model_coefficients_is_bitwise_the_broadcast_one(
                       else (0.5, 10.0, 2.0))
     for seed in range(3):
         e = random_ensemble(n, seed=seed, q0=q0, p0=p0, spread=spread)
-        grid = default_grid(kind, e, spec)
-        got = rhs(kind, e, h, spec, grid)
+        got = rhs(kind, e, h, spec)
         with monkeypatch.context() as m:
             m.setattr(dynamics, "_mean_field", broadcast_mean_field)
-            ref = rhs(kind, e, h, spec, grid)
+            ref = rhs(kind, e, h, spec)
         for name in ("dq", "dp", "ds"):
             assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
         assert got.energy == ref.energy

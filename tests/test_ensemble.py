@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from mqcdyn.ensemble import (Ensemble2D, ParticleEnsemble, read_snapshot,
                              validate)
-from mqcdyn.pauli import (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z,
-                          pauli_components, projector)
+from mqcdyn.pauli import pauli_components, projector
 
-from helpers import (TRACE_RENORM_THRESHOLD, aggregate_density, from_rho,
+from helpers import (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z,
+                     TRACE_RENORM_THRESHOLD, aggregate_density, from_rho,
                      hermitize, rehermitize, snapshot_string, validate_loop)
 
 HERM_BASIS = np.stack([IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z])

@@ -181,6 +181,7 @@ def test_importing_the_package_does_not_import_scipy():
 KEPT_UNREACHED = {
     "cli.main": "the `mqcdyn` console script, which calls `runner.run`",
     "dynamics.energy": "traced by perfbench (`spans.TRACED`)",
+    "_heap.FREED_MEMORY_KEPT": "read by a `skipif` of `tests/test_dynamics.py`",
     "ensemble.validate": "the state check, kept to become a run-time check",
     "backreaction.koopmon_pairs_factorized_2dof": "2-DOF API (criterion 7)",
     "backreaction.koopmon_2dof_coupling": "2-DOF API (criterion 7)",
@@ -191,28 +192,44 @@ KEPT_UNREACHED = {
 }
 
 
+def top_level_names(node) -> list:
+    """The names a top-level statement defines: a function, a class, or the
+    plain names an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
 def unreached_definitions(src: Path, roots) -> list:
-    """Top-level functions and classes of the modules in ``src`` that no
-    chain of references leads to from ``roots`` or module-level code.
+    """Top-level functions, classes and assigned names of the modules in
+    ``src`` that no chain of references leads to from ``roots`` or
+    module-level code.
 
     A reference is a load of a top-level name of the module itself or of one
-    imported from a sibling, or an attribute of a sibling module
-    (``backreaction.koopmon_terms``).  An import is no reference, so the
-    re-exports of ``__init__.py`` reach nothing.
+    imported from a sibling (``from . import __version__`` names one of
+    ``__init__.py`` unless a sibling module has that name), or an attribute
+    of a sibling module (``backreaction.koopmon_terms``).  An import is no
+    reference, so the re-exports of ``__init__.py`` reach nothing.  The
+    value of a top-level assignment is module-level code, so what it loads
+    is reached whether or not the name it binds is.
     """
     edges, live = {}, set(roots)
     for path in src.glob("*.py"):
         mod, tree = path.stem, ast.parse(path.read_text())
-        names = {n.name: f"{mod}.{n.name}" for n in tree.body
-                 if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+        names = {n: f"{mod}.{n}" for node in tree.body
+                 for n in top_level_names(node)}
         modules = {}
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level:
                 for a in node.names:
                     if node.module:
                         names[a.asname or a.name] = f"{node.module}.{a.name}"
-                    else:
+                    elif (src / f"{a.name}.py").exists():
                         modules[a.asname or a.name] = a.name
+                    else:
+                        names[a.asname or a.name] = f"__init__.{a.name}"
 
         def refs(node):
             out = set()
@@ -231,6 +248,8 @@ def unreached_definitions(src: Path, roots) -> list:
                 edges[f"{mod}.{node.name}"] = refs(node)
             elif not isinstance(node, ast.ImportFrom):
                 live |= refs(node)
+                edges.update((f"{mod}.{n}", set())
+                             for n in top_level_names(node))
     todo = list(live)
     while todo:
         new = edges.get(todo.pop(), set()) - live
