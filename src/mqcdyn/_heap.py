@@ -12,9 +12,13 @@ it, 1484 faults and 17.1-24.0 ms without.  Raising the trim threshold alone
 leaves the mappings in place and faults more.
 
 8 MiB holds the work arrays of every preset at paper N on a compact box
-(2-3 MB at N=1000) and the per-block temporaries of a Wigner transform
-(1 MB or less with 256 nodes per axis); larger arrays stay mapped and go
-back to the system when freed.
+(2-3 MB at N=1000) and the blocks of every snapshot density: with 256
+nodes per axis, a Wigner transform of a 4096-point wavefunction traces a
+2.7 MB peak, its 0.5 MB output included, and a smoothed cloud or three
+512-node waterfall rows 1.6 MB, whatever N.  Larger arrays stay mapped and
+go back to the system when freed.  Any transient below the threshold stays
+in the heap once freed, so the largest such transient, not only what is
+live at the end, sets the peak RSS of the process.
 """
 
 from __future__ import annotations

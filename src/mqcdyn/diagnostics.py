@@ -8,7 +8,14 @@ off the particles' Pauli components.
 
 Density fields are visualization aids: the Wigner transform of a
 wavefunction, the kernel-smoothed particle cloud in phase space, and stacked
-configuration-space profiles over snapshot times ("waterfall" data).
+configuration-space profiles over snapshot times ("waterfall" data).  Each
+is summed over fixed-size blocks, of particles (`_PARTICLE_BLOCK`) or of
+wavefunction shifts (`_SHIFT_BLOCK`), so that beyond its output a density
+holds a few MB whatever the number of particles or the size of the
+wavefunction grid: no (particles x nodes) table and no (nodes x shifts)
+index array.  Freed blocks below the mmap threshold stay in the heap (see
+`_heap`), so the largest block sets the resident high-water mark of a run
+whose time steps are smaller.
 """
 
 from __future__ import annotations
@@ -16,17 +23,30 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .ensemble import ParticleEnsemble
 from .models import DEGENERACY_EPS, HBAR, HybridHamiltonian
 from .regularization import KernelSpec, kernel_1d
 from .soft import WavepacketState
 
-#: Shifts per block of `wigner`: a block holds an (n_q, B) correlation and
-#: (B, n_p) cosine and sine tables.  On 4096-point tully1 and tully3
-#: snapshots with 256 x 256 nodes, B = 128, 256 and 512 took the same time
-#: (one BLAS thread) and traced peaks of 3.2, 5.7 and 10.3 MB.
-_SHIFT_BLOCK = 256
+#: Shifts per block of `wigner`: a block holds (n_q, B) complex gathers
+#: and correlation and (B, n_p) cosine and sine tables.  On a fully occupied
+#: 4096-point wavefunction with 256 x 256 output nodes (one BLAS thread,
+#: 2-core x86-64 Linux, medians of 21 alternating calls), B = 32, 64, 128,
+#: 256 and 512 traced peaks of 1.7, 1.9, 2.7, 4.5 and 8.2 MB, the 0.5 MB
+#: output included; B = 128, 256 and 512 took the same time within 2%,
+#: B = 64 8% and B = 32 26% longer.
+_SHIFT_BLOCK = 128
+
+#: Particles per block of `smoothed_cloud` and of the particle rows of
+#: `waterfall`: a block holds (B, n_q) and (B, n_p) kernel tables.  At
+#: N = 1000 (same host, best of 15 calls), a 256 x 256 cloud took 5.1, 5.0
+#: and 4.9 ms at B = 128, 256 and 512 (4.8 ms unblocked, 5.9 ms at B = 32)
+#: and traced peaks of 1.6, 2.1 and 3.7 MB (6.7 MB unblocked); three
+#: 512-node waterfall rows took 5.9, 6.2 and 7.3 ms (6.6 ms unblocked) and
+#: traced 1.6, 3.2 and 6.1 MB (8.2 MB unblocked).
+_PARTICLE_BLOCK = 128
 
 
 @dataclass
@@ -107,10 +127,14 @@ def wigner(state: WavepacketState, q_nodes: np.ndarray,
 
     The correlation is Hermitian in the shift, corr(q, -y) = conj corr(q, y),
     so only the half y >= 0 is gathered:
-    ``W = Re corr(q, 0) + 2 sum_{y>0} [Re corr cos(2py/hbar) - Im corr sin(2py/hbar)]``,
-    taken as two real GEMMs per block of `_SHIFT_BLOCK` shifts.  Beyond the
-    output, memory is O(n_q * B + B * n_p) for a block of B shifts,
-    whatever the size of the grid.
+    ``W = Re corr(q, 0)
+    + 2 sum_{y>0} [Re corr cos(2py/hbar) - Im corr sin(2py/hbar)]``,
+    taken as two real GEMMs per block of `_SHIFT_BLOCK` shifts.  A block
+    gathers its psi(q +- y) from sliding windows over one zero-padded copy
+    of the wavefunction, with no index array.  Beyond the output and that
+    copy, memory is O(n_q * B + B * n_p) for a block of B shifts, whatever
+    the size of the grid: a call on 4096 points and 256 x 256 nodes traces
+    a 2.7 MB peak in all.
     """
     grid = state.grid
     q_nodes = np.asarray(q_nodes, dtype=float)
@@ -134,16 +158,20 @@ def wigner(state: WavepacketState, q_nodes: np.ndarray,
     padded[:, m_half:m_half + n] = state.psi
     w = np.zeros((len(j_idx), len(p_nodes)))
     for start in range(0, m_half + 1, _SHIFT_BLOCK):
-        shifts = np.arange(start, min(start + _SHIFT_BLOCK, m_half + 1))
-        plus = j_idx[:, None] + (shifts + m_half)
-        minus = j_idx[:, None] - (shifts - m_half)
-        corr = np.conj(padded[0, plus]) * padded[0, minus]
-        corr += np.conj(padded[1, plus]) * padded[1, minus]
+        stop = min(start + _SHIFT_BLOCK, m_half + 1)
+        # windows[c, i, k] = padded[c, i + k]: psi(q + y) for the shifts
+        # start + k is the window from j + m_half + start, psi(q - y) the
+        # window ending at j + m_half - start, read backwards
+        windows = sliding_window_view(padded, stop - start, axis=1)
+        plus = j_idx + (m_half + start)
+        minus = j_idx + (m_half - stop + 1)
+        corr = np.conj(windows[0, plus]) * windows[0, minus, ::-1]
+        corr += np.conj(windows[1, plus]) * windows[1, minus, ::-1]
         # weight 2 for the pair of shifts +-y, 1 for y = 0
         corr *= 2.0
         if start == 0:
             corr[:, 0] *= 0.5
-        theta = np.outer(shifts * (2.0 * dr / HBAR), p_nodes)
+        theta = np.outer(np.arange(start, stop) * (2.0 * dr / HBAR), p_nodes)
         w += corr.real @ np.cos(theta)
         w -= corr.imag @ np.sin(theta)
     w *= dr / (np.pi * HBAR)
@@ -151,17 +179,39 @@ def wigner(state: WavepacketState, q_nodes: np.ndarray,
                         meta={"t": state.time})
 
 
+def _kernel_sum(delta: float, w: np.ndarray, x: np.ndarray,
+                x_nodes: np.ndarray, y: np.ndarray | None = None,
+                y_nodes: np.ndarray | None = None) -> np.ndarray:
+    """``sum_a w_a K_delta(x_nodes - x_a) [x] K_delta(y_nodes - y_a)`` over
+    blocks of `_PARTICLE_BLOCK` particles: an (n_x,) profile without ``y``,
+    an (n_x, n_y) phase-space density with it.  Beyond the output, memory is
+    O(B * (n_x + n_y)) for a block of B particles, whatever N."""
+    spec = KernelSpec(alpha=delta)
+    out = np.zeros((len(x_nodes),) if y is None else (len(x_nodes), len(y_nodes)))
+    for start in range(0, len(w), _PARTICLE_BLOCK):
+        block = slice(start, start + _PARTICLE_BLOCK)
+        kx = kernel_1d(spec, x_nodes - x[block, None])
+        if y is None:
+            out += w[block] @ kx
+        else:
+            kx *= w[block, None]
+            out += kx.T @ kernel_1d(spec, y_nodes - y[block, None])
+    return out
+
+
 def smoothed_cloud(e: ParticleEnsemble, delta: float, q_nodes: np.ndarray,
                    p_nodes: np.ndarray) -> DensityField:
     """Kernel-smoothed phase-space particle density
-    ``D(z) = sum_a w_a K_delta(z - zeta_a)``."""
-    spec = KernelSpec(alpha=delta)
-    kq = kernel_1d(spec, np.asarray(q_nodes)[None, :] - e.q[:, None])
-    kp = kernel_1d(spec, np.asarray(p_nodes)[None, :] - e.p[:, None])
-    vals = (e.w[:, None] * kq).T @ kp
-    return DensityField(kind="smoothed_cloud", axis1=np.asarray(q_nodes),
-                        axis2=np.asarray(p_nodes), values=vals,
-                        meta={"delta": delta})
+    ``D(z) = sum_a w_a K_delta(z - zeta_a)``.
+
+    Summed over blocks of `_PARTICLE_BLOCK` particles, so that beyond the
+    (n_q, n_p) output it holds no table larger than B x max(n_q, n_p).
+    """
+    q_nodes = np.asarray(q_nodes, dtype=float)
+    p_nodes = np.asarray(p_nodes, dtype=float)
+    vals = _kernel_sum(delta, e.w, e.q, q_nodes, e.p, p_nodes)
+    return DensityField(kind="smoothed_cloud", axis1=q_nodes, axis2=p_nodes,
+                        values=vals, meta={"delta": delta})
 
 
 def default_phase_grid(e: ParticleEnsemble, delta: float,
@@ -178,13 +228,13 @@ def waterfall(snapshots, delta: float, r_nodes: np.ndarray) -> DensityField:
 
     ``snapshots`` is a sequence of (time, ParticleEnsemble) or
     (time, WavepacketState) pairs; particle clouds are smoothed with the
-    1D visualization kernel, wavefunctions contribute |Psi|^2 (interpolated
-    onto ``r_nodes``).
+    1D visualization kernel over blocks of `_PARTICLE_BLOCK` particles, so
+    that a row holds no table larger than B x n_r; wavefunctions contribute
+    |Psi|^2 (interpolated onto ``r_nodes``).
     """
     r_nodes = np.asarray(r_nodes, dtype=float)
     times = []
     rows = []
-    spec = KernelSpec(alpha=delta)
     for t, snap in snapshots:
         times.append(t)
         if isinstance(snap, WavepacketState):
@@ -192,8 +242,7 @@ def waterfall(snapshots, delta: float, r_nodes: np.ndarray) -> DensityField:
             rows.append(np.interp(r_nodes, snap.grid.r, dens,
                                   left=0.0, right=0.0))
         else:
-            k = kernel_1d(spec, r_nodes[None, :] - snap.q[:, None])
-            rows.append(snap.w @ k)
+            rows.append(_kernel_sum(delta, snap.w, snap.q, r_nodes))
     return DensityField(kind="waterfall", axis1=np.asarray(times),
                         axis2=r_nodes, values=np.vstack(rows),
                         meta={"delta": delta})

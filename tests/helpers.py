@@ -12,7 +12,7 @@ from mqcdyn.ensemble import (PSD_TOL, TRACE_TOL, WEIGHT_SUM_TOL,
 from mqcdyn.models import (DEGENERACY_EPS, HBAR, HybridHamiltonian,
                            adiabatic_basis, on_points)
 from mqcdyn.pauli import pauli_components, pauli_matrix, projector
-from mqcdyn.regularization import kernel_1d
+from mqcdyn.regularization import KernelSpec, kernel_1d
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -184,6 +184,22 @@ def integral(field):
         return float(np.trapezoid(field.values, field.axis2, axis=1).max())
     return float(np.trapezoid(np.trapezoid(field.values, field.axis2, axis=1),
                               field.axis1))
+
+
+def smoothed_cloud_by_formula(e, delta, q_nodes, p_nodes):
+    """``sum_a w_a K_delta(q - q_a) K_delta(p - p_a)`` from one (N, n_q)
+    and one (N, n_p) kernel table, unblocked."""
+    spec = KernelSpec(alpha=delta)
+    kq = kernel_1d(spec, np.asarray(q_nodes)[None, :] - e.q[:, None])
+    kp = kernel_1d(spec, np.asarray(p_nodes)[None, :] - e.p[:, None])
+    return (e.w[:, None] * kq).T @ kp
+
+
+def waterfall_row_by_formula(e, delta, r_nodes):
+    """``sum_a w_a K_delta(r - q_a)`` from one (N, n_r) kernel table,
+    unblocked."""
+    spec = KernelSpec(alpha=delta)
+    return e.w @ kernel_1d(spec, np.asarray(r_nodes)[None, :] - e.q[:, None])
 
 
 def validate_loop(e, trace_tol=TRACE_TOL, psd_tol=PSD_TOL):

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mqcdyn import diagnostics
 from mqcdyn.diagnostics import (DiagnosticsRecord, default_phase_grid,
                                 particle_diagnostics, smoothed_cloud,
                                 waterfall, wigner)
@@ -12,7 +13,8 @@ from mqcdyn.pauli import pauli_components, projector
 from mqcdyn.sampling import InitSpec, init_ensemble
 from mqcdyn.soft import SpatialGrid1D, WavepacketState, init_wavepacket
 
-from helpers import csv_row, integral
+from helpers import (csv_row, integral, smoothed_cloud_by_formula,
+                     waterfall_row_by_formula)
 
 
 def test_particle_diagnostics_tully1_initial():
@@ -234,22 +236,26 @@ def test_wigner_matches_the_definition(support):
     assert np.array_equal(field.axis2, p)
 
 
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_wigner_memory_does_not_grow_with_the_grid():
     # a fully occupied 4096-point state gathers all 8191 shifts at every q
-    # node; a (256, 8191) complex correlation matrix alone would be 33.5 MB
+    # node; a (256, 8191) complex correlation matrix alone would be 33.5 MB,
+    # and blocks of 128 shifts trace 2.7 MB
     rng = np.random.default_rng(5)
     grid = SpatialGrid1D(r_min=-30.0, r_max=40.0, n_points=4096)
     psi = rng.normal(size=(2, 4096)) + 1j * rng.normal(size=(2, 4096))
     state = WavepacketState(grid=grid, psi=psi, time=0.0)
     q = np.linspace(grid.r_min, grid.r_max, 256)
     p = np.linspace(-20.0, 40.0, 256)
-    tracemalloc.start()
-    try:
-        wigner(state, q, p)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16e6
+    assert traced_peak(lambda: wigner(state, q, p)) < 4e6
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +287,40 @@ def test_smoothed_cloud_symmetric_pair():
     p = np.linspace(-2, 2, 81)
     field = smoothed_cloud(e, delta, q, p)
     assert np.allclose(field.values, field.values[::-1, :], atol=1e-15)
+
+
+def spread_ensemble(n, seed):
+    # a cloud with unequal weights, so that a misplaced block shows
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.5, 1.5, n)
+    return ParticleEnsemble(q=rng.normal(-1.0, 1.5, n),
+                            p=rng.normal(3.0, 1.0, n),
+                            components=np.tile([[0.5], [0.0], [0.0], [0.5]], n),
+                            w=w / w.sum())
+
+
+#: one particle, fewer than a block, and several blocks and a part block
+BLOCK_COUNTS = [1, diagnostics._PARTICLE_BLOCK // 2 + 3,
+                3 * diagnostics._PARTICLE_BLOCK + 41]
+
+
+@pytest.mark.parametrize("n", BLOCK_COUNTS)
+def test_smoothed_cloud_blocks_match_the_formula(n):
+    e = spread_ensemble(n, seed=n)
+    q, p = default_phase_grid(e, 0.25, n_nodes=97)
+    field = smoothed_cloud(e, 0.25, q, p)
+    exact = smoothed_cloud_by_formula(e, 0.25, q, p)
+    assert np.max(exact) > 0.0
+    assert np.max(np.abs(field.values - exact)) <= 1e-14 * np.max(exact)
+
+
+@pytest.mark.parametrize("n", [2000, 20000])
+def test_smoothed_cloud_memory_does_not_grow_with_n(n):
+    # an unblocked (20000, 256) kernel table alone would be 41 MB; the
+    # output is 0.5 MB and a block's tables about 1 MB
+    e = spread_ensemble(n, seed=3)
+    q, p = default_phase_grid(e, 0.25, n_nodes=256)
+    assert traced_peak(lambda: smoothed_cloud(e, 0.25, q, p)) < 2.5e6
 
 
 def test_default_phase_grid_covers_cloud():
@@ -338,3 +378,26 @@ def test_waterfall_slices_normalized():
     for row in field.values:
         assert np.trapezoid(row, r) == pytest.approx(1.0, abs=1e-6)
     assert np.array_equal(field.axis1, [0.0, 1.0])
+
+
+@pytest.mark.parametrize("n", BLOCK_COUNTS)
+def test_waterfall_rows_match_the_formula(n):
+    e = spread_ensemble(n, seed=n)
+    e2 = e.copy()
+    e2.q += 0.7
+    r = np.linspace(-8.0, 7.0, 301)
+    field = waterfall([(0.0, e), (1.0, e2)], 0.25, r)
+    for row, snap in zip(field.values, (e, e2)):
+        exact = waterfall_row_by_formula(snap, 0.25, r)
+        assert np.max(exact) > 0.0
+        assert np.max(np.abs(row - exact)) <= 1e-14 * np.max(exact)
+
+
+@pytest.mark.parametrize("n", [2000, 20000])
+def test_waterfall_memory_does_not_grow_with_n(n):
+    # an unblocked (20000, 512) kernel table alone would be 82 MB; the three
+    # output rows are 12 kB and a block's tables about 1 MB
+    e = spread_ensemble(n, seed=4)
+    r = np.linspace(-8.0, 7.0, 512)
+    snapshots = [(0.0, e), (1.0, e), (2.0, e)]
+    assert traced_peak(lambda: waterfall(snapshots, 0.25, r)) < 2.5e6
