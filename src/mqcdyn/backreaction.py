@@ -44,11 +44,13 @@ coupling at all:
   aggregates sum_b w_b s_bm K_b of the active m, (1 + a) B wq wp) and
   [w s_m kq]^T dkp (the momentum-derivative aggregates, a B wq wp) into
   (nq, np) arrays on the box;
-* the weighted fields are then formed once on the box, O(nq np);
+* the weighted fields are then formed once on the box, O(nq np), each in
+  place of the aggregate that is read last to make it, so the (1 + 2a, nq,
+  np) array of pass 1 holds the fields of pass 2 (see `koopmon_terms`);
 * pass 2 multiplies [kp | dkp] and [dkp | ddkp] by the block's window of the
-  (2 np, a nq) block of the 2a weighted fields, for every p-stage of the
-  forces and the quantum field (2 x 2a B wq wp), each finished by a row-wise
-  contraction with kq or dkq, and [kq; dkq] by the window of the
+  2a weighted fields, gathered as one (2 wp, a wq) block, for every p-stage
+  of the forces and the quantum field (2 x 2a B wq wp), each finished by a
+  row-wise contraction with kq or dkq, and [kq; dkq] by the window of the
   denominator-derivative field (2 B wq wp).
 
 All formulas below use the half Bloch vectors ``s_a = Tr(rho_a sigma)/2``;
@@ -109,10 +111,15 @@ def _windows(nodes: np.ndarray, centers: np.ndarray, starts: np.ndarray,
     return [slice(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
 
 
-def _masked_inverse(den: np.ndarray) -> np.ndarray:
-    """1/den where den is representable, else 0 (the integrand vanishes there)."""
+def _masked_inverse(den: np.ndarray, out: np.ndarray | None = None
+                    ) -> np.ndarray:
+    """1/den where den is representable, else 0 (the integrand vanishes there),
+    written into ``out`` when given; ``out`` may be ``den`` itself."""
     mask = den > DENOMINATOR_FLOOR
-    out = np.zeros_like(den)
+    if out is None:
+        out = np.zeros_like(den)
+    else:
+        np.copyto(out, 0.0, where=~mask)
     np.divide(1.0, den, out=out, where=mask)
     return out
 
@@ -194,6 +201,19 @@ def koopmon_terms(e: ParticleEnsemble, h: HybridHamiltonian,
 
     The interaction of a `HybridHamiltonian` does not depend on p, so dH/dp
     has no traceless part and only dH/dq enters the brackets.
+
+    Memory: besides every block's kernel rows, O(N * patch), the call holds
+    one (1 + 2a, n_q, n_p) array on the box.  Pass 1 fills it with the
+    mixture denominator D and the aggregates sk and sgp; the fields of
+    pass 2 then overwrite them in place, D with 1/D and then the
+    denominator-derivative field fs2, sgp with f2q and sk with f1.  Only
+    four other kinds of box array exist, none of them in pass 2: inv_dw,
+    s_field, one scratch array and the a components of b1, which the sk
+    slots take over.  A component of b1 or f2q with two products (tully1
+    and tully2) allocates one more while it is formed.  Pass 2 copies each
+    block's window of the fields, which is the whole box for a block that
+    straddles a gap.  On the 81 x 252 box of a 200-particle tully3 cloud
+    split in p, one call traces a 2.7 MB peak.
     """
     grid.check_coverage(e.q, e.p)
     n = e.n
@@ -244,31 +264,41 @@ def koopmon_terms(e: ParticleEnsemble, h: HybridHamiltonian,
         agg[1 + a:, qw, pw] += (wkq[:, wq:].T @ p_rows[:, wp:2 * wp]).reshape(
             a, wq, wp)
         rows.append((q_rows, p_rows))
-    # the aggregates of the inactive components are the scalar zero
+    # the aggregates of the active m as (3,) lists, the scalar zero elsewhere
     sk, sgp = [0.0] * 3, [0.0] * 3
     for k, m in enumerate(active):
         sk[m], sgp[m] = agg[1 + k], agg[1 + a + k]
 
-    inv_d = _masked_inverse(agg[0])
+    # each pass-2 field overwrites the aggregate it reads last (see the
+    # docstring): slot 0 goes D -> 1/D -> fs2, the sgp slots become f2q once
+    # b1 has read them, and the sk slots become f1 once s_field and f2q have
+    inv_d = _masked_inverse(agg[0], out=agg[0])
     inv_dw = inv_d * grid.q.weights[:, None]
     inv_dw *= grid.p.weights[None, :]
 
-    b1 = _cross(g, sgp)     # = -(sgp x g)
-    s_field = -2.0 * HBAR * sum(sk[m] * b1[m] for m in active)
-    energy = float(np.sum(s_field * inv_dw))
+    b1 = _cross(g, sgp, out=[np.empty((n_q, n_p)) if m in active else None
+                             for m in range(3)])    # = -(sgp x g)
+    f2q = _cross(sk, g, out=sgp)
+    scratch = np.empty((n_q, n_p))
+    s_field = np.zeros((n_q, n_p))
+    for m in active:
+        s_field += np.multiply(sk[m], b1[m], out=scratch)
+    s_field *= -2.0 * HBAR
+    energy = float(np.sum(np.multiply(s_field, inv_dw, out=scratch)))
 
     # per-particle integrals sum_{q,p} rows_q[e,q] field[q,p] rows_p[e,p],
-    # split into a p-stage (rows_p @ field.T) and a q-stage.  Row block k of
-    # `fields` is [f1_m | f2q_m] for the k-th active m, with f1 = b1 / D and
-    # f2q = (sk x g) / D, both times the quadrature weights, so [kp|dkp] and
-    # [dkp|ddkp] times it give kp f1_m + dkp f2q_m and dkp f1_m + ddkp f2q_m
-    fields = np.empty((a, n_q, 2, n_p))
-    f2q = _cross(sk, g)
-    for k, m in enumerate(active):
-        np.multiply(b1[m], inv_dw, out=fields[k, :, 0])
-        np.multiply(f2q[m], inv_dw, out=fields[k, :, 1])
+    # split into a p-stage (rows_p @ field.T) and a q-stage.  For the k-th
+    # active m, slot 1 + k holds f1_m = b1_m / D and slot 1 + a + k holds
+    # f2q_m = (sk x g)_m / D, both times the quadrature weights, so [kp|dkp]
+    # and [dkp|ddkp] times [f1_m | f2q_m] give kp f1_m + dkp f2q_m and
+    # dkp f1_m + ddkp f2q_m
+    for m in active:
+        f2q[m] *= inv_dw
+        np.multiply(b1[m], inv_dw, out=sk[m])
     # the denominator term: [kq; dkq] @ fs2 gives kq fs2 and dkq fs2
-    fs2 = s_field * inv_d * inv_dw
+    fs2 = np.multiply(s_field, inv_d, out=agg[0])
+    fs2 *= inv_dw
+    del b1, s_field, inv_dw, scratch    # no box temporary lives in pass 2
 
     # pass 2, per block on its window.  The gradient of the coupling term
     # w.r.t. the particle coordinates, already divided by the weights:
@@ -282,7 +312,8 @@ def koopmon_terms(e: ParticleEnsemble, h: HybridHamiltonian,
         wp = pw.stop - pw.start
         kq, dkq = q_rows
         kp, dkp = p_rows[:, :wp], p_rows[:, wp:2 * wp]
-        f = fields[:, qw, :, pw].reshape(a * wq, 2 * wp).T
+        f = np.concatenate((agg[1:1 + a, qw, pw], agg[1 + a:, qw, pw]),
+                           axis=2).reshape(a * wq, 2 * wp).T
         stage_k = (p_rows[:, :2 * wp] @ f).reshape(b, a, wq)
         stage_dk = (p_rows[:, wp:] @ f).reshape(b, a, wq)
         stage_fs2 = q_rows.reshape(2 * b, wq) @ fs2[qw, pw]

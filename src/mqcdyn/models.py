@@ -49,24 +49,29 @@ def _is_zero(coeff) -> bool:
     return not isinstance(coeff, np.ndarray) and coeff == 0.0
 
 
-def _cross(a, b) -> list:
+def _cross(a, b, out=None) -> list:
     """Cross product a x b of two 3-component sequences of fields or scalars.
 
     Component m is a_i b_j - a_j b_i, (i, j) = (m + 1, m + 2) mod 3, formed
     as `np.cross` forms it, except that a product with a factor that is the
     scalar zero (`_is_zero`) is skipped; that changes at most the sign of a
-    zero.  A component left with no product is the scalar 0.0.
+    zero.  A component left with no product is the scalar 0.0.  ``out``, if
+    given, holds one entry per component: a component with a product is
+    written into its entry, an array, with the same bits and returned as it;
+    the entry of a component without one is not read.
     """
-    out = []
+    res = []
     for m in range(3):
         i, j = (m + 1) % 3, (m + 2) % 3
+        o = None if out is None else out[m]
         c = 0.0
         if not (_is_zero(a[i]) or _is_zero(b[j])):
-            c = a[i] * b[j]
+            c = a[i] * b[j] if o is None else np.multiply(a[i], b[j], out=o)
         if not (_is_zero(a[j]) or _is_zero(b[i])):
-            c = c - a[j] * b[i]
-        out.append(c)
-    return out
+            c = c - a[j] * b[i] if o is None else np.subtract(
+                c, a[j] * b[i], out=o)
+        res.append(c)
+    return res
 
 
 @dataclass(frozen=True, eq=False)

@@ -132,14 +132,20 @@ def _write_manifest(cfg: RunConfig, out: Path, status: str, started: float,
     _write_json(out / "manifest.json", manifest)
 
 
-def _run_particles(cfg: RunConfig, model, out: Path, warnings_seen):
+def _particle_setup(cfg: RunConfig, model):
+    """The method, kernel, box parameters and initial ensemble of a
+    particle run of ``cfg``."""
     kind = MethodKind.parse(cfg.method)
     spec = KernelSpec(alpha=cfg.alpha)
     grid_params = GridParams(n_q=cfg.n_q, n_p=cfg.n_p, j_q=cfg.j_q, j_p=cfg.j_p)
     rho0 = projector(rho0_vector(cfg, model))
     init = InitSpec(mu_q=cfg.mu_q, mu_p=cfg.mu_p, sigma_q=cfg.sigma_q,
                     rho0=rho0, n=cfg.n_particles, sobol_skip=cfg.sobol_skip)
-    e0 = init_ensemble(init)
+    return kind, spec, grid_params, init_ensemble(init)
+
+
+def _run_particles(cfg: RunConfig, model, out: Path, warnings_seen):
+    kind, spec, grid_params, e0 = _particle_setup(cfg, model)
 
     def diag(t, state, e_now, drift):
         rec = particle_diagnostics(state, model, t=t)

@@ -1,6 +1,7 @@
 """Shared construction and verification helpers for the test suite."""
 
 import io
+import tracemalloc
 
 import numpy as np
 
@@ -327,3 +328,13 @@ def momentum_expectation(state):
     dens_k = np.sum(np.abs(state.psi_k) ** 2, axis=0)
     norm_k = np.sum(dens_k)
     return float(np.sum(state.grid.k * dens_k) / norm_k)
+
+
+def traced_peak(fn):
+    """The tracemalloc peak, in bytes, of one call of ``fn()``."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -65,6 +65,44 @@ def test_a_regression_is_judged_by_the_bound_in_the_better_direction():
     assert s["claim_holds"] and not s["regressed"]
 
 
+def test_a_parent_spread_wider_than_the_bound_is_unresolved():
+    # setup_s-like noise: parent quartiles 25% of the median apart against a
+    # 10% bound; the change's median 15% worse reads `regressed`, but that
+    # move is inside the parent's own spread
+    spec = [{"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.1}]
+    parent = [0.16, 0.24, 0.19, 0.21, 0.17, 0.23, 0.20, 0.18, 0.22, 0.20]
+    s = summarize(pairs_of(parent, [1.15 * v for v in parent], "setup_s"),
+                  spec)["setup_s"]
+    assert s["parent"]["q3"] - s["parent"]["q1"] > 0.1 * s["parent"]["median"]
+    assert s["regressed"] and s["unresolved"]
+
+
+def test_a_parent_spread_within_the_bound_is_resolved():
+    # PARENT's quartiles are 0.4 apart, inside 25% of its median
+    for factor in (0.95, 1.0, 1.3):
+        s = summary(PARENT, [factor * v for v in PARENT])
+        assert not s["unresolved"]
+    assert summary(PARENT, [1.3 * v for v in PARENT])["regressed"]
+
+
+def test_a_fully_separated_spread_is_resolved_however_wide():
+    # the parent's quartiles span more than the bound, but every change run
+    # beats every parent run, in either better direction
+    wide = [6.0, 14.0, 8.0, 12.0, 7.0, 13.0, 9.0, 11.0, 10.0, 10.0]
+    s = summary(wide, [v - 9.0 for v in wide])
+    assert s["parent"]["q3"] - s["parent"]["q1"] > 0.25 * s["parent"]["median"]
+    assert not s["unresolved"] and s["claim_holds"]
+    # one change run that loses to the best parent run leaves it unresolved
+    change = [v - 9.0 for v in wide]
+    change[2] = 6.5
+    assert summary(wide, change)["unresolved"]
+    rates = [100.0 * v for v in wide]
+    assert not summary(rates, [v + 900.0 for v in rates],
+                       "steps_per_s")["unresolved"]
+    assert summary(rates, [v + 100.0 for v in rates],
+                   "steps_per_s")["unresolved"]
+
+
 def test_pairs_with_a_failed_side_are_left_out():
     pairs = pairs_of(PARENT, [v - 2.0 for v in PARENT], "run_s")
     pairs[3]["change"] = {"correct": False, "error": "exit 1"}
@@ -73,6 +111,7 @@ def test_pairs_with_a_failed_side_are_left_out():
     lone = summarize(pairs[:1], METRICS[:1])["run_s"]
     assert lone["pairs"] == 1 and "parent" not in lone
     assert not lone["claim_holds"] and not lone["regressed"]
+    assert lone["unresolved"]
 
 
 def test_same_artifacts_gives_the_relative_change_of_json_numbers(tmp_path):

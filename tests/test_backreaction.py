@@ -13,7 +13,8 @@ from mqcdyn.regularization import (GridCoverageError, GridParams, KernelSpec,
 
 from helpers import (bloch_state, bohmion_coupling_energy, bohmion_pairs,
                      fd_gradient_check, grad_p, grad_q, kernel_1d_deriv,
-                     kernel_1d_deriv2, koopmon_coupling_energy, koopmon_pairs)
+                     kernel_1d_deriv2, koopmon_coupling_energy, koopmon_pairs,
+                     traced_peak)
 
 
 def random_ensemble(n, seed=0, q0=-8.0, p0=10.0, spread=0.6):
@@ -388,6 +389,42 @@ def test_skipped_components_equal_the_full_computation(model, q0, p0, inactive):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
     assert np.all(skipped.heff_vec[:, inactive] == 0.0)
     assert np.all(full.heff_vec[:, inactive] == 0.0)
+
+
+def two_lobe_cloud(n):
+    """A tully3 cloud after branching, at desk N: spread over 5 a.u. in q
+    and split into two lobes 22 a.u. apart in p."""
+    rng = np.random.default_rng(51)
+    rho = np.stack([bloch_state(t, f) for t, f in
+                    zip(rng.uniform(0, np.pi, n), rng.uniform(0, 2 * np.pi, n))])
+    lobe = np.where(np.arange(n) < n // 2, 8.0, 30.0)
+    return ParticleEnsemble(q=rng.uniform(-2.5, 2.5, n),
+                            p=lobe + 0.5 * rng.standard_normal(n),
+                            components=pauli_components(rho),
+                            w=np.full(n, 1.0 / n))
+
+
+def test_koopmon_terms_memory_is_a_few_box_arrays():
+    # on its box of 81 x 252 nodes, 0.16 MB per (n_q, n_p) array, the
+    # weighted fields overwrite the five aggregates and at most four more box
+    # arrays live at once: 2.7 MB traced in all, kernel rows and the window
+    # of the block that straddles both lobes included; fields of their own
+    # would add four box arrays and more
+    e = two_lobe_cloud(200)
+    h = make_model("tully3")
+    spec = KernelSpec(alpha=0.325)
+    grid = build_grid(e.q, e.p, spec)
+    assert grid.shape[0] >= 80 and grid.shape[1] >= 250
+    assert traced_peak(lambda: koopmon_terms(e, h, grid, spec)) < 3.0e6
+
+
+def test_masked_inverse_in_place_has_the_same_bits():
+    den = np.array([[2.0, 0.0, 1e-300], [3.0, -0.0, 0.5]])
+    fresh = backreaction._masked_inverse(den)
+    assert fresh.tobytes() == np.array([[0.5, 0.0, 0.0],
+                                        [1.0 / 3.0, 0.0, 2.0]]).tobytes()
+    assert backreaction._masked_inverse(den, out=den) is den
+    assert den.tobytes() == fresh.tobytes()
 
 
 def scalar_zero_gradient_model():

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -14,7 +12,7 @@ from mqcdyn.sampling import InitSpec, init_ensemble
 from mqcdyn.soft import SpatialGrid1D, WavepacketState, init_wavepacket
 
 from helpers import (csv_row, integral, smoothed_cloud_by_formula,
-                     waterfall_row_by_formula)
+                     traced_peak, waterfall_row_by_formula)
 
 
 def test_particle_diagnostics_tully1_initial():
@@ -234,15 +232,6 @@ def test_wigner_matches_the_definition(support):
     j = np.clip(np.round((q - grid.r_min) / grid.dr).astype(int), 0, 127)
     assert np.array_equal(field.axis1, grid.r_min + grid.dr * j)
     assert np.array_equal(field.axis2, p)
-
-
-def traced_peak(fn):
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_wigner_memory_does_not_grow_with_the_grid():

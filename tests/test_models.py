@@ -237,6 +237,22 @@ def test_cross_of_float_arrays_is_bitwise_np_cross():
 
 
 @pytest.mark.parametrize("zeros_a,zeros_b", [
+    ((), ()), ((1,), ()), ((), (0, 2)), ((0, 2), (1,)), ((0, 1), (0, 1))])
+def test_cross_into_out_has_the_same_bits(zeros_a, zeros_b):
+    rng = np.random.default_rng(14)
+    a = [0.0 if m in zeros_a else rng.standard_normal(20) for m in range(3)]
+    b = [0.0 if m in zeros_b else rng.standard_normal(20) for m in range(3)]
+    out = [np.full(20, np.nan) for _ in range(3)]
+    got = _cross(a, b, out=out)
+    for m, (c, want) in enumerate(zip(got, _cross(a, b))):
+        if isinstance(want, np.ndarray):
+            assert c is out[m] and c.tobytes() == want.tobytes()
+        else:
+            assert type(c) is float and c == 0.0
+            assert np.isnan(out[m]).all()     # not written
+
+
+@pytest.mark.parametrize("zeros_a,zeros_b", [
     ((1,), ()), ((), (0, 2)), ((0, 2), (1,)), ((0, 1), (0, 1)), ((0,), (0,))])
 def test_cross_skips_scalar_zero_factors(zeros_a, zeros_b):
     # equal to np.cross of the broadcast zeros up to the sign of a zero;

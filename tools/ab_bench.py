@@ -15,13 +15,16 @@ does not always fall on the same side.  With several workloads, pair k of
 every workload runs before pair k + 1 of any.  The output file holds, per
 workload, for every pair both sides' end-to-end metrics, ``correct``,
 ``attempted`` and ``failed``, and per metric the medians and quartiles of
-each side, the number of pairs the working tree wins, and two verdicts:
+each side, the number of pairs the working tree wins, and three verdicts:
 ``regressed``, the working tree's median is worse than the parent's by more
-than the metric's bound, and ``claim_holds``, the working tree wins at least
+than the metric's bound; ``claim_holds``, the working tree wins at least
 9 in 10 of the pairs and its median is better than the parent's by more
-than the parent's interquartile range.  Metric names, their better
-direction and their bounds come from ``BENCHMARK.json``.  Progress goes to
-standard error.
+than the parent's interquartile range; and ``unresolved``, the parent's own
+interquartile range is wider than the bound times its median, so a move of
+the median by the bound is within the noise, unless every working-tree run
+beats every parent run.  An ``unresolved`` metric's ``regressed`` says
+nothing either way.  Metric names, their better direction and their bounds
+come from ``BENCHMARK.json``.  Progress goes to standard error.
 """
 
 from __future__ import annotations
@@ -72,8 +75,9 @@ def bench(tree: Path, workload: str, seed: int) -> dict:
 
 
 def summarize(pairs: list, metrics: list) -> dict:
-    """Medians, quartiles, change wins and the two verdicts over the pairs
-    where both sides produced the metric.
+    """Medians, quartiles, change wins and the three verdicts over the pairs
+    where both sides produced the metric; with fewer than two such pairs
+    the metric is ``unresolved``.
 
     ``metrics`` are `BENCHMARK.json` ``end_to_end`` entries: ``name``,
     ``unit``, ``better`` ("lower" or "higher") and ``bound``, the largest
@@ -95,6 +99,7 @@ def summarize(pairs: list, metrics: list) -> dict:
                                "q1": q1, "q3": q3}
         entry["change_wins"] = sum(sign * (c - p) < 0.0 for p, c in both)
         entry["regressed"] = entry["claim_holds"] = False
+        entry["unresolved"] = True
         if "parent" in entry:
             parent, change = entry["parent"], entry["change"]
             entry["median_change_rel"] = change["median"] / parent["median"] - 1.0
@@ -104,6 +109,11 @@ def summarize(pairs: list, metrics: list) -> dict:
             entry["claim_holds"] = (
                 entry["change_wins"] >= CLAIM_WINS * len(both)
                 and gain > parent["q3"] - parent["q1"])
+            separated = (max(sign * c for _, c in both)
+                         < min(sign * p for p, _ in both))
+            entry["unresolved"] = not separated and (
+                parent["q3"] - parent["q1"]
+                > spec["bound"] * abs(parent["median"]))
         out[name] = entry
     return out
 
@@ -166,6 +176,7 @@ def main(argv=None) -> int:
                     f"({100 * metric['median_change_rel']:+.1f}%), change wins "
                     f"{metric['change_wins']}/{metric['pairs']}"
                     + (", regressed" if metric["regressed"] else "")
+                    + (", unresolved" if metric["unresolved"] else "")
                     + (", claim holds" if metric["claim_holds"] else ""))
     return 0
 
