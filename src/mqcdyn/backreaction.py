@@ -280,7 +280,7 @@ def koopmon_terms(e: ParticleEnsemble, h: HybridHamiltonian,
                              for m in range(3)])    # = -(sgp x g)
     f2q = _cross(sk, g, out=sgp)
     scratch = np.empty((n_q, n_p))
-    s_field = np.zeros((n_q, n_p))
+    s_field = np.zeros((n_q, n_p))    # 0 + x, as `sum` forms it: -0 -> +0
     for m in active:
         s_field += np.multiply(sk[m], b1[m], out=scratch)
     s_field *= -2.0 * HBAR
