@@ -18,8 +18,7 @@ from .diagnostics import (DensityField, DiagnosticsRecord, particle_diagnostics,
 from .dynamics import (EnergyDriftError, EnsembleDerivative, MethodKind,
                        energy, propagate, rhs, rk4_step)
 from .ensemble import Ensemble2D, ParticleEnsemble, validate
-from .models import (HybridHamiltonian, make_model, make_rabi, make_tully,
-                     model_names)
+from .models import HybridHamiltonian, make_model, model_names
 from .pauli import PauliVector
 from .regularization import (GridParams, KernelSpec, Lattice, QuadratureGrid,
                              build_grid, build_grid_1d, kernel_1d, quadrature)

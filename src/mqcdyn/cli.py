@@ -13,23 +13,46 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import (ConfigError, PRESET_PROVENANCE, PRESETS, load_config)
+from .config import (ConfigError, PRESET_PROVENANCE, PRESETS, RunConfig,
+                     load_config)
 from .dynamics import EnergyDriftError, NonFiniteDerivativeError
 from .regularization import GridCoverageError
 from .runner import IncompatibleRunsError, compare, run
 
 
-def _parse_set(items) -> dict:
-    out = {}
-    for item in items or ():
+def add_config_arguments(parser: argparse.ArgumentParser) -> None:
+    """The arguments that select a run configuration: an optional config
+    file, ``--preset``, ``--method`` and repeated ``--set``; read them with
+    `config_from_args`."""
+    parser.add_argument("config", nargs="?", default=None,
+                        help="INI config file (optional when --preset is given)")
+    parser.add_argument("--preset", default=None,
+                        help="built-in benchmark preset to start from")
+    parser.add_argument("--method", default=None,
+                        help="koopmon | ehrenfest | bohmion | soft")
+    parser.add_argument("--set", dest="assignments", action="append",
+                        metavar="KEY=VALUE",
+                        help="override a config key (section.key=value; "
+                             "bare keys mean the [run] section)")
+
+
+def config_from_args(args: argparse.Namespace, **overrides) -> RunConfig:
+    """The validated configuration that the `add_config_arguments` of
+    ``args`` select.  ``overrides`` set further keys of the [run] section,
+    by their bare names, over all others.  Raises `ConfigError`."""
+    if args.config is None and args.preset is None:
+        raise ConfigError("provide a config file or --preset")
+    values = {}
+    for item in args.assignments or ():
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
         key = key.strip()
-        if "." not in key:
-            key = "run." + key
-        out[key] = value.strip()
-    return out
+        values[key if "." in key else "run." + key] = value.strip()
+    if args.method is not None:
+        values["run.method"] = args.method
+    values.update((f"run.{key}", value) for key, value in overrides.items())
+    return load_config(args.config, preset=args.preset, overrides=values)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -39,16 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="execute one simulation run")
-    p_run.add_argument("config", nargs="?", default=None,
-                       help="INI config file (optional when --preset is given)")
-    p_run.add_argument("--preset", default=None,
-                       help="built-in benchmark preset to start from")
-    p_run.add_argument("--method", default=None,
-                       help="koopmon | ehrenfest | bohmion | soft")
-    p_run.add_argument("--set", dest="assignments", action="append",
-                       metavar="KEY=VALUE",
-                       help="override a config key (section.key=value; "
-                            "bare keys mean the [run] section)")
+    add_config_arguments(p_run)
     p_run.add_argument("--out", default="run_output",
                        help="output directory (default: run_output)")
     p_run.add_argument("--workers", type=int, default=None,
@@ -85,14 +99,8 @@ def main(argv=None) -> int:
 
     # run
     try:
-        overrides = _parse_set(args.assignments)
-        if args.method is not None:
-            overrides["run.method"] = args.method
-        if args.workers is not None:
-            overrides["run.workers"] = args.workers
-        if args.config is None and args.preset is None:
-            raise ConfigError("provide a config file or --preset")
-        cfg = load_config(args.config, preset=args.preset, overrides=overrides)
+        workers = {} if args.workers is None else {"workers": args.workers}
+        cfg = config_from_args(args, **workers)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1

@@ -94,7 +94,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved parameters of one simulation run."""
+    """Fully resolved parameters of one simulation run: the value of each
+    `_SCHEMA` key in its field (see `_field`), and the ``model.*`` keys."""
 
     method: str
     model: str
@@ -104,6 +105,8 @@ class RunConfig:
     t_final: float
     snapshot_times: tuple
     energy_tol: float
+    # a worker-count hint, recorded in the manifest; no code reads it, and
+    # results do not depend on it
     workers: int
     # quadrature box
     n_q: int
@@ -177,6 +180,13 @@ _ACCEPTS = {int: numbers.Integral, float: numbers.Real, "floats": numbers.Real,
             bool: bool, str: str}
 
 
+def _field(key: str) -> str:
+    """The `RunConfig` field of a `_SCHEMA` key: ``soft.x`` is ``soft_x``,
+    any other key the name within its section."""
+    section, name = key.split(".")
+    return f"soft_{name}" if section == "soft" else name
+
+
 def _coerce(key: str, kind, raw):
     """``raw`` as a value of the key's type ``kind``.
 
@@ -220,8 +230,9 @@ def _coerce(key: str, kind, raw):
 def read_config_file(path: str) -> dict:
     """Parse an INI config file into a flat ``section.key -> raw`` mapping.
 
-    Raises `ConfigError` for syntax problems (with the parser's line number)
-    and for unknown sections or keys.
+    Raises `ConfigError` for syntax problems (with the parser's line number).
+    Keys are not checked here: `resolve_config` rejects unknown sections and
+    keys among all the values it merges.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
@@ -232,18 +243,8 @@ def read_config_file(path: str) -> dict:
     except configparser.Error as err:
         raise ConfigError(f"config parse error: {err}") from None
 
-    flat = {}
-    bad = []
-    for section in parser.sections():
-        for key, value in parser.items(section):
-            dotted = f"{section}.{key}"
-            if dotted not in _SCHEMA and not dotted.startswith("model."):
-                bad.append(dotted)
-            else:
-                flat[dotted] = value
-    if bad:
-        raise ConfigError(f"unknown config keys: {sorted(bad)}")
-    return flat
+    return {f"{section}.{key}": value for section in parser.sections()
+            for key, value in parser.items(section)}
 
 
 def resolve_config(file_values: dict | None = None, preset: str | None = None,
@@ -304,9 +305,10 @@ def resolve_config(file_values: dict | None = None, preset: str | None = None,
     if values["run.t_final"] < 0:
         problems.append("run.t_final must be nonnegative")
 
+    sigma_q_from_momentum = values.pop("init.sigma_q_from_momentum")
     sigma_q = values["init.sigma_q"]
     if sigma_q is None:
-        if values["init.sigma_q_from_momentum"]:
+        if sigma_q_from_momentum:
             if values["init.mu_p"] == 0.0:
                 problems.append("init.sigma_q_from_momentum requires mu_p != 0")
             else:
@@ -334,27 +336,9 @@ def resolve_config(file_values: dict | None = None, preset: str | None = None,
     except ValueError as err:
         raise ConfigError(f"{key}: {err}") from None
 
-    return RunConfig(
-        method=values["run.method"],
-        model=values["run.model"],
-        n_particles=values["run.n_particles"],
-        alpha=values["run.alpha"],
-        dt=values["run.dt"],
-        t_final=values["run.t_final"],
-        snapshot_times=values["run.snapshot_times"],
-        energy_tol=values["run.energy_tol"],
-        workers=values["run.workers"],
-        n_q=values["grid.n_q"], n_p=values["grid.n_p"],
-        j_q=values["grid.j_q"], j_p=values["grid.j_p"],
-        mu_q=values["init.mu_q"], mu_p=values["init.mu_p"],
-        sigma_q=float(sigma_q), rho0=values["init.rho0"],
-        sobol_skip=values["init.sobol_skip"],
-        soft_r_min=values["soft.r_min"], soft_r_max=values["soft.r_max"],
-        soft_n_points=values["soft.n_points"], soft_dt=values["soft.dt"],
-        delta=values["viz.delta"], wigner_nodes=values["viz.wigner_nodes"],
-        waterfall_nodes=values["viz.waterfall_nodes"],
-        model_params=model_params,
-    )
+    values["init.sigma_q"] = sigma_q
+    return RunConfig(model_params=model_params,
+                     **{_field(k): v for k, v in values.items()})
 
 
 def load_config(path: str | None, preset: str | None = None,

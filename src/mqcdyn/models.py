@@ -2,8 +2,9 @@
 
 Five built-in benchmark models: three single-avoided-crossing-family two-level
 scattering models ("tully1", "tully2", "tully3") and a driven-spin/oscillator
-model in two coupling regimes ("rabi_us", "rabi_ds").  All quantities are in
-atomic units with hbar = 1.
+model in two coupling regimes ("rabi_us", "rabi_ds").  `make_model` builds
+each of them by name from its default parameters in `_PARAMS`, with any of
+them overridden.  All quantities are in atomic units with hbar = 1.
 
 The interaction term is a function of position only (no momentum coupling);
 the classical part must be of the standard form ``p^2/(2M) + V_C(q)`` for the
@@ -132,46 +133,40 @@ class HybridHamiltonian:
 # Benchmark model definitions
 # ---------------------------------------------------------------------------
 
-_TULLY_DEFAULTS = {
-    "I": dict(a=0.01, b=1.6, c=0.005, d=1.0, mass=2000.0),
-    "II": dict(a=0.05, b=0.28, c=0.015, d=0.06, e0=0.025, mass=2000.0),
-    "III": dict(a=0.0006, b=0.1, c=0.9, mass=2000.0),
+#: Default parameters of each model; `make_model` accepts these names, and
+#: no others, as overrides.
+_PARAMS = {
+    "tully1": dict(a=0.01, b=1.6, c=0.005, d=1.0, mass=2000.0),
+    "tully2": dict(a=0.05, b=0.28, c=0.015, d=0.06, e0=0.025, mass=2000.0),
+    "tully3": dict(a=0.0006, b=0.1, c=0.9, mass=2000.0),
+    "rabi_us": dict(gamma=0.29, c0=0.35, mass=1.0, omega=1.0),
+    "rabi_ds": dict(gamma=1.85, c0=0.1, mass=1.0, omega=1.0),
 }
 
-_RABI_DEFAULTS = {
-    "ultrastrong": dict(gamma=0.29, c0=0.35, mass=1.0, omega=1.0),
-    "deep_strong": dict(gamma=1.85, c0=0.1, mass=1.0, omega=1.0),
-}
 
-
-def make_tully(variant: str, **overrides) -> HybridHamiltonian:
-    """Two-level scattering model; ``variant`` is "I", "II" or "III".
+def _tully(name: str, prm: dict) -> tuple:
+    """The five callables of a two-level scattering model, "tully1",
+    "tully2" or "tully3".
 
     Kinetic part p^2/(2M) with M = 2000; the diabatic functions follow the
     standard single/dual avoided crossing and extended coupling forms.
     """
-    variant = {1: "I", 2: "II", 3: "III"}.get(variant, str(variant).upper())
-    if variant not in _TULLY_DEFAULTS:
-        raise ValueError(f"unknown Tully variant {variant!r}; expected I, II or III")
-    prm = dict(_TULLY_DEFAULTS[variant])
-    unknown = set(overrides) - set(prm)
-    if unknown:
-        raise ValueError(f"unknown parameters for Tully {variant}: {sorted(unknown)}")
-    prm.update(overrides)
     mass = prm["mass"]
 
     def classical_kinetic(q, p):
         return p**2 / (2.0 * mass)
 
-    def d_kin_q(q, p):
+    def d_cl_q(q, p):
         return 0.0
 
-    def d_kin_p(q, p):
+    def d_cl_p(q, p):
         return p / mass
 
+    # the kinetic part alone, unless the branch below adds V_C(q) (tully2)
+    classical = classical_kinetic
     a, b, c = prm["a"], prm["b"], prm["c"]
 
-    if variant == "I":
+    if name == "tully1":
         d = prm["d"]
 
         def interaction(q):
@@ -185,9 +180,7 @@ def make_tully(variant: str, **overrides) -> HybridHamiltonian:
             dh3 = a * b * np.exp(-b * np.abs(q))
             return 0.0, dh1, 0.0, dh3
 
-        classical, d_cl_q, d_cl_p = classical_kinetic, d_kin_q, d_kin_p
-
-    elif variant == "II":
+    elif name == "tully2":
         d, e0 = prm["d"], prm["e0"]
 
         def h0_fn(q):
@@ -199,8 +192,6 @@ def make_tully(variant: str, **overrides) -> HybridHamiltonian:
         def d_cl_q(q, p):
             return 2.0 * a * b * q * np.exp(-b * q**2)
 
-        d_cl_p = d_kin_p
-
         def interaction(q):
             h1 = c * np.exp(-d * q**2)
             return 0.0, h1, 0.0, -h0_fn(q)
@@ -210,7 +201,7 @@ def make_tully(variant: str, **overrides) -> HybridHamiltonian:
             dh3 = -2.0 * a * b * q * np.exp(-b * q**2)
             return 0.0, dh1, 0.0, dh3
 
-    else:  # III
+    else:  # tully3
         def interaction(q):
             h1 = np.where(q > 0.0,
                           b * (2.0 - np.exp(-c * np.clip(q, 0.0, None))),
@@ -221,36 +212,15 @@ def make_tully(variant: str, **overrides) -> HybridHamiltonian:
             dh1 = b * c * np.exp(-c * np.abs(q))
             return 0.0, dh1, 0.0, 0.0
 
-        classical, d_cl_q, d_cl_p = classical_kinetic, d_kin_q, d_kin_p
-
-    return HybridHamiltonian(
-        name="tully" + str({"I": 1, "II": 2, "III": 3}[variant]),
-        mass=mass,
-        classical=classical,
-        d_classical_q=d_cl_q,
-        d_classical_p=d_cl_p,
-        interaction=interaction,
-        d_interaction=d_interaction,
-        params=prm,
-    )
+    return classical, d_cl_q, d_cl_p, interaction, d_interaction
 
 
-def make_rabi(regime: str, **overrides) -> HybridHamiltonian:
-    """Harmonic oscillator driving a two-level spin.
+def _rabi(prm: dict) -> tuple:
+    """The five callables of a harmonic oscillator driving a two-level spin.
 
     H = (p^2/M + M w^2 q^2)/2 * 1 + gamma*q*sz + C0*sx with M = w = 1;
-    ``regime`` is "ultrastrong" or "deep_strong".
+    "rabi_us" and "rabi_ds" differ only in gamma and C0.
     """
-    regime = str(regime).lower()
-    aliases = {"us": "ultrastrong", "ds": "deep_strong", "deepstrong": "deep_strong"}
-    regime = aliases.get(regime, regime)
-    if regime not in _RABI_DEFAULTS:
-        raise ValueError(f"unknown Rabi regime {regime!r}")
-    prm = dict(_RABI_DEFAULTS[regime])
-    unknown = set(overrides) - set(prm)
-    if unknown:
-        raise ValueError(f"unknown parameters for Rabi: {sorted(unknown)}")
-    prm.update(overrides)
     mass, omega, gamma, c0 = prm["mass"], prm["omega"], prm["gamma"], prm["c0"]
 
     def classical(q, p):
@@ -268,38 +238,25 @@ def make_rabi(regime: str, **overrides) -> HybridHamiltonian:
     def d_interaction(q):
         return 0.0, 0.0, 0.0, gamma
 
-    return HybridHamiltonian(
-        name="rabi_us" if regime == "ultrastrong" else "rabi_ds",
-        mass=mass,
-        classical=classical,
-        d_classical_q=d_cl_q,
-        d_classical_p=d_cl_p,
-        interaction=interaction,
-        d_interaction=d_interaction,
-        params=prm,
-    )
-
-
-_MODEL_FACTORIES = {
-    "tully1": lambda **kw: make_tully("I", **kw),
-    "tully2": lambda **kw: make_tully("II", **kw),
-    "tully3": lambda **kw: make_tully("III", **kw),
-    "rabi_us": lambda **kw: make_rabi("ultrastrong", **kw),
-    "rabi_ds": lambda **kw: make_rabi("deep_strong", **kw),
-}
+    return classical, d_cl_q, d_cl_p, interaction, d_interaction
 
 
 def model_names() -> list[str]:
-    return sorted(_MODEL_FACTORIES)
+    return sorted(_PARAMS)
 
 
 def make_model(name: str, **overrides) -> HybridHamiltonian:
-    """Build a benchmark model by name with optional parameter overrides."""
-    try:
-        factory = _MODEL_FACTORIES[name]
-    except KeyError:
-        raise ValueError(f"unknown model {name!r}; choose from {model_names()}") from None
-    return factory(**overrides)
+    """Build a benchmark model by name (a key of `_PARAMS`), with any of its
+    parameters overridden; ``params`` of the model holds every value."""
+    if name not in _PARAMS:
+        raise ValueError(f"unknown model {name!r}; choose from {model_names()}")
+    prm = dict(_PARAMS[name])
+    unknown = set(overrides) - set(prm)
+    if unknown:
+        raise ValueError(f"unknown parameters for {name}: {sorted(unknown)}")
+    prm.update(overrides)
+    callables = _rabi(prm) if name.startswith("rabi") else _tully(name, prm)
+    return HybridHamiltonian(name, prm["mass"], *callables, params=prm)
 
 
 # ---------------------------------------------------------------------------

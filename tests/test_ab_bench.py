@@ -1,10 +1,11 @@
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
-from ab_bench import summarize  # noqa: E402
+from ab_bench import copy_worktree, summarize  # noqa: E402
 from same_artifacts import relative_change  # noqa: E402
 
 METRICS = [{"name": "run_s", "unit": "s", "better": "lower", "bound": 0.25},
@@ -112,6 +113,32 @@ def test_pairs_with_a_failed_side_are_left_out():
     assert lone["pairs"] == 1 and "parent" not in lone
     assert not lone["claim_holds"] and not lone["regressed"]
     assert lone["unresolved"]
+
+
+def test_the_working_tree_copy_holds_the_files_git_would_commit(tmp_path):
+    root, into = tmp_path / "root", tmp_path / "into"
+    (root / "src").mkdir(parents=True)
+    files = {".gitignore": "out/\n", "src/kept.py": "old\n",
+             "src/deleted.py": "x\n", "out/ignored.txt": "x\n"}
+    for name, text in files.items():
+        (root / name).parent.mkdir(exist_ok=True)
+        (root / name).write_text(text)
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                        *args], cwd=root, check=True, capture_output=True)
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "files")
+    (root / "src/kept.py").write_text("new\n")
+    (root / "src/deleted.py").unlink()
+    (root / "src/untracked.py").write_text("u\n")
+    copy_worktree(root, into)
+    got = {p.relative_to(into).as_posix(): p.read_text()
+           for p in into.rglob("*") if p.is_file()}
+    assert got == {".gitignore": "out/\n", "src/kept.py": "new\n",
+                   "src/untracked.py": "u\n"}
 
 
 def test_same_artifacts_gives_the_relative_change_of_json_numbers(tmp_path):

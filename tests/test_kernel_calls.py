@@ -33,3 +33,15 @@ def test_kernel_calls_refuses_a_method_without_kernel_calls():
     proc = kernel_calls("--method", "ehrenfest", "--at", "0")
     assert proc.returncode != 0
     assert "koopmon or bohmion" in proc.stderr
+
+
+@pytest.mark.parametrize("assignment,message", [
+    ("init.sobol_skip=0", "init.sobol_skip must be positive"),
+    ("run.bogus=1", "unknown config keys: ['run.bogus']")])
+def test_kernel_calls_ends_an_invalid_config_with_a_usage_error(assignment,
+                                                                message):
+    proc = kernel_calls("--method", "koopmon", "--set", assignment,
+                        "--at", "0")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage:") and message in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mqcdyn.models import (_cross, adiabatic_basis, make_model, make_rabi,
-                           make_tully, model_names)
+from mqcdyn.models import _cross, adiabatic_basis, make_model, model_names
 from mqcdyn.pauli import PauliVector, pauli_decompose, pauli_matrix
 
 from helpers import (DegeneratePotentialError, grad_p, grad_q, matrix, nac,
@@ -68,7 +67,7 @@ def test_interaction_is_momentum_free():
 
 
 def test_tully1_values_at_origin():
-    h = make_tully("I")
+    h = make_model("tully1")
     h0, h1, h2, h3 = h.electronic_pauli(0.0)
     assert h3 == 0.0           # sgn(0) = 0
     assert h1 == pytest.approx(0.005)
@@ -76,7 +75,7 @@ def test_tully1_values_at_origin():
 
 
 def test_tully2_values_at_origin():
-    h = make_tully("II")
+    h = make_model("tully2")
     h0, h1, _, h3 = h.electronic_pauli(0.0)
     assert h0 == pytest.approx(-0.025)
     assert h3 == pytest.approx(0.025)
@@ -84,7 +83,7 @@ def test_tully2_values_at_origin():
 
 
 def test_tully3_asymptotics():
-    h = make_tully("III")
+    h = make_model("tully3")
     lam1, lam2, _, _ = adiabatic_basis(h, -40.0)
     assert lam2 - lam1 == pytest.approx(2 * 0.0006, rel=1e-9)
     # coupling H1 is continuous and C^1 at the branch point
@@ -97,10 +96,10 @@ def test_tully3_asymptotics():
 
 
 def test_rabi_values():
-    us = make_rabi("ultrastrong")
+    us = make_model("rabi_us")
     mat = matrix(us, 0.0, 0.0)
     assert np.allclose(mat, 0.35 * np.array([[0, 1], [1, 0]]))
-    ds = make_rabi("deep_strong")
+    ds = make_model("rabi_ds")
     lam1, lam2, _, _ = adiabatic_basis(ds, 0.0)
     assert lam2 - lam1 == pytest.approx(0.2)
     g0, g1, g2, g3 = grad_p(ds, 1.3, 2.5)
@@ -123,7 +122,7 @@ def test_adiabatic_basis_matches_dense_eigensolver():
 
 
 def test_adiabatic_basis_invariants():
-    h = make_tully("I")
+    h = make_model("tully1")
     for q in np.linspace(-9.7, 9.7, 41):
         lam1, lam2, v1, v2 = adiabatic_basis(h, q)
         assert lam1 <= lam2
@@ -139,7 +138,7 @@ def test_adiabatic_basis_invariants():
 
 
 def test_adiabatic_basis_examples_tully1():
-    h = make_tully("I")
+    h = make_model("tully1")
     lam1, lam2, v1, v2 = adiabatic_basis(h, 0.0)
     assert lam1 == pytest.approx(-0.005)
     assert lam2 == pytest.approx(0.005)
@@ -152,12 +151,12 @@ def test_adiabatic_basis_examples_tully1():
 
 
 def test_nac_tully1_peak():
-    h = make_tully("I")
+    h = make_model("tully1")
     assert abs(nac(h, 0.0)) == pytest.approx(1.6, rel=1e-12)
 
 
 def test_nac_tully3_decays_right():
-    h = make_tully("III")
+    h = make_model("tully3")
     assert abs(nac(h, 25.0)) < 1e-8
 
 
@@ -204,8 +203,16 @@ def test_model_registry():
         make_model("nope")
     h = make_model("tully1", a=0.02)
     assert h.params["a"] == 0.02
-    with pytest.raises(ValueError):
-        make_model("tully1", bogus=1.0)
+    for name in ALL_MODELS:
+        defaults = make_model(name).params
+        assert make_model(name).name == name and "mass" in defaults
+        # each default parameter is an override that lands in `params`
+        for key, value in defaults.items():
+            h = make_model(name, **{key: 1.5 * value})
+            assert h.params == {**defaults, key: 1.5 * value}
+            assert h.mass == h.params["mass"]
+        with pytest.raises(ValueError, match=f"{name}.*bogus"):
+            make_model(name, bogus=1.0)
 
 
 @pytest.mark.parametrize("name", ALL_MODELS)

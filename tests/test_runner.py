@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import subprocess
@@ -116,6 +117,42 @@ def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="unknown config keys"):
         resolve_config(preset="tully1",
                        overrides={"run.method": "soft", "run.bogus": 1})
+
+
+#: A valid value, unlike the rabi_ds preset's, for every schema key that
+#: names a `RunConfig` field.
+EVERY_KEY = {
+    "run.method": "bohmion", "run.model": "rabi_us", "run.n_particles": 7,
+    "run.alpha": 0.4, "run.dt": 0.1, "run.t_final": 16.0,
+    "run.snapshot_times": (0.0, 15.0), "run.energy_tol": 0.5,
+    "run.workers": 3, "grid.n_q": 5, "grid.n_p": 6, "grid.j_q": 7,
+    "grid.j_p": 9, "init.mu_q": 0.5, "init.mu_p": 1.5, "init.sigma_q": 0.25,
+    "init.rho0": "plus", "init.sobol_skip": 3, "soft.r_min": -12.0,
+    "soft.r_max": 11.0, "soft.n_points": 1000, "soft.dt": 0.02,
+    "viz.delta": 0.5, "viz.wigner_nodes": 64, "viz.waterfall_nodes": 128,
+}
+
+
+def field_of(key):
+    section, name = key.split(".")
+    return "soft_" + name if section == "soft" else name
+
+
+def test_every_config_key_reaches_its_field():
+    # each key but the preset and the sigma_q rule names one field, and
+    # each field but the model parameters has a key
+    assert set(EVERY_KEY) == set(config._SCHEMA) - {
+        "run.preset", "init.sigma_q_from_momentum"}
+    fields = [f.name for f in dataclasses.fields(config.RunConfig)]
+    assert sorted(map(field_of, EVERY_KEY)) == sorted(
+        set(fields) - {"model_params"})
+    base = resolve_config(preset="rabi_ds",
+                          overrides={"run.method": "ehrenfest"})
+    for key, value in EVERY_KEY.items():
+        cfg = resolve_config(preset="rabi_ds", overrides={
+            "run.method": "ehrenfest", key: value})
+        assert getattr(cfg, field_of(key)) == value != getattr(
+            base, field_of(key)), key
 
 
 def test_unknown_preset_rejected():

@@ -5,11 +5,13 @@ the working tree.
         --seed S --pairs K --out BENCH_<n>.json
 
 Run from anywhere inside a checkout.  REV is unpacked with ``git archive``
-into a temporary directory.  Each pair runs
+into ``parent/``, and the working tree's files, tracked or untracked but not
+ignored, are copied into ``change/``, both under one temporary directory, so
+that the two trees differ in nothing but their files.  Each pair runs
 
     python3 perfbench/run.py --workload W --seed S --seconds 35 --trace 0
 
-once in that tree and once in the working tree, one after the other; the side
+once in each tree, one after the other; the side
 that goes first alternates from pair to pair, so a slow phase of the host
 does not always fall on the same side.  With several workloads, pair k of
 every workload runs before pair k + 1 of any.  The output file holds, per
@@ -32,6 +34,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -59,6 +62,19 @@ def unpack(rev: str, into: Path) -> str:
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         archive.extractall(into, filter="data")
     return sha
+
+
+def copy_worktree(root: Path, into: Path) -> None:
+    """Copy the files of the working tree at ``root`` that git tracks or
+    would track (untracked but not ignored) into ``into``; a tracked file
+    deleted from the working tree is left out."""
+    names = subprocess.run(["git", "ls-files", "-z", "--cached", "--others",
+                            "--exclude-standard"], cwd=root, check=True,
+                           capture_output=True).stdout.decode().split("\0")
+    for name in filter(None, names):
+        if (root / name).is_file():
+            (into / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(root / name, into / name)
 
 
 def bench(tree: Path, workload: str, seed: int) -> dict:
@@ -137,9 +153,9 @@ def main(argv=None) -> int:
 
     pairs = {workload: [] for workload in args.workload}
     with tempfile.TemporaryDirectory(prefix="ab_bench-") as tmp:
-        parent_tree = Path(tmp)
-        parent = unpack(args.parent, parent_tree)
-        trees = {"parent": parent_tree, "change": ROOT}
+        trees = {side: Path(tmp) / side for side in ("parent", "change")}
+        parent = unpack(args.parent, trees["parent"])
+        copy_worktree(ROOT, trees["change"])
         for k in range(args.pairs):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             for workload, done in pairs.items():

@@ -34,8 +34,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from mqcdyn.backreaction import bohmion_terms, koopmon_terms  # noqa: E402
-from mqcdyn.cli import _parse_set  # noqa: E402
-from mqcdyn.config import load_config  # noqa: E402
+from mqcdyn.cli import add_config_arguments, config_from_args  # noqa: E402
+from mqcdyn.config import ConfigError  # noqa: E402
 from mqcdyn.dynamics import MethodKind, propagate  # noqa: E402
 from mqcdyn.models import make_model  # noqa: E402
 from mqcdyn.regularization import (GridParams, KernelSpec,  # noqa: E402
@@ -77,23 +77,17 @@ def measure(call) -> tuple[float, float]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("config", nargs="?", default=None)
-    parser.add_argument("--preset", default=None)
-    parser.add_argument("--method", default=None)
-    parser.add_argument("--set", dest="assignments", action="append",
-                        metavar="KEY=VALUE", default=[])
+    add_config_arguments(parser)
     parser.add_argument("--at", required=True, metavar="T1,T2,...",
                         help="comma-separated times of the states to measure")
     args = parser.parse_args(argv)
-    if args.config is None and args.preset is None:
-        parser.error("provide a config file or --preset")
     times = sorted(float(t) for t in args.at.split(","))
     if times[0] < 0.0:
         parser.error("--at times must be nonnegative")
-    overrides = _parse_set(args.assignments)
-    if args.method is not None:
-        overrides["run.method"] = args.method
-    cfg = load_config(args.config, preset=args.preset, overrides=overrides)
+    try:
+        cfg = config_from_args(args)
+    except ConfigError as err:
+        parser.error(str(err))
     if cfg.method not in ("koopmon", "bohmion"):
         parser.error("the method must be koopmon or bohmion")
 

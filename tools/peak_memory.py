@@ -35,8 +35,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from mqcdyn import runner  # noqa: E402
-from mqcdyn.cli import _parse_set  # noqa: E402
-from mqcdyn.config import load_config  # noqa: E402
+from mqcdyn.cli import add_config_arguments, config_from_args  # noqa: E402
+from mqcdyn.config import ConfigError  # noqa: E402
 
 #: The functions of `runner` whose calls are phases.
 PHASES = ("propagate", "propagate_soft", "smoothed_cloud", "wigner",
@@ -75,20 +75,14 @@ def watch(phases: list) -> None:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("config", nargs="?", default=None)
-    parser.add_argument("--preset", default=None)
-    parser.add_argument("--method", default=None)
-    parser.add_argument("--set", dest="assignments", action="append",
-                        metavar="KEY=VALUE", default=[])
+    add_config_arguments(parser)
     parser.add_argument("--out", default=None,
                         help="artifact directory (default: a temporary one)")
     args = parser.parse_args(argv)
-    if args.config is None and args.preset is None:
-        parser.error("provide a config file or --preset")
-    overrides = _parse_set(args.assignments)
-    if args.method is not None:
-        overrides["run.method"] = args.method
-    cfg = load_config(args.config, preset=args.preset, overrides=overrides)
+    try:
+        cfg = config_from_args(args)
+    except ConfigError as err:
+        parser.error(str(err))
 
     phases: list = []
     watch(phases)
