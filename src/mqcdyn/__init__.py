@@ -10,8 +10,6 @@ benchmark models.  Atomic units, hbar = 1.
 __version__ = "0.1.0"
 
 from . import _heap  # noqa: F401  (keeps freed work arrays in the heap)
-from .backreaction import (bohmion_pairs_factorized_2dof,
-                           koopmon_pairs_factorized_2dof)
 from .config import PRESETS, ConfigError, RunConfig, load_config, resolve_config
 from .diagnostics import (DensityField, DiagnosticsRecord, particle_diagnostics,
                           smoothed_cloud, waterfall, wigner)
@@ -19,7 +17,6 @@ from .dynamics import (EnergyDriftError, EnsembleDerivative, MethodKind,
                        energy, propagate, rhs, rk4_step)
 from .ensemble import Ensemble2D, ParticleEnsemble, validate
 from .models import HybridHamiltonian, make_model, model_names
-from .pauli import PauliVector
 from .regularization import (GridParams, KernelSpec, Lattice, QuadratureGrid,
                              build_grid, build_grid_1d, kernel_1d, quadrature)
 from .runner import CompareReport, compare, run

@@ -68,7 +68,6 @@ import numpy as np
 
 from .ensemble import Ensemble2D, ParticleEnsemble
 from .models import HBAR, HybridHamiltonian, _cross, _is_zero, on_points
-from .pauli import PauliVector, pauli_decompose
 from .regularization import (_KERNEL_CUTOFF, DENOMINATOR_FLOOR, GridParams,
                              KernelSpec, Lattice, QuadratureGrid, build_grid,
                              build_grid_1d, quadrature)
@@ -383,71 +382,48 @@ def bohmion_terms(e: ParticleEnsemble, mass: float, grid: Lattice,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ScalarFactor:
-    """Scalar phase-space factor with its partial derivatives."""
+class Factor:
+    """A phase-space factor of `Hamiltonian2DOF` with its partial
+    derivatives.  Each callable maps (q, p) to the scalar array of a scalar
+    factor h_l or to the four Pauli coefficient arrays of a matrix factor
+    H_l."""
 
     f: Callable
     df_dq: Callable
     df_dp: Callable
 
 
-@dataclass(frozen=True)
-class MatrixFactor:
-    """Matrix-valued factor in Pauli form with partial derivatives.
-
-    Each callable maps (q, p) to the four Pauli coefficient arrays.
-    """
-
-    f: Callable
-    df_dq: Callable
-    df_dp: Callable
-
-
-def constant_matrix_factor(h0=0.0, h1=0.0, h2=0.0, h3=0.0) -> MatrixFactor:
+def constant_matrix_factor(h0=0.0, h1=0.0, h2=0.0, h3=0.0) -> Factor:
     def val(q, p):
         return h0, h1, h2, h3
 
     def zero(q, p):
         return 0.0, 0.0, 0.0, 0.0
 
-    return MatrixFactor(f=val, df_dq=zero, df_dp=zero)
+    return Factor(f=val, df_dq=zero, df_dp=zero)
 
 
-def zero_scalar_factor() -> ScalarFactor:
+def zero_scalar_factor() -> Factor:
     def zero(q, p):
         return 0.0
 
-    return ScalarFactor(f=zero, df_dq=zero, df_dp=zero)
+    return Factor(f=zero, df_dq=zero, df_dp=zero)
 
 
 @dataclass(frozen=True)
 class Hamiltonian2DOF:
-    """Separable two-degree-of-freedom Hamiltonian
+    """The coupled part ``h1(z1) H2(z2) + h2(z2) H1(z1)`` of a separable
+    two-degree-of-freedom Hamiltonian
     ``H = H_c(z1, z2) 1 + H_Q + h1(z1) H2(z2) + h2(z2) H1(z1)``.
 
-    ``h_c`` only shifts the identity component and drops from the commutator
-    coupling; it is kept for brute-force cross-checks.  ``h_q`` is the
-    constant quantum part.
+    H_c shifts only the identity component and the constant H_Q has no
+    derivative, so neither enters a coupling table.
     """
 
-    h1: ScalarFactor
-    H2: MatrixFactor
-    h2: ScalarFactor
-    H1: MatrixFactor
-    h_q: PauliVector = PauliVector(0.0, 0.0, 0.0, 0.0)
-    h_c: Callable | None = None
-
-    def pauli(self, q1, p1, q2, p2):
-        """Full Pauli coefficients on a broadcastable set of points."""
-        a1 = np.asarray(self.h1.f(q1, p1), dtype=float)
-        a2 = np.asarray(self.h2.f(q2, p2), dtype=float)
-        m2 = [np.asarray(c, dtype=float) for c in self.H2.f(q2, p2)]
-        m1 = [np.asarray(c, dtype=float) for c in self.H1.f(q1, p1)]
-        hq = (self.h_q.h0, self.h_q.h1, self.h_q.h2, self.h_q.h3)
-        out = [a1 * m2[k] + a2 * m1[k] + hq[k] for k in range(4)]
-        if self.h_c is not None:
-            out[0] = out[0] + self.h_c(q1, p1, q2, p2)
-        return tuple(out)
+    h1: Factor
+    H2: Factor
+    h2: Factor
+    H1: Factor
 
 
 @dataclass(frozen=True)
@@ -462,7 +438,7 @@ class AxisTables:
 
 def _axis_tables(q: np.ndarray, p: np.ndarray, w: np.ndarray,
                  spec: KernelSpec, params: GridParams,
-                 scalar: ScalarFactor, matrix: MatrixFactor) -> AxisTables:
+                 scalar: Factor, matrix: Factor) -> AxisTables:
     grid = build_grid(q, p, spec, params)
     rows, node_w = _box_rows(q, p, w, spec, grid)
     qq, pp = grid.q_nodes[:, None], grid.p_nodes[None, :]
@@ -510,7 +486,7 @@ def koopmon_2dof_coupling(e2: Ensemble2D, tables: FactorizedTables2DOF) -> float
     """Coupling energy
     ``(1/2) sum w_k w_k' Tr(i hbar [rho_k, rho_k'] I_kk')`` over multi-indices
     ``k = (a, b)``, evaluated from the factorized tables."""
-    s = pauli_decompose(e2.rho)[..., 1:]
+    s = np.moveaxis(e2.components[1:], 0, -1)    # (N1, N2, 3)
     w = e2.weights()
     ivec = tables.assemble(*np.ix_(*(range(n) for n in 2 * e2.shape)))
     # Tr(i hbar [rho_k, rho_k'] I) = -4 hbar (s_k x s_k') . ivec
@@ -534,9 +510,9 @@ def bohmion_2dof_coupling(e2: Ensemble2D, tables1, tables2) -> float:
     """``sum w_k w_k' (2<rho_k, rho_k'> - 1)(I1 J2 + I2 J1)``."""
     i1, j1 = tables1
     i2, j2 = tables2
-    comp = pauli_decompose(e2.rho)
+    comp = e2.components
     w = e2.weights()
-    c = 4.0 * np.einsum("abm,cdm->abcd", comp, comp) - 1.0
+    c = 4.0 * np.einsum("mab,mcd->abcd", comp, comp) - 1.0
     pair = i1[:, None, :, None] * j2[None, :, None, :] \
         + i2[None, :, None, :] * j1[:, None, :, None]
     return float(np.einsum("ab,cd,abcd,abcd->", w, w, c, pair))

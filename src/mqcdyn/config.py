@@ -23,6 +23,7 @@ import numbers
 from dataclasses import dataclass
 
 from .dynamics import _step_plan
+from .models import make_model
 from .regularization import GridParams
 from .soft import SpatialGrid1D
 
@@ -321,7 +322,8 @@ def resolve_config(file_values: dict | None = None, preset: str | None = None,
     if problems:
         raise ConfigError("; ".join(problems))
 
-    # the time loop's and the quantum grid's own checks, before the run starts
+    # the time loop's, the quantum grid's and the model's own checks, before
+    # the run starts
     dt_key = "soft.dt" if values["run.method"] == "soft" else "run.dt"
     dt, t_final = values[dt_key], values["run.t_final"]
     key = dt_key
@@ -333,6 +335,8 @@ def resolve_config(file_values: dict | None = None, preset: str | None = None,
         if values["run.method"] == "soft":
             SpatialGrid1D(values["soft.r_min"], values["soft.r_max"],
                           values["soft.n_points"])
+        key = "run.model, model.*"
+        make_model(values["run.model"], **dict(model_params))
     except ValueError as err:
         raise ConfigError(f"{key}: {err}") from None
 

@@ -116,8 +116,11 @@ class Ensemble2D:
 
     Axis coordinates depend only on their own index: axis 1 carries
     ``(q1[a], p1[a])`` and axis 2 carries ``(q2[b], p2[b])``, while the
-    quantum state ``rho[a, b]`` and the weight ``w1[a] * w2[b]`` live on the
-    multi-index.  The storage layout enforces the factorized structure.
+    quantum state and the weight ``w1[a] * w2[b]`` live on the multi-index.
+    The storage layout enforces the factorized structure.
+
+    ``components`` (4, N1, N2) holds the Pauli components of every
+    rho_ab as rows c0, sx, sy, sz, as in `ParticleEnsemble`.
     """
 
     q1: np.ndarray
@@ -126,16 +129,15 @@ class Ensemble2D:
     q2: np.ndarray
     p2: np.ndarray
     w2: np.ndarray
-    rho: np.ndarray
+    components: np.ndarray
 
     def __post_init__(self):
-        for name in ("q1", "p1", "w1", "q2", "p2", "w2"):
+        for name in ("q1", "p1", "w1", "q2", "p2", "w2", "components"):
             setattr(self, name, np.asarray(getattr(self, name), dtype=float))
-        self.rho = np.asarray(self.rho, dtype=complex)
         n1, n2 = self.q1.shape[0], self.q2.shape[0]
         if not (self.p1.shape == (n1,) and self.w1.shape == (n1,)
                 and self.p2.shape == (n2,) and self.w2.shape == (n2,)
-                and self.rho.shape == (n1, n2, 2, 2)):
+                and self.components.shape == (4, n1, n2)):
             raise ValueError("inconsistent 2-DOF ensemble array shapes")
 
     @property

@@ -5,22 +5,15 @@ with real coefficients.  Throughout the package the "half Bloch vector" of a
 density matrix rho is ``s_mu = Tr(rho sigma_mu)/2`` (so a trace-one pure state
 has |s| = 1/2); keeping the trace component explicit lets energy gradients be
 evaluated off the trace-one manifold, which the finite-difference tests need.
+
+States are stored in this form: `ParticleEnsemble` and `Ensemble2D` hold the
+rows c0, sx, sy, sz that `pauli_components` gives, and `pauli_matrix` turns
+them back into 2x2 matrices where a table needs rho.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-@dataclass(frozen=True)
-class PauliVector:
-    """Coefficients of 1, sigma_x, sigma_y, sigma_z (all real, energy units)."""
-
-    h0: float
-    h1: float
-    h2: float
-    h3: float
 
 
 def pauli_matrix(h0, h1, h2, h3) -> np.ndarray:
@@ -54,11 +47,6 @@ def pauli_components(a: np.ndarray) -> np.ndarray:
     np.subtract(re[..., 0, 0], re[..., 1, 1], out=out[3, ...])
     out *= 0.5
     return out
-
-
-def pauli_decompose(a: np.ndarray) -> np.ndarray:
-    """`pauli_components` stacked on a last axis: shape ``(..., 4)``."""
-    return np.stack(pauli_components(a), axis=-1)
 
 
 def projector(v: np.ndarray) -> np.ndarray:

@@ -173,11 +173,6 @@ def matrix(h, q, p):
     return pauli_matrix(*pauli(h, q, p))
 
 
-def vector_matrix(v):
-    """The 2x2 Hermitian matrix of a `PauliVector`."""
-    return v.h0 * IDENTITY + v.h1 * SIGMA_X + v.h2 * SIGMA_Y + v.h3 * SIGMA_Z
-
-
 def integral(field):
     """Trapezoid integral of a `DensityField` over both axes (per time slice
     for waterfall, the largest)."""

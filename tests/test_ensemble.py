@@ -240,7 +240,7 @@ def test_ensemble2d_layout():
     rho = np.broadcast_to(pure_state(0.2), (2, 3, 2, 2)).copy()
     e2 = Ensemble2D(q1=np.zeros(2), p1=np.zeros(2), w1=np.full(2, 0.5),
                     q2=np.zeros(3), p2=np.zeros(3), w2=np.full(3, 1 / 3),
-                    rho=rho)
+                    components=pauli_components(rho))
     assert e2.shape == (2, 3)
     w = e2.weights()
     assert w.shape == (2, 3)
@@ -248,4 +248,4 @@ def test_ensemble2d_layout():
     with pytest.raises(ValueError):
         Ensemble2D(q1=np.zeros(2), p1=np.zeros(2), w1=np.full(2, 0.5),
                    q2=np.zeros(3), p2=np.zeros(3), w2=np.full(3, 1 / 3),
-                   rho=np.zeros((3, 2, 2, 2), dtype=complex))
+                   components=np.zeros((4, 3, 2)))

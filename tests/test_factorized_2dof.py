@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from mqcdyn import backreaction
-from mqcdyn.backreaction import (HBAR, Hamiltonian2DOF, MatrixFactor,
-                                 ScalarFactor, bohmion_2dof_coupling,
+from mqcdyn.backreaction import (HBAR, Factor, Hamiltonian2DOF,
+                                 bohmion_2dof_coupling,
                                  bohmion_pairs_factorized_2dof,
                                  constant_matrix_factor,
                                  koopmon_2dof_coupling,
@@ -21,7 +21,7 @@ from mqcdyn.backreaction import (HBAR, Hamiltonian2DOF, MatrixFactor,
                                  zero_scalar_factor)
 from mqcdyn.ensemble import Ensemble2D
 from mqcdyn.models import on_points
-from mqcdyn.pauli import PauliVector, pauli_decompose, projector
+from mqcdyn.pauli import pauli_components, projector
 from mqcdyn.regularization import GridParams, KernelSpec, build_grid, \
     kernel_1d, quadrature
 
@@ -45,21 +45,23 @@ def make_ensemble2d(seed=0):
         w1=np.array([0.6, 0.4]),
         q2=np.array([0.1, -0.6]), p2=np.array([-0.2, 0.35]),
         w2=np.array([0.7, 0.3]),
-        rho=rho)
+        components=pauli_components(rho))
+
+
+#: the constant quantum part H_Q = 0.35 sx of the oracles' Hamiltonian; it has
+#: no derivative, so `Hamiltonian2DOF` does not hold it
+H_Q = (0.0, 0.35, 0.0, 0.0)
 
 
 def separable_hamiltonian():
-    """H = H_c 1 + H_Q + q1 * sz(z2-side) + 0.2 p2 * (0.4 sx + 0.15 q1 sz)."""
+    """The coupled part q1 * sz(z2-side) + 0.2 p2 * (0.4 sx + 0.15 q1 sz)."""
 
-    def h_c(q1, p1, q2, p2):
-        return 0.5 * (q1**2 + p1**2) + 0.5 * (q2**2 + p2**2)
-
-    h1 = ScalarFactor(
+    h1 = Factor(
         f=lambda q, p: np.asarray(q, dtype=float) + 0.0 * np.asarray(p),
         df_dq=lambda q, p: 1.0 + 0.0 * np.asarray(q) + 0.0 * np.asarray(p),
         df_dp=lambda q, p: 0.0 * np.asarray(q) + 0.0 * np.asarray(p))
     H2 = constant_matrix_factor(h3=1.0)   # sigma_z
-    h2 = ScalarFactor(
+    h2 = Factor(
         f=lambda q, p: 0.2 * np.asarray(p, dtype=float) + 0.0 * np.asarray(q),
         df_dq=lambda q, p: 0.0 * np.asarray(q) + 0.0 * np.asarray(p),
         df_dp=lambda q, p: 0.2 + 0.0 * np.asarray(q) + 0.0 * np.asarray(p))
@@ -77,9 +79,19 @@ def separable_hamiltonian():
         z = 0.0 * np.asarray(q) + 0.0 * np.asarray(p)
         return z, z, z, z
 
-    H1 = MatrixFactor(f=H1_f, df_dq=H1_dq, df_dp=H1_dp)
-    return Hamiltonian2DOF(h1=h1, H2=H2, h2=h2, H1=H1,
-                           h_q=PauliVector(0.0, 0.35, 0.0, 0.0), h_c=h_c)
+    H1 = Factor(f=H1_f, df_dq=H1_dq, df_dp=H1_dp)
+    return Hamiltonian2DOF(h1=h1, H2=H2, h2=h2, H1=H1)
+
+
+def traceless_hamiltonian(ham, q1, p1, q2, p2):
+    """sx, sy, sz coefficients of H_Q + h1(z1) H2(z2) + h2(z2) H1(z1) on a
+    broadcastable set of points.  The identity part, H_c included, drops
+    from every commutator, so the oracles never form it."""
+    a1 = np.asarray(ham.h1.f(q1, p1), dtype=float)
+    a2 = np.asarray(ham.h2.f(q2, p2), dtype=float)
+    m2 = [np.asarray(c, dtype=float) for c in ham.H2.f(q2, p2)]
+    m1 = [np.asarray(c, dtype=float) for c in ham.H1.f(q1, p1)]
+    return [a1 * m2[k] + a2 * m1[k] + H_Q[k] for k in range(1, 4)]
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +167,8 @@ def koopmon_brute_force_coupling(e2, ham, pad=5.0, frac=0.25):
             up[axis] = up[axis] + step
             down[axis] = down[axis] - step
             return [(hu - hd) / (2 * step) for hu, hd in
-                    zip(ham.pauli(*up)[1:], ham.pauli(*down)[1:])]
+                    zip(traceless_hamiltonian(ham, *up),
+                        traceless_hamiltonian(ham, *down))]
 
         gq1, gp1, gq2, gp2 = (gradient(axis) for axis in range(4))
 
@@ -169,7 +182,7 @@ def koopmon_brute_force_coupling(e2, ham, pad=5.0, frac=0.25):
                     for m in range(3)])
                 ivec[ap, bp] += (weighted @ bracket.T).reshape(2, 2, 3)
 
-    s = pauli_decompose(e2.rho)[..., 1:]
+    s = np.moveaxis(e2.components[1:], 0, -1)
     w = e2.weights()
     total = 0.0
     for ap in range(2):
@@ -202,7 +215,7 @@ def bohmion_brute_force_coupling(e2, pad=6.0, frac=0.2):
            * sum(e2.w2[d] * k2[d] for d in range(2))[None, :])
     inv_d = 1.0 / den
 
-    comp = pauli_decompose(e2.rho)
+    comp = np.moveaxis(e2.components, 0, -1)
     w = e2.weights()
     total = 0.0
     for a in range(2):
@@ -250,8 +263,7 @@ def test_classical_only_hamiltonian_has_zero_coupling():
     ham = Hamiltonian2DOF(h1=zero_scalar_factor(),
                           H2=constant_matrix_factor(),
                           h2=zero_scalar_factor(),
-                          H1=constant_matrix_factor(),
-                          h_c=lambda q1, p1, q2, p2: q1 * p2 + q2)
+                          H1=constant_matrix_factor())
     tables = koopmon_pairs_factorized_2dof(e2, ham, SPEC, SPEC)
     assert np.all(tables.axis1.i_matrix == 0.0)
     assert np.all(tables.axis2.i_matrix == 0.0)
@@ -263,8 +275,7 @@ def test_one_sided_coupling_drops_two_assembly_terms():
     ham = separable_hamiltonian()
     one_sided = Hamiltonian2DOF(h1=ham.h1, H2=ham.H2,
                                 h2=zero_scalar_factor(),
-                                H1=constant_matrix_factor(),
-                                h_q=ham.h_q)
+                                H1=constant_matrix_factor())
     tables = koopmon_pairs_factorized_2dof(e2, one_sided, SPEC, SPEC)
     # the h2-side scalar tables vanish identically
     assert np.all(tables.axis2.i_scalar == 0.0)
@@ -299,7 +310,7 @@ def test_single_pair_reduces_to_product_of_axis_integrals():
     rho[0, 0] = projector(v)
     e2 = Ensemble2D(q1=np.array([0.2]), p1=np.array([0.0]), w1=np.ones(1),
                     q2=np.array([-0.1]), p2=np.array([0.0]), w2=np.ones(1),
-                    rho=rho)
+                    components=pauli_components(rho))
     t1, t2 = bohmion_pairs_factorized_2dof(e2, SPEC, SPEC,
                                            GridParams(n_q=8, j_q=4))
     i1, j1 = t1
@@ -332,7 +343,8 @@ def uneven_ensemble2d(seed=7):
     w1, w2 = rng.uniform(0.5, 1.0, n1), rng.uniform(0.5, 1.0, n2)
     return Ensemble2D(q1=rng.uniform(-0.6, 0.6, n1), p1=rng.uniform(-0.6, 0.6, n1),
                       w1=w1 / w1.sum(), q2=rng.uniform(-0.6, 0.6, n2),
-                      p2=rng.uniform(-0.6, 0.6, n2), w2=w2 / w2.sum(), rho=rho)
+                      p2=rng.uniform(-0.6, 0.6, n2), w2=w2 / w2.sum(),
+                      components=pauli_components(rho))
 
 
 def axis_tables_by_pair_loops(q, p, w, spec, params, scalar, matrix):
@@ -374,7 +386,7 @@ def axis_tables_by_pair_loops(q, p, w, spec, params, scalar, matrix):
 
 def koopmon_2dof_by_loops(e2, tables):
     n1, n2 = e2.shape
-    s = pauli_decompose(e2.rho)[..., 1:]
+    s = np.moveaxis(e2.components[1:], 0, -1)
     w = e2.weights()
     t1, t2 = tables.axis1, tables.axis2
     total = 0.0
@@ -394,7 +406,7 @@ def koopmon_2dof_by_loops(e2, tables):
 def bohmion_2dof_by_loops(e2, tables1, tables2):
     i1, j1 = tables1
     i2, j2 = tables2
-    comp = pauli_decompose(e2.rho)
+    comp = np.moveaxis(e2.components, 0, -1)
     w = e2.weights()
     n1, n2 = e2.shape
     total = 0.0

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mqcdyn.models import _cross, adiabatic_basis, make_model, model_names
-from mqcdyn.pauli import PauliVector, pauli_decompose, pauli_matrix
+from mqcdyn.pauli import pauli_components, pauli_matrix
 
 from helpers import (DegeneratePotentialError, grad_p, grad_q, matrix, nac,
-                     pauli, vector_matrix)
+                     pauli)
 from test_backreaction import purely_classical_model
 
 ALL_MODELS = ["tully1", "tully2", "tully3", "rabi_us", "rabi_ds"]
@@ -17,14 +17,14 @@ finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 
 @given(finite, finite, finite, finite)
 def test_pauli_vector_reconstruction_is_hermitian(h0, h1, h2, h3):
-    m = vector_matrix(PauliVector(h0, h1, h2, h3))
+    m = pauli_matrix(h0, h1, h2, h3)
     assert np.allclose(m, m.conj().T, atol=0.0)
 
 
 @given(finite, finite, finite, finite)
 def test_pauli_roundtrip(h0, h1, h2, h3):
     m = pauli_matrix(h0, h1, h2, h3)
-    back = pauli_decompose(m)
+    back = pauli_components(m)
     assert np.allclose(back, [h0, h1, h2, h3], rtol=1e-15, atol=1e-12)
 
 

@@ -80,6 +80,10 @@ def test_all_presets_resolve_for_every_method():
     ("ehrenfest", {"viz.wigner_nodes": 0}, "viz.wigner_nodes must be positive"),
     ("soft", {"viz.waterfall_nodes": 0},
      "viz.waterfall_nodes must be positive"),
+    ("ehrenfest", {"run.model": "nope"},
+     "run.model, model.*: unknown model 'nope'"),
+    ("soft", {"model.bogus": 1},
+     "run.model, model.*: unknown parameters for tully1: ['bogus']"),
 ])
 def test_values_the_run_would_reject_are_config_errors(method, overrides,
                                                        message):

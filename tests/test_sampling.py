@@ -300,6 +300,41 @@ def test_every_method_in_the_package_is_loaded_in_the_package():
     assert set(KEPT_UNUSED_ATTRIBUTES) <= set(unused_class_attributes(src, {}))
 
 
+#: Methods and properties of `src/mqcdyn` classes that share their name with
+#: a field of another class there, each with its reason.  A load of the field
+#: reads as a load of the method, so `unused_class_attributes` cannot see
+#: whether the method itself is used.
+KEPT_SHARED_NAMES = {
+    "ParticleEnsemble.n": "loaded as `e.n`; `InitSpec.n` is a field",
+}
+
+
+def shared_class_attributes(src: Path, kept) -> list:
+    """``Class.name`` for every method or property defined in the body of a
+    class of the modules in ``src`` (dunders aside) whose name is also a
+    field, an annotated name in a class body, of another class there, unless
+    it is in ``kept``."""
+    classes = [n for path in sorted(src.glob("*.py"))
+               for n in ast.walk(ast.parse(path.read_text()))
+               if isinstance(n, ast.ClassDef)]
+    fields = {(cls.name, node.target.id) for cls in classes
+              for node in cls.body if isinstance(node, ast.AnnAssign)
+              and isinstance(node.target, ast.Name)}
+    return sorted(
+        f"{cls.name}.{node.name}" for cls in classes for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("__")
+        and f"{cls.name}.{node.name}" not in kept
+        and any(name == node.name and owner != cls.name
+                for owner, name in fields))
+
+
+def test_no_method_in_the_package_shares_a_name_with_a_field():
+    src = Path(mqcdyn.__file__).parent
+    assert shared_class_attributes(src, KEPT_SHARED_NAMES) == []
+    # a kept name whose field or method is gone leaves the list
+    assert set(KEPT_SHARED_NAMES) <= set(shared_class_attributes(src, {}))
+
+
 def make_spec(n=1000, **kw):
     defaults = dict(mu_q=-8.0, mu_p=10.0, sigma_q=np.sqrt(2.0),
                     rho0=projector([1.0, 0.0]), n=n, sobol_skip=1)
