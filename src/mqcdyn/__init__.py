@@ -18,7 +18,7 @@ from .dynamics import (EnergyDriftError, EnsembleDerivative, MethodKind,
 from .ensemble import Ensemble2D, ParticleEnsemble, validate
 from .models import HybridHamiltonian, make_model, model_names
 from .regularization import (GridParams, KernelSpec, Lattice, QuadratureGrid,
-                             build_grid, build_grid_1d, kernel_1d, quadrature)
+                             build_grid, build_grid_1d, quadrature)
 from .runner import CompareReport, compare, run
 from .sampling import InitSpec, init_ensemble, sobol_2d
 from .soft import (SpatialGrid1D, WavepacketState, init_wavepacket,

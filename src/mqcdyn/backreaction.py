@@ -19,16 +19,17 @@ through aggregated kernel fields instead, algebraically identical at
 O(N * patch + grid); the explicit one-DOF tables it is checked against are
 test oracles in ``tests/helpers.py``.
 
-Every kernel is cut off at ``_KERNEL_CUTOFF sigma_K`` (see `regularization`),
-so a particle's kernel rows are nonzero only on the nodes of its patch, a
-square of side 18 sigma_K.  `koopmon_terms` makes its cost follow those
-patches rather than the box: it sorts the particles along the box axis with
-more nodes and cuts them into blocks of `_PARTICLE_BLOCK`.  A block's window
-is the range of nodes within the cutoff radius of its particles, per axis and
-clipped to the box; outside it all of the block's rows are exact zeros.  For
-a block of B particles on a wq x wp window, the q rows are stacked as
-[kq; dkq] (2B, wq) and the p rows laid side by side as [kp | dkp | ddkp]
-(B, 3 wp), so that [kp | dkp] and [dkp | ddkp] are column slices.
+Every kernel row comes from `regularization.kernel_rows`, which cuts the
+kernel off at ``_KERNEL_CUTOFF sigma_K``, so a particle's kernel rows are
+nonzero only on the nodes of its patch, a square of side 18 sigma_K.
+`koopmon_terms` makes its cost follow those patches rather than the box: it
+sorts the particles along the box axis with more nodes and cuts them into
+blocks of `_PARTICLE_BLOCK`.  A block's window is the range of nodes within
+the cutoff radius of its particles, per axis and clipped to the box; outside
+it all of the block's rows are exact zeros.  For a block of B particles on a
+wq x wp window, the q rows are stacked as [kq; dkq] (2B, wq) and the p rows
+laid side by side as [kp | dkp | ddkp] (B, 3 wp), so that [kp | dkp] and
+[dkp | ddkp] are column slices.
 
 The Bloch vectors meet dH/dq only in the cross product g x s of its traceless
 part g with them, so only the *active* components m, those with a nonzero
@@ -70,34 +71,10 @@ from .ensemble import Ensemble2D, ParticleEnsemble
 from .models import HBAR, HybridHamiltonian, _cross, _is_zero, on_points
 from .regularization import (_KERNEL_CUTOFF, DENOMINATOR_FLOOR, GridParams,
                              KernelSpec, Lattice, QuadratureGrid, build_grid,
-                             build_grid_1d, quadrature)
+                             build_grid_1d, kernel_rows, quadrature)
 
 #: Particles per block of `koopmon_terms`.
 _PARTICLE_BLOCK = 64
-
-
-def _kernel_rows(spec: KernelSpec, centers: np.ndarray, nodes: np.ndarray,
-                 n_rows: int = 2) -> np.ndarray:
-    """Kernel value and derivative matrices K(node - center) and K', plus
-    K'' when ``n_rows`` is 3, stacked to shape (n_rows, N, n_nodes).
-
-    All three are exact zeros where |node - center| >= _KERNEL_CUTOFF
-    sigma_K, where the kernel is e^-40.5 of its peak.  The cut sits a relative
-    1e-10 inside that radius, so that the edge nodes of a box padded by it,
-    which lie at the radius from the extreme particles up to rounding, carry
-    exact zeros.
-    """
-    y = nodes[None, :] - centers[:, None]
-    a2 = spec.alpha**2
-    t = y * y / a2
-    rows = np.zeros((n_rows,) + y.shape)
-    k = rows[0]
-    np.exp(-t, out=k, where=t < 0.5 * _KERNEL_CUTOFF**2 * (1.0 - 1e-10))
-    k /= spec.alpha * np.sqrt(np.pi)
-    np.multiply((-2.0 / a2) * y, k, out=rows[1])
-    if n_rows == 3:
-        np.multiply(4.0 / (a2 * a2) * y * y - 2.0 / a2, k, out=rows[2])
-    return rows
 
 
 def _windows(nodes: np.ndarray, centers: np.ndarray, starts: np.ndarray,
@@ -133,8 +110,8 @@ def _box_rows(q: np.ndarray, p: np.ndarray, w: np.ndarray, spec: KernelSpec,
     over its nodes: ``[K, dK/dq, dK/dp]``, each (N, n_q n_p) with
     ``K_a = kq_a (x) kp_a``, and the node weights, the trapezoid weights over
     the mixture denominator ``sum_c w_c K_c``."""
-    kq, dkq = _kernel_rows(spec, q, grid.q_nodes)
-    kp, dkp = _kernel_rows(spec, p, grid.p_nodes)
+    kq, dkq = kernel_rows(spec, q, grid.q_nodes)
+    kp, dkp = kernel_rows(spec, p, grid.p_nodes)
     rows = [(a[:, :, None] * b[:, None, :]).reshape(q.size, -1)
             for a, b in ((kq, kp), (dkq, kp), (kq, dkp))]
     node_w = np.outer(grid.q.weights, grid.p.weights) \
@@ -160,7 +137,7 @@ def _product_tables(rows, node_w: np.ndarray, f) -> np.ndarray:
 def _line_rows(q: np.ndarray, w: np.ndarray, spec: KernelSpec, grid: Lattice):
     """Kernel rows ``K`` and ``K'`` of the particles at q on a 1D box, and
     the node weights, the trapezoid weights over ``sum_c w_c K_c``."""
-    k, dk = _kernel_rows(spec, q, grid.nodes)
+    k, dk = kernel_rows(spec, q, grid.nodes)
     return k, dk, grid.weights * _masked_inverse(w @ k)
 
 
@@ -251,9 +228,9 @@ def koopmon_terms(e: ParticleEnsemble, h: HybridHamiltonian,
     agg = np.zeros((1 + 2 * a, n_q, n_p))
     rows = []
     for blk, qw, pw in blocks:
-        q_rows = _kernel_rows(spec, q[blk], grid.q_nodes[qw])
+        q_rows = kernel_rows(spec, q[blk], grid.q_nodes[qw])
         p_rows = np.concatenate(
-            _kernel_rows(spec, p[blk], grid.p_nodes[pw], 3), axis=1)
+            kernel_rows(spec, p[blk], grid.p_nodes[pw], 3), axis=1)
         _, b, wq = q_rows.shape
         wp = pw.stop - pw.start
         wkq = (ws[blk, :, None] * q_rows[0, :, None, :]).reshape(
@@ -352,7 +329,7 @@ def bohmion_terms(e: ParticleEnsemble, mass: float, grid: Lattice,
     comp = e.components
     w = e.w
 
-    k, dk, ddk = _kernel_rows(spec, e.q, grid.nodes, 3)
+    k, dk, ddk = kernel_rows(spec, e.q, grid.nodes, 3)
     inv_d = _masked_inverse(w @ k)
     # vg[0] = sum_b w_b c0_b K'_b, vg[1:] likewise with the half Bloch vector
     vg = (w * comp) @ dk      # (4, n_nodes)

@@ -194,38 +194,43 @@ def _coerce(key: str, kind, raw):
     Text, from a config file or ``--set``, is parsed.  Any other value must
     be of the key's type and is kept as given, except that an int is taken
     for a float and a bare number for ``floats``; None only for a key whose
-    default is None.  Anything else raises `ConfigError` naming the key.
+    default is None.  A float must be finite (inf passes every > 0 check).
+    Anything else raises `ConfigError` naming the key.
     """
+    floats = kind == "floats"
     if not isinstance(raw, str):
         if raw is None and _SCHEMA.get(key, (kind, _REQUIRED))[1] is None:
             return None
-        floats = kind == "floats"
         items = raw if floats and isinstance(raw, (tuple, list)) else (raw,)
         if not all(isinstance(x, _ACCEPTS[kind])
                    and isinstance(x, bool) == (kind is bool) for x in items):
             raise ConfigError(f"key {key!r}: expected "
                               f"{getattr(kind, '__name__', kind)}, got {raw!r}")
-        return tuple(float(x) for x in items) if floats else kind(raw)
-    text = raw.strip()
-    try:
-        if kind is bool:
-            low = text.lower()
-            if low in ("true", "yes", "on", "1"):
-                return True
-            if low in ("false", "no", "off", "0"):
-                return False
-            raise ValueError(text)
-        if kind is int:
-            return int(text)
-        if kind is float:
-            return float(text)
-        if kind == "floats":
-            if not text:
-                return ()
-            return tuple(float(x) for x in text.replace(",", " ").split())
-        return text
-    except ValueError:
-        raise ConfigError(f"key {key!r}: cannot parse value {raw!r}") from None
+        if kind not in (float, "floats"):
+            return kind(raw)
+    else:
+        text = raw.strip()
+        try:
+            if kind is bool:
+                low = text.lower()
+                if low in ("true", "yes", "on", "1"):
+                    return True
+                if low in ("false", "no", "off", "0"):
+                    return False
+                raise ValueError(text)
+            if kind is int:
+                return int(text)
+            if kind is str:
+                return text
+            items = [float(x) for x in
+                     (text.replace(",", " ").split() if floats else [text])]
+        except ValueError:
+            raise ConfigError(f"key {key!r}: cannot parse value {raw!r}") \
+                from None
+    items = tuple(float(x) for x in items)
+    if not all(map(math.isfinite, items)):
+        raise ConfigError(f"key {key!r}: expected a finite number, got {raw!r}")
+    return items if floats else items[0]
 
 
 def read_config_file(path: str) -> dict:

@@ -8,8 +8,9 @@ off the particles' Pauli components.
 
 Density fields are visualization aids: the Wigner transform of a
 wavefunction, the kernel-smoothed particle cloud in phase space, and stacked
-configuration-space profiles over snapshot times ("waterfall" data).  Each
-is summed over fixed-size blocks, of particles (`_PARTICLE_BLOCK`) or of
+configuration-space profiles over snapshot times ("waterfall" data), whose
+particles are smoothed by `kernel_rows`, cut off at 9 delta/sqrt(2).  Each is
+summed over fixed-size blocks, of particles (`_PARTICLE_BLOCK`) or of
 wavefunction shifts (`_SHIFT_BLOCK`), so that beyond its output a density
 holds a few MB whatever the number of particles or the size of the
 wavefunction grid: no (particles x nodes) table and no (nodes x shifts)
@@ -27,7 +28,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .ensemble import ParticleEnsemble
 from .models import DEGENERACY_EPS, HBAR, HybridHamiltonian
-from .regularization import KernelSpec, kernel_1d
+from .regularization import KernelSpec, kernel_rows
 from .soft import WavepacketState
 
 #: Shifts per block of `wigner`: a block holds (n_q, B) complex gathers
@@ -190,12 +191,12 @@ def _kernel_sum(delta: float, w: np.ndarray, x: np.ndarray,
     out = np.zeros((len(x_nodes),) if y is None else (len(x_nodes), len(y_nodes)))
     for start in range(0, len(w), _PARTICLE_BLOCK):
         block = slice(start, start + _PARTICLE_BLOCK)
-        kx = kernel_1d(spec, x_nodes - x[block, None])
+        kx = kernel_rows(spec, x[block], x_nodes, 1)[0]
         if y is None:
             out += w[block] @ kx
         else:
             kx *= w[block, None]
-            out += kx.T @ kernel_1d(spec, y_nodes - y[block, None])
+            out += kx.T @ kernel_rows(spec, y[block], y_nodes, 1)[0]
     return out
 
 
@@ -204,6 +205,7 @@ def smoothed_cloud(e: ParticleEnsemble, delta: float, q_nodes: np.ndarray,
     """Kernel-smoothed phase-space particle density
     ``D(z) = sum_a w_a K_delta(z - zeta_a)``.
 
+    ``K_delta`` is cut off at 9 delta/sqrt(2) per axis, as in the dynamics.
     Summed over blocks of `_PARTICLE_BLOCK` particles, so that beyond the
     (n_q, n_p) output it holds no table larger than B x max(n_q, n_p).
     """
@@ -228,7 +230,7 @@ def waterfall(snapshots, delta: float, r_nodes: np.ndarray) -> DensityField:
 
     ``snapshots`` is a sequence of (time, ParticleEnsemble) or
     (time, WavepacketState) pairs; particle clouds are smoothed with the
-    1D visualization kernel over blocks of `_PARTICLE_BLOCK` particles, so
+    cut-off 1D kernel over blocks of `_PARTICLE_BLOCK` particles, so
     that a row holds no table larger than B x n_r; wavefunctions contribute
     |Psi|^2 (interpolated onto ``r_nodes``).
     """

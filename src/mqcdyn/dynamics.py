@@ -270,12 +270,14 @@ def snapshot_steps(dt: float, n_steps: int, snapshot_times) -> dict[int, float]:
 def _step_plan(dt: float, t_final: float,
                snapshot_times) -> tuple[int, dict[int, float]]:
     """Number of steps to ``t_final`` and the `snapshot_steps` map of both
-    time loops; `ValueError` unless dt > 0, t_final >= 0 is a whole number of
-    steps, and every snapshot time lies in [0, t_final]."""
+    time loops; `ValueError` unless dt > 0 and t_final >= 0 are finite, the
+    latter a whole number of steps, and every snapshot time in [0, t_final]."""
     if not dt > 0.0:
         raise ValueError("dt must be positive")
     if not t_final >= 0.0:
         raise ValueError("t_final must be nonnegative")
+    if not math.isfinite(dt + t_final):    # an infinite dt plans no step
+        raise ValueError(f"dt={dt} and t_final={t_final} must be finite")
     n_steps = int(round(t_final / dt))
     if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, abs(t_final)):
         raise ValueError(f"t_final={t_final} is not an integer number of steps "

@@ -16,9 +16,9 @@ gains or loses nodes at its ends, and a node that two boxes share sits at
 bitwise the same place in both.
 
 The kernel is cut off at ``_KERNEL_CUTOFF sigma_K = 9 sigma_K``, where it is
-``e^-40.5 ~ 2.6e-18`` of its peak: `backreaction._kernel_rows` returns exact
-zeros for the kernel and its derivatives at every node at least that far from
-the particle, and every coupling integral is built from those rows.  The
+``e^-40.5 ~ 2.6e-18`` of its peak: `kernel_rows` returns exact zeros for the
+kernel and its derivatives at every node at least that far from the particle,
+and every coupling integral and snapshot density is built from them.  The
 default padding is the same radius, so a node that enters or leaves the box
 lies at least that far from every particle and carries exact zeros.  Neither
 the extent of the box nor where it starts enters the discrete energy: it is
@@ -104,17 +104,30 @@ class GridParams:
                 raise ValueError(f"{name} must be a positive integer")
 
 
-def kernel_1d(spec: KernelSpec, y):
-    """Normalized 1D Gaussian kernel Ktilde(y)."""
-    y = np.asarray(y, dtype=float)
-    # exp(-(y/alpha)^2)/(alpha sqrt(pi)), each step written into one array;
-    # a 0-d input still gives a numpy scalar
-    k = np.divide(y, spec.alpha, out=np.empty_like(y))
-    np.square(k, out=k)
-    np.negative(k, out=k)
-    np.exp(k, out=k)
-    np.divide(k, spec.alpha * np.sqrt(np.pi), out=k)
-    return k[()]
+def kernel_rows(spec: KernelSpec, centers: np.ndarray, nodes: np.ndarray,
+                n_rows: int = 2) -> np.ndarray:
+    """The kernel Ktilde(node - center), then K' and K'' up to ``n_rows``
+    rows, stacked to shape (n_rows, N, n_nodes): the only kernel evaluation.
+
+    All are exact zeros where |node - center| >= _KERNEL_CUTOFF sigma_K, where
+    the kernel is e^-40.5 of its peak.  The cut sits a relative 1e-10 inside
+    that radius, so that the edge nodes of a box padded by it, which lie at
+    the radius from the extreme particles up to rounding, carry exact zeros.
+    """
+    y = nodes[None, :] - centers[:, None]
+    a2 = spec.alpha**2
+    # -(y/alpha)^2, over y if no row reads y: K alone holds two (N, n) arrays
+    t = np.square(y, out=y if n_rows == 1 else None)
+    t /= -a2
+    rows = np.zeros((n_rows,) + t.shape)
+    k = rows[0]
+    np.exp(t, out=k, where=t > -0.5 * _KERNEL_CUTOFF**2 * (1.0 - 1e-10))
+    k /= spec.alpha * np.sqrt(np.pi)
+    if n_rows > 1:
+        np.multiply((-2.0 / a2) * y, k, out=rows[1])
+    if n_rows == 3:
+        np.multiply(4.0 / (a2 * a2) * y * y - 2.0 / a2, k, out=rows[2])
+    return rows
 
 
 class _Box:

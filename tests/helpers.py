@@ -13,7 +13,7 @@ from mqcdyn.ensemble import (PSD_TOL, TRACE_TOL, WEIGHT_SUM_TOL,
 from mqcdyn.models import (DEGENERACY_EPS, HBAR, HybridHamiltonian,
                            adiabatic_basis, on_points)
 from mqcdyn.pauli import pauli_components, pauli_matrix, projector
-from mqcdyn.regularization import KernelSpec, kernel_1d
+from mqcdyn.regularization import KernelSpec
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -223,6 +223,21 @@ def validate_loop(e, trace_tol=TRACE_TOL, psd_tol=PSD_TOL):
     if wsum_dev > WEIGHT_SUM_TOL:
         out.append(Violation(None, "weight_sum", wsum_dev))
     return out
+
+
+def kernel_1d(spec: KernelSpec, y):
+    """Normalized 1D Gaussian kernel Ktilde(y), without the cutoff of
+    `mqcdyn.regularization.kernel_rows`: the tests' reference formula."""
+    y = np.asarray(y, dtype=float)
+    # exp(-(y/alpha)^2)/(alpha sqrt(pi)), each step written into one array;
+    # a 0-d input still gives a numpy scalar
+    k = np.divide(y, spec.alpha, out=np.empty_like(y))
+    np.square(k, out=k)
+    np.negative(k, out=k)
+    np.exp(k, out=k)
+    np.divide(k, spec.alpha * np.sqrt(np.pi), out=k)
+    return k[()]
+
 
 def kernel_1d_deriv(spec, y):
     """d/dy of the 1D kernel, -2y/alpha^2 * Ktilde(y)."""

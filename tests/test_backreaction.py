@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 
 from mqcdyn import backreaction
-from mqcdyn.backreaction import HBAR, _kernel_rows, bohmion_terms, koopmon_terms
+from mqcdyn.backreaction import HBAR, bohmion_terms, koopmon_terms
 from mqcdyn.ensemble import ParticleEnsemble
 from mqcdyn.models import HybridHamiltonian, make_model, on_points
 from mqcdyn.pauli import pauli_components
-from mqcdyn.regularization import (GridCoverageError, GridParams, KernelSpec,
-                                   build_grid, build_grid_1d, kernel_1d)
+from mqcdyn.regularization import (_KERNEL_CUTOFF, GridCoverageError,
+                                   GridParams, KernelSpec, build_grid,
+                                   build_grid_1d, kernel_rows)
 
 from helpers import (bloch_state, bohmion_coupling_energy, bohmion_pairs,
-                     fd_gradient_check, grad_p, grad_q, kernel_1d_deriv,
-                     kernel_1d_deriv2, koopmon_coupling_energy, koopmon_pairs,
-                     traced_peak)
+                     fd_gradient_check, grad_p, grad_q, kernel_1d,
+                     kernel_1d_deriv, kernel_1d_deriv2, koopmon_coupling_energy,
+                     koopmon_pairs, traced_peak)
 
 
 def random_ensemble(n, seed=0, q0=-8.0, p0=10.0, spread=0.6):
@@ -312,8 +313,8 @@ def test_koopmon_terms_on_a_split_cloud(dq, dp):
     h = periodic_model()
     spec = KernelSpec(alpha=0.5)
     grid = build_grid(e.q, e.p, spec)
-    kq = _kernel_rows(spec, e.q, grid.q_nodes)[0]
-    kp = _kernel_rows(spec, e.p, grid.p_nodes)[0]
+    kq = kernel_rows(spec, e.q, grid.q_nodes)[0]
+    kp = kernel_rows(spec, e.p, grid.p_nodes)[0]
     assert not (kq.any(axis=0).all() and kp.any(axis=0).all())
 
     table = koopmon_pairs(e, h, grid, spec)
@@ -458,7 +459,7 @@ def bohmion_terms_by_node_products(e, mass, grid, spec):
     nodes, the form the GEMMs of `bohmion_terms` replace."""
     comp = e.components.T
     s0, s, w = comp[:, 0], comp[:, 1:], e.w
-    k, dk, ddk = _kernel_rows(spec, e.q, grid.nodes, 3)
+    k, dk, ddk = kernel_rows(spec, e.q, grid.nodes, 3)
     inv_d = backreaction._masked_inverse(w @ k)
     u = w @ dk
     vg0 = (w * s0) @ dk
@@ -494,8 +495,8 @@ def koopmon_pairs_by_pair_loops(e, h, grid, spec):
     """The koopmon table from one quadrature per pair over the upper
     triangle, the loop that the Gram products of `koopmon_pairs` replace."""
     n = e.n
-    kq, dkq = _kernel_rows(spec, e.q, grid.q_nodes)
-    kp, dkp = _kernel_rows(spec, e.p, grid.p_nodes)
+    kq, dkq = kernel_rows(spec, e.q, grid.q_nodes)
+    kp, dkp = kernel_rows(spec, e.p, grid.p_nodes)
     inv_d = backreaction._masked_inverse((e.w[:, None] * kq).T @ kp)
     qq, pp = grid.q_nodes[:, None], grid.p_nodes[None, :]
     gq, gp = np.stack(grad_q(h, qq, pp)), np.stack(grad_p(h, qq, pp))
@@ -549,20 +550,24 @@ def test_kernel_rows_are_exact_zeros_on_the_box_edges(seed):
     spec = KernelSpec(alpha=rng.uniform(0.2, 1.5))
     grid = build_grid(e.q, e.p, spec)
     for centers, nodes in ((e.q, grid.q_nodes), (e.p, grid.p_nodes)):
-        for rows in _kernel_rows(spec, centers, nodes, 3):
+        for rows in kernel_rows(spec, centers, nodes, 3):
             assert np.all(rows[:, [0, -1]] == 0.0)
             assert np.any(rows[:, [1, -2]] != 0.0)
 
 
 @pytest.mark.parametrize("alpha", [0.325, 0.5, 1.3, 8.0])
 def test_kernel_rows_equal_the_public_kernel_formulas(alpha):
-    # inside the cutoff radius R the rows are the formulas of
-    # `regularization`; from R out they are exact zeros
+    # inside the cutoff radius R the rows are the uncut kernel formulas of
+    # the tests; from R out they are exact zeros.  K alone (one row), K and
+    # K' (two) are the leading rows of all three, bit for bit
     spec = KernelSpec(alpha=alpha)
-    radius = backreaction._KERNEL_CUTOFF * spec.sigma_k
+    radius = _KERNEL_CUTOFF * spec.sigma_k
     centers = np.array([-0.7, 0.0, 0.31]) * alpha
     nodes = np.linspace(-1.2, 1.2, 2401) * radius
-    rows = _kernel_rows(spec, centers, nodes, 3)
+    rows = kernel_rows(spec, centers, nodes, 3)
+    for n_rows in (1, 2):
+        assert np.array_equal(kernel_rows(spec, centers, nodes, n_rows),
+                              rows[:n_rows])
     y = nodes[None, :] - centers[:, None]
     inside = np.abs(y) <= 0.999 * radius
     assert inside.any() and (np.abs(y) >= radius).any()

@@ -8,6 +8,7 @@ from mqcdyn.diagnostics import (DiagnosticsRecord, default_phase_grid,
 from mqcdyn.ensemble import ParticleEnsemble
 from mqcdyn.models import HBAR, adiabatic_basis, make_model
 from mqcdyn.pauli import pauli_components, projector
+from mqcdyn.regularization import _KERNEL_CUTOFF
 from mqcdyn.sampling import InitSpec, init_ensemble
 from mqcdyn.soft import SpatialGrid1D, WavepacketState, init_wavepacket
 
@@ -310,6 +311,35 @@ def test_smoothed_cloud_memory_does_not_grow_with_n(n):
     e = spread_ensemble(n, seed=3)
     q, p = default_phase_grid(e, 0.25, n_nodes=256)
     assert traced_peak(lambda: smoothed_cloud(e, 0.25, q, p)) < 2.5e6
+
+
+@pytest.mark.parametrize("n", BLOCK_COUNTS)
+def test_smoothed_densities_are_exact_zeros_beyond_the_cutoff(n):
+    # both densities use the cut kernel of the dynamics.  A particle adds an
+    # exact zero at a node at least R = 9 sigma_delta from it along an axis,
+    # where the uncut Gaussian would still add up to e^-40.5 of its peak;
+    # well inside R on every axis it adds a positive value
+    delta = 0.25
+    radius = _KERNEL_CUTOFF * delta / np.sqrt(2.0)
+    e = spread_ensemble(n, seed=n)
+    q = np.linspace(e.q.min() - 2 * radius, e.q.max() + 2 * radius, 203)
+    p = np.linspace(e.p.min() - 2 * radius, e.p.max() + 2 * radius, 197)
+    cloud = smoothed_cloud(e, delta, q, p).values
+    row = waterfall([(0.0, e)], delta, q).values[0]
+
+    def reached(r):
+        """Whether some particle lies within r of the node on every axis,
+        for the cloud's (n_q, n_p) and the waterfall's (n_q,) nodes."""
+        near_q = np.abs(q[:, None] - e.q) < r
+        near_p = np.abs(p[:, None] - e.p) < r
+        return (near_q.astype(float) @ near_p.T.astype(float) > 0.0,
+                near_q.any(axis=1))
+
+    for values, inside, well_inside in zip((cloud, row), reached(radius),
+                                           reached(0.999 * radius)):
+        assert not inside.all() and well_inside.any()
+        assert np.all(values[~inside] == 0.0)
+        assert np.all(values[well_inside] > 0.0)
 
 
 def test_default_phase_grid_covers_cloud():

@@ -1,4 +1,5 @@
 import collections
+import math
 
 import numpy as np
 import pytest
@@ -383,6 +384,8 @@ def soft_loop(dt, t_final, snapshot_times):
     (0.0, 1.0, (), "dt must be positive"),
     (-1.0, 1.0, (), "dt must be positive"),
     (0.05, -3.0, (), "t_final must be nonnegative"),
+    (math.inf, 10.0, (), "dt=inf and t_final=10.0 must be finite"),
+    (0.05, math.inf, (), "dt=0.05 and t_final=inf must be finite"),
     (0.05, 0.07, (), "t_final=0.07 is not an integer number of steps of "
                      "dt=0.05"),
     (1.0, 10.0, (0.0, 50.0), r"snapshot time 50.0 outside \[0, 10.0\]"),

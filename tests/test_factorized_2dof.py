@@ -23,9 +23,9 @@ from mqcdyn.ensemble import Ensemble2D
 from mqcdyn.models import on_points
 from mqcdyn.pauli import pauli_components, projector
 from mqcdyn.regularization import GridParams, KernelSpec, build_grid, \
-    kernel_1d, quadrature
+    kernel_rows, quadrature
 
-from helpers import kernel_1d_deriv
+from helpers import kernel_1d, kernel_1d_deriv
 
 ALPHA = 0.75
 SPEC = KernelSpec(alpha=ALPHA)
@@ -352,8 +352,8 @@ def axis_tables_by_pair_loops(q, p, w, spec, params, scalar, matrix):
     Gram products of `backreaction._axis_tables` replace."""
     grid = build_grid(q, p, spec, params)
     n = q.shape[0]
-    kq, dkq = backreaction._kernel_rows(spec, q, grid.q_nodes)
-    kp, dkp = backreaction._kernel_rows(spec, p, grid.p_nodes)
+    kq, dkq = kernel_rows(spec, q, grid.q_nodes)
+    kp, dkp = kernel_rows(spec, p, grid.p_nodes)
     inv_d = backreaction._masked_inverse((w[:, None] * kq).T @ kp)
     qq = grid.q_nodes[:, None]
     pp = grid.p_nodes[None, :]

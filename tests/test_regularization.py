@@ -4,13 +4,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mqcdyn.regularization import (GridCoverageError, GridParams, KernelSpec,
-                                   build_grid, build_grid_1d, kernel_1d,
+                                   build_grid, build_grid_1d, kernel_rows,
                                    quadrature)
 
-from helpers import kernel_1d_deriv, kernel_1d_deriv2
+from helpers import kernel_1d
 
 widths = st.floats(min_value=0.05, max_value=8.0, allow_nan=False)
 offsets = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)
+
+
+def kernel(spec, y, n_rows=1):
+    """`kernel_rows` of one particle at the origin on the nodes ``y``:
+    (n_rows, len(y)), K first."""
+    return kernel_rows(spec, np.zeros(1), np.atleast_1d(y).astype(float),
+                       n_rows)[:, 0]
 
 
 def wide_grid_1d(spec, n_sigma=20.0, j=2):
@@ -22,14 +29,16 @@ def wide_grid_1d(spec, n_sigma=20.0, j=2):
 @given(widths, offsets)
 def test_kernel_symmetry(alpha, y):
     spec = KernelSpec(alpha=alpha)
-    assert kernel_1d(spec, y) == kernel_1d(spec, -y)
-    assert kernel_1d_deriv(spec, y) == -kernel_1d_deriv(spec, -y)
+    (k, k_minus), (dk, dk_minus) = kernel(spec, [y, -y], 2)
+    assert k == k_minus
+    assert dk == -dk_minus
 
 
 def test_kernel_peak_value():
     spec = KernelSpec(alpha=0.5)
-    assert kernel_1d(spec, 0.0) == pytest.approx(2.0 / np.sqrt(np.pi))
-    assert kernel_1d_deriv(spec, 0.0) == 0.0
+    (k,), (dk,) = kernel(spec, 0.0, 2)
+    assert k == pytest.approx(2.0 / np.sqrt(np.pi))
+    assert dk == 0.0
 
 
 @pytest.mark.parametrize("y", [np.float64(-1.3), 0.7, -2, np.array(0.4),
@@ -49,18 +58,18 @@ def test_kernel_derivatives_match_fd():
     spec = KernelSpec(alpha=0.7)
     y = np.linspace(-3, 3, 41)
     step = 1e-6
-    fd1 = (kernel_1d(spec, y + step) - kernel_1d(spec, y - step)) / (2 * step)
-    fd2 = (kernel_1d_deriv(spec, y + step)
-           - kernel_1d_deriv(spec, y - step)) / (2 * step)
-    assert np.allclose(kernel_1d_deriv(spec, y), fd1, rtol=1e-8, atol=1e-10)
-    assert np.allclose(kernel_1d_deriv2(spec, y), fd2, rtol=1e-8, atol=1e-10)
+    _, dk, ddk = kernel(spec, y, 3)
+    fd1, fd2 = (kernel(spec, y + step, 2)
+                - kernel(spec, y - step, 2)) / (2 * step)
+    assert np.allclose(dk, fd1, rtol=1e-8, atol=1e-10)
+    assert np.allclose(ddk, fd2, rtol=1e-8, atol=1e-10)
 
 
 def test_kernel_normalization_on_wide_grid():
     # trapezoid over [-20 sigma, 20 sigma] at spacing sigma/2
     spec = KernelSpec(alpha=0.5)
     grid = wide_grid_1d(spec)
-    mass = quadrature(kernel_1d(spec, grid.nodes), grid)
+    mass = quadrature(kernel(spec, grid.nodes)[0], grid)
     assert abs(mass - 1.0) < 1e-8
 
 
@@ -72,8 +81,8 @@ def test_kernel_mass_deficit_on_production_box():
     from scipy.special import erf
     spec = KernelSpec(alpha=0.5)
     grid = build_grid_1d(np.array([0.0]), spec, GridParams(n_q=2, n_p=2))
-    mass = quadrature(kernel_1d(spec, grid.nodes), grid)
-    truncated, _ = quad(lambda y: float(kernel_1d(spec, y)),
+    mass = quadrature(kernel(spec, grid.nodes)[0], grid)
+    truncated, _ = quad(lambda y: float(kernel(spec, y)[0, 0]),
                         grid.nodes[0], grid.nodes[-1], epsabs=1e-14)
     assert truncated == pytest.approx(float(erf(np.sqrt(2.0))), abs=1e-12)
     assert mass == pytest.approx(truncated, abs=5e-3)
@@ -165,8 +174,8 @@ def test_trapezoid_2d_gaussian_mass_wide_box():
     spec = KernelSpec(alpha=0.5)
     grid = build_grid(np.array([0.3]), np.array([-0.2]), spec,
                       GridParams(n_q=12, n_p=12))
-    vals = (kernel_1d(spec, grid.q_nodes - 0.3)[:, None]
-            * kernel_1d(spec, grid.p_nodes + 0.2)[None, :])
+    vals = (kernel(spec, grid.q_nodes - 0.3)[0, :, None]
+            * kernel(spec, grid.p_nodes + 0.2)[0, None, :])
     assert quadrature(vals, grid) == pytest.approx(1.0, abs=1e-6)
 
 
@@ -189,8 +198,8 @@ def test_grid_refinement_converges():
 
     def mass(params):
         grid = build_grid(q, p, spec, params)
-        vals = sum(0.5 * kernel_1d(spec, grid.q_nodes - qa)[:, None]
-                   * kernel_1d(spec, grid.p_nodes - pa)[None, :]
+        vals = sum(0.5 * kernel(spec, grid.q_nodes - qa)[0, :, None]
+                   * kernel(spec, grid.p_nodes - pa)[0, None, :]
                    for qa, pa in zip(q, p))
         return quadrature(vals, grid)
 

@@ -84,6 +84,25 @@ def test_all_presets_resolve_for_every_method():
      "run.model, model.*: unknown model 'nope'"),
     ("soft", {"model.bogus": 1},
      "run.model, model.*: unknown parameters for tully1: ['bogus']"),
+    # an infinite value passes every positivity check
+    ("koopmon", {"run.dt": "inf"},
+     "key 'run.dt': expected a finite number, got 'inf'"),
+    ("koopmon", {"run.alpha": float("inf")},
+     "key 'run.alpha': expected a finite number, got inf"),
+    ("bohmion", {"init.mu_q": "inf"},
+     "key 'init.mu_q': expected a finite number, got 'inf'"),
+    ("ehrenfest", {"viz.delta": "inf"},
+     "key 'viz.delta': expected a finite number, got 'inf'"),
+    ("soft", {"run.t_final": "inf"},
+     "key 'run.t_final': expected a finite number, got 'inf'"),
+    ("soft", {"soft.r_max": "-inf"},
+     "key 'soft.r_max': expected a finite number, got '-inf'"),
+    ("ehrenfest", {"run.snapshot_times": "0, nan"},
+     "key 'run.snapshot_times': expected a finite number, got '0, nan'"),
+    ("koopmon", {"run.snapshot_times": (0.0, float("inf"))},
+     "key 'run.snapshot_times': expected a finite number, got (0.0, inf)"),
+    ("soft", {"model.a": "1e400"},
+     "key 'model.a': expected a finite number, got '1e400'"),
 ])
 def test_values_the_run_would_reject_are_config_errors(method, overrides,
                                                        message):
